@@ -1,0 +1,235 @@
+"""Golden digests of whole decodes and of CLI report bytes.
+
+Each decode case hashes everything the decode records: tokens, trace
+events, finalize spans, the per-phase ledger, stats, the per-layer fills
+at every verification boundary and at the end. A change to the decode
+loops that moves a single event, span or counter fails here, even when
+the committed tokens stay the same. The report cases pin the bytes the
+CLI writes for `compare`, `sweep --matrix` and `ablate`, in csv and
+jsonl, at one and two jobs.
+
+Update a digest only for a deliberate change of decode or report
+behaviour, and say so in the change log.
+"""
+import dataclasses
+import hashlib
+import json
+import random
+
+import pytest
+
+from specdec import (
+    AcceptancePolicy,
+    HierarchicalConfig,
+    ModelConfig,
+    SyntheticBackend,
+    SyntheticModelSpec,
+    hierarchical_decode,
+    init_model,
+    selfspec_decode,
+    vanilla_decode,
+)
+from specdec.cli import main
+from specdec.synthetic import uniform_profile
+
+N_LAYERS = 10
+MAX_SEQ_LEN = 40
+
+
+def _synthetic(profile, seed):
+    return SyntheticBackend(
+        SyntheticModelSpec(
+            n_layers=N_LAYERS,
+            vocab_size=24,
+            seed=seed,
+            agreement_profile=profile,
+            max_seq_len=MAX_SEQ_LEN,
+        )
+    )
+
+
+def _random_profile(seed):
+    rng = random.Random(seed)
+    profile = {layer: round(rng.random(), 3) for layer in range(1, N_LAYERS + 1)}
+    profile[N_LAYERS] = 1.0
+    return profile
+
+
+def _backend(name):
+    if name == "toy":
+        return init_model(
+            ModelConfig(
+                n_layers=6, d_model=16, n_heads=2, vocab_size=16, max_seq_len=24, seed=5
+            )
+        )
+    profiles = {
+        "never": uniform_profile(N_LAYERS, 0.0),
+        "always": uniform_profile(N_LAYERS, 1.0),
+        "half": uniform_profile(N_LAYERS, 0.5),
+        "rising": {layer: layer / N_LAYERS for layer in range(1, N_LAYERS + 1)},
+        "random": _random_profile(41),
+    }
+    return _synthetic(profiles[name], seed=sum(map(ord, name)))
+
+
+def _record(result, boundaries=()):
+    payload = {
+        "tokens": result.tokens,
+        "events": [[type(e).__name__, dataclasses.asdict(e)] for e in result.trace.events],
+        "finalize": result.trace.finalize_processed,
+        "ledger": {name: dataclasses.asdict(c) for name, c in result.ledger.phases.items()},
+        "stats": dataclasses.asdict(result.stats),
+        "fills": result.state.fills(),
+        "boundaries": list(boundaries),
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+def _cases(backend, seed, count):
+    """Seeded decode cases; every third one ends exactly at max_seq_len."""
+    rng = random.Random(seed)
+    n = backend.n_layers
+    for index in range(count):
+        prompt = [rng.randrange(backend.vocab_size) for _ in range(rng.randint(1, 6))]
+        room = backend.max_seq_len - len(prompt)
+        budget = room if index % 3 == 0 else rng.randint(1, min(room, 20))
+        draft = rng.randint(1, n - 2)
+        intermediate = rng.randint(draft + 1, n - 1)
+        eos_mode = rng.choice(("none", "hit", "random"))
+        n_d, n_i = rng.randint(1, 4), rng.randint(1, 6)
+        yield prompt, budget, draft, intermediate, n_d, n_i, eos_mode, rng
+
+
+def _group_records(name, policy, count):
+    backend = _backend(name)
+    records = []
+    for prompt, budget, draft, inter, n_d, n_i, eos_mode, rng in _cases(
+        backend, seed=len(name) * 7 + policy.k, count=count
+    ):
+        reference = vanilla_decode(backend, prompt, budget)
+        eos = None
+        if eos_mode == "hit":
+            eos = reference.tokens[rng.randrange(len(reference.tokens))]
+        elif eos_mode == "random":
+            eos = rng.randrange(backend.vocab_size)
+        records.append(_record(vanilla_decode(backend, prompt, budget, eos_token=eos)))
+        records.append(_record(vanilla_decode(backend, prompt, budget, layer=draft)))
+        records.append(
+            _record(
+                selfspec_decode(
+                    backend, prompt, draft_layer=draft, draft_len=n_d,
+                    max_new_tokens=budget, eos_token=eos, policy=policy,
+                )
+            )
+        )
+        boundaries = []
+
+        def hook(session):
+            boundaries.append([session.state.fills(), session.state.committed_len])
+
+        config = HierarchicalConfig(
+            draft_layer=draft, intermediate_layer=inter, full_layer=backend.n_layers,
+            draft_len=n_d, accept_window=n_i, max_new_tokens=budget, eos_token=eos,
+            policy=policy,
+        )
+        result = hierarchical_decode(backend, prompt, config, boundary_hook=hook)
+        records.append(_record(result, boundaries))
+    return records
+
+
+def _digest(parts):
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+TOP2 = AcceptancePolicy("top_k", k=2)
+
+DECODE_GOLDEN = {
+    ("never", "greedy"):
+        "f672b16d2f9bc48134304e4fe34e2fa692cc77b7914077608930c68d1faddbfa",
+    ("always", "greedy"):
+        "e3ddd1de21f947f1d79190c6d1a49efcea48bf6c454b39e58b038bd6befd41cd",
+    ("half", "greedy"):
+        "63fe4617042536dc76d1a72298b99059c08526778f89b2eb55a3c603247eb043",
+    ("rising", "greedy"):
+        "642140e728d959d7a319ea590901ebfa13d63bc59077c236017c08c24ce1f588",
+    ("random", "greedy"):
+        "14f07338dc75c94881c483ba56ef6a4c23f106d367841fd4d08d0d8a2b5329fe",
+    ("toy", "greedy"):
+        "15f74a83a1c4eba3147a072ce3963d39efdfacb4f0faf29776e01121a9850bd1",
+    ("toy", "top_k"):
+        "8f9d12eec13b52746c5e235f9a9c986aa1dd70e6e14c10ce6b3f4057fad20dfa",
+}
+
+
+@pytest.mark.parametrize("backend_name, policy_name", sorted(DECODE_GOLDEN))
+def test_decode_records_match_golden(backend_name, policy_name):
+    policy = TOP2 if policy_name == "top_k" else AcceptancePolicy()
+    count = 8 if backend_name == "toy" else 18
+    digest = _digest(_group_records(backend_name, policy, count))
+    assert digest == DECODE_GOLDEN[(backend_name, policy_name)]
+
+
+REPORT_CONFIGS = {
+    "synthetic": {
+        "seed": 4,
+        "backend": {"type": "synthetic", "preset": "quarter-depth-69", "n_layers": 16},
+        "prompts": {"count": 5, "min_len": 2, "max_len": 7},
+        "decode": {"max_new_tokens": 12},
+        "strategies": [
+            {"name": "selfspec", "draft_layer": [1, 3], "draft_len": [1, 3]},
+            {"name": "hierarchical", "draft_layer": [1, 2], "intermediate_layer": [4, 8]},
+        ],
+    },
+    "toy-topk": {
+        "seed": 6,
+        "backend": {
+            "type": "toy", "n_layers": 6, "d_model": 16, "n_heads": 2,
+            "vocab_size": 16, "max_seq_len": 32,
+        },
+        "prompts": {"count": 3, "min_len": 2, "max_len": 5},
+        "decode": {"max_new_tokens": 8, "policy": {"mode": "top_k", "k": 2}},
+        "strategies": [{"name": "selfspec", "draft_layer": [2]}, {"name": "hierarchical"}],
+    },
+}
+
+COMMANDS = {
+    "compare": (["compare"], ["compare"]),
+    "sweep": (["sweep", "--matrix"], ["sweep", "matrix"]),
+    "ablate": (["ablate", "--parameter", "N_d", "--values", "1,3"], ["ablate_N_d"]),
+}
+
+REPORT_GOLDEN = {
+    ("synthetic", "compare"):
+        "8d10c76f5453d4265a26c0ccfed4d7d05bb4248696ee839e92645eda26b65ff3",
+    ("synthetic", "sweep"):
+        "3b969ba48da3e916f46222601d36bcf89c495c36b91c4c3d2e000ee85bad2688",
+    ("synthetic", "ablate"):
+        "90aa783f578ff897517526d1932bb063eeaf405776d9f9254f5cdd40c8dc4c23",
+    ("toy-topk", "compare"):
+        "3a7d742486f239c605833f5ce5cdecc09297b0bde40218fab8133536cbb6c094",
+    ("toy-topk", "sweep"):
+        "ba9508f0aaeab62df5e8236e5eef89847b042b713c4a56f23c3885897dabb18b",
+    ("toy-topk", "ablate"):
+        "d61328589f3276f5a2124b2d763ccb76f7b8f1eed29a8a9cfe8985cc06e70703",
+}
+
+
+@pytest.mark.parametrize("config_name, command", sorted(REPORT_GOLDEN))
+def test_report_bytes_match_golden(tmp_path, monkeypatch, config_name, command):
+    monkeypatch.delenv("SPECDEC_JOBS", raising=False)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(REPORT_CONFIGS[config_name]), encoding="utf-8")
+    args, stems = COMMANDS[command]
+    by_jobs = {}
+    for jobs in (1, 2):
+        blobs = []
+        for fmt in ("csv", "jsonl"):
+            out = tmp_path / f"{fmt}-{jobs}"
+            argv = args + ["--config", str(config_path), "--out", str(out), "--format", fmt]
+            assert main(argv + ["--jobs", str(jobs)]) == 0
+            for stem in stems:
+                name = "matrix.txt" if stem == "matrix" else f"{stem}.{fmt}"
+                blobs.append((out / name).read_text(encoding="utf-8"))
+        by_jobs[jobs] = blobs
+    assert by_jobs[1] == by_jobs[2]
+    assert _digest(by_jobs[1]) == REPORT_GOLDEN[(config_name, command)]
