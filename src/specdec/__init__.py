@@ -1,13 +1,7 @@
 """Speculative decoding with early-exit drafting and hierarchical verification."""
 
 from .backend import Backend, TokenDistribution
-from .costs import (
-    CostLedger,
-    ThroughputReport,
-    record_pass,
-    relative_throughput,
-    verification_wall_ratio,
-)
+from .costs import CostLedger, relative_throughput, verification_wall_ratio
 from .engine import (
     GREEDY,
     AcceptancePolicy,
@@ -15,7 +9,6 @@ from .engine import (
     DecodeSession,
     DecodeTrace,
     HierarchicalConfig,
-    TentativeBuffer,
     default_layer_placement,
     hierarchical_decode,
     replay_ledger,
@@ -70,8 +63,6 @@ __all__ = [
     "SpecdecError",
     "SyntheticBackend",
     "SyntheticModelSpec",
-    "TentativeBuffer",
-    "ThroughputReport",
     "TokenDistribution",
     "ToyTransformer",
     "UndefinedRatioError",
@@ -82,7 +73,6 @@ __all__ = [
     "init_model",
     "interpolated_profile",
     "mix64",
-    "record_pass",
     "relative_throughput",
     "replay_ledger",
     "selfspec_decode",

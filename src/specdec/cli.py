@@ -18,6 +18,7 @@ from .experiments import (
     WALL_COLUMNS,
     build_backend,
     build_prompts,
+    config_int,
     emit_matrix,
     emit_report,
     load_config,
@@ -86,7 +87,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ablate(args) -> int:
     config = load_config(args.config, args.seed)
-    values = [int(v) for v in args.values.split(",") if v.strip()]
+    values = [config_int(v, "--values") for v in args.values.split(",") if v.strip()]
     rows = run_ablation(config, args.parameter, values, jobs=resolve_jobs(args.jobs))
     path = _write(rows, args, f"ablate_{args.parameter}", RESULT_COLUMNS)
     print(f"wrote {len(rows)} rows to {path}")

@@ -64,22 +64,14 @@ class CostLedger:
             mine.pass_count += cost.pass_count
 
 
-def record_pass(ledger: CostLedger, phase: str, layers: int, positions: int) -> CostLedger:
-    ledger.record_pass(phase, layers, positions)
-    return ledger
-
-
-def verification_wall_ratio(
-    draft_layers: int, target_layers: int, positions_per_verify: int = 1
-) -> float:
+def verification_wall_ratio(draft_layers: int, target_layers: int) -> float:
     """Sequential cost of one verify pass over the per-token draft cost.
 
     Under the latency proxy a verify pass costs its layer count no matter
-    how many positions it covers, so `positions_per_verify` does not move
-    the ratio; it is accepted to document the pass shape. Structural proxy
-    only, not a wall-clock prediction.
+    how many positions it covers. Structural proxy only, not a wall-clock
+    prediction.
     """
-    if draft_layers <= 0 or target_layers <= 0 or positions_per_verify <= 0:
+    if draft_layers <= 0 or target_layers <= 0:
         raise ValueError("inputs must be positive")
     return target_layers / draft_layers
 
@@ -115,13 +107,3 @@ WALL_DEPTH_PAIRS: tuple[tuple[str, int, str, int], ...] = (
     ("llama-3b", 28, "llama-405b", 126),
     ("llama-8b", 32, "llama-405b", 126),
 )
-
-
-@dataclass(frozen=True)
-class ThroughputReport:
-    committed_tokens: int
-    tokens_per_sequential_unit: float
-    relative_throughput: float
-    acceptance_rate_intermediate: float | None
-    acceptance_rate_target: float | None
-    flushed_tokens: int

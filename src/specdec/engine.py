@@ -1,30 +1,39 @@
-"""Decoding strategies: vanilla autoregressive, single-layer self-speculation,
-and hierarchical speculation with an intermediate verifier.
+"""Decoding strategies over early exits: vanilla, self-speculation, and
+speculation with an intermediate verifier.
 
-All three run over any backend and share one session mechanism: exit
-"levels" partition the layer stack, lower levels run ahead of higher
-ones, and verification prunes rejected positions before the next phase.
-Under the greedy top-1 policy the speculative strategies are lossless:
-they commit a token only when it equals the full model's own greedy
-choice at that position, so the output matches vanilla decoding token
-for token. Top-k acceptance is available but lossy by construction.
+A `DecodeSession` owns one decode's layered state, cost ledger and trace.
+Its exits split the layer stack into levels; lower levels run ahead of
+higher ones, and verification prunes rejected positions before the next
+phase. Vanilla decoding emits greedy tokens at a single exit. Both
+speculative strategies run one round loop, `_speculate`:
 
-Event flow per hierarchical round: the draft level proposes a short
-burst, the intermediate level keeps the longest agreeing prefix and adds
-one of its own tokens (on mismatch the rejected tail is pruned first),
-and once enough tokens are buffered the full model verifies them
-left-to-right, committing survivors and flushing everything from the
-first disagreement, with one full-model token emitted in its place.
+- with exits (draft, full), each round drafts a burst at the draft exit
+  and the full model verifies it;
+- with exits (draft, intermediate, full), each draft burst is first
+  screened by the intermediate exit, which keeps the longest agreeing
+  prefix and adds one token of its own (on mismatch the rejected tail is
+  pruned first); once the tentative buffer holds `accept_window` tokens,
+  or an end condition is pending, the full model verifies it.
+
+The full model commits the agreeing prefix and flushes everything from
+the first disagreement, committing its own token in its place. Under the
+greedy top-1 policy the speculative strategies are therefore lossless:
+the output matches vanilla decoding token for token. Top-k acceptance is
+available but lossy by construction.
+
+The trace is the record of a decode: `DecodeTrace.stats()` derives the
+acceptance and flush counts from its events, and `replay_ledger` rebuilds
+the cost ledger from it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Sequence
 
 from .backend import Backend, TokenDistribution
 from .costs import CostLedger
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, ProtocolError
 from .state import LayeredState
 
 
@@ -90,28 +99,6 @@ class HierarchicalConfig:
         return cls(**params)
 
 
-class TentativeBuffer:
-    """Tokens accepted by the intermediate verifier, awaiting the full model."""
-
-    def __init__(self) -> None:
-        self.tokens: list[int] = []
-        self.provenance: list[str] = []
-
-    def append(self, token: int, provenance: str) -> None:
-        self.tokens.append(token)
-        self.provenance.append(provenance)
-
-    def clear(self) -> None:
-        self.tokens.clear()
-        self.provenance.clear()
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __contains__(self, token: int) -> bool:
-        return token in self.tokens
-
-
 Span = tuple[int, int]
 
 
@@ -158,6 +145,39 @@ class DecodeTrace:
                 out.extend(event.tokens)
         return out
 
+    def stats(self) -> DecodeStats:
+        """Acceptance and flush counts, derived from the events alone.
+
+        `drafted` counts the draft tokens shown to the first verifier, i.e.
+        each DraftStep directly followed by a verify event; a vanilla trace
+        has no verifier and counts zero everywhere.
+        """
+        drafted = checked_i = accepted_i = presented = checked_t = accepted_t = flushed = 0
+        previous = None
+        for event in self.events:
+            if isinstance(previous, DraftStep) and isinstance(
+                event, (IntermediateVerify, TargetVerify)
+            ):
+                drafted += len(previous.tokens)
+            if isinstance(event, IntermediateVerify):
+                checked_i += len(event.accepted) + int(event.rejected > 0)
+                accepted_i += len(event.accepted)
+            elif isinstance(event, TargetVerify):
+                presented += event.presented
+                checked_t += len(event.accepted) + int(event.mismatch)
+                accepted_t += len(event.accepted)
+                flushed += event.flushed
+            previous = event
+        return DecodeStats(
+            drafted=drafted,
+            checked_intermediate=checked_i,
+            accepted_intermediate=accepted_i,
+            presented_target=presented,
+            checked_target=checked_t,
+            accepted_target=accepted_t,
+            flushed=flushed,
+        )
+
 
 @dataclass(frozen=True)
 class DecodeStats:
@@ -184,6 +204,9 @@ class DecodeStats:
         if self.checked_target == 0:
             return None
         return self.accepted_target / self.checked_target
+
+    def __add__(self, other: "DecodeStats") -> "DecodeStats":
+        return DecodeStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 @dataclass
@@ -358,13 +381,7 @@ def vanilla_decode(
     session.state.mark_committed(len(session.state.tokens))
     session.trace.events.append(DraftStep(start_pos=start, tokens=tuple(tokens), processed=span))
     session.trace.events.append(Commit(tokens=tuple(tokens)))
-    return DecodeResult(
-        tokens=tokens,
-        trace=session.trace,
-        ledger=session.ledger,
-        stats=DecodeStats(),
-        state=session.state,
-    )
+    return _result(session)
 
 
 def selfspec_decode(
@@ -385,93 +402,7 @@ def selfspec_decode(
     session = DecodeSession(
         backend, exits=(draft_layer, backend.n_layers), policy=policy, eos_token=eos_token
     )
-    session.prefill(prompt)
-    stats = {"drafted": 0, "checked": 0, "accepted": 0, "flushed": 0}
-    new_committed = 0
-    while new_committed < max_new_tokens:
-        draft_start = len(session.state.tokens)
-        drafted, span = session.generate_next(draft_len)
-        if not drafted:
-            raise CapacityError("no room left to draft")
-        session.trace.events.append(
-            DraftStep(start_pos=draft_start, tokens=tuple(drafted), processed=span)
-        )
-        accepted, bonus, mismatch, spans = session.leading_substring_verify(
-            drafted, level=1, phase="target_verify", full_accept_bonus=False
-        )
-        stats["drafted"] += len(drafted)
-        stats["checked"] += len(accepted) + (1 if mismatch else 0)
-        stats["accepted"] += len(accepted)
-        committed_now, stop = _commit_capped(
-            session, accepted, new_committed, max_new_tokens, eos_token
-        )
-        new_committed += len(committed_now)
-        bonus_committed = None
-        if mismatch and stop is None:
-            session.state.append_token(bonus)
-            session.state.mark_committed(session.state.committed_len + 1)
-            committed_now.append(bonus)
-            bonus_committed = bonus
-            new_committed += 1
-            if eos_token is not None and bonus == eos_token:
-                stop = "eos"
-            elif new_committed >= max_new_tokens:
-                stop = "budget"
-        flushed = len(drafted) - (len(committed_now) - (1 if bonus_committed is not None else 0))
-        stats["flushed"] += flushed
-        session.trace.events.append(
-            TargetVerify(
-                accepted=tuple(accepted),
-                bonus=bonus_committed,
-                presented=len(drafted),
-                flushed=flushed,
-                mismatch=mismatch,
-                reason="round",
-                processed=spans,
-            )
-        )
-        session.trace.events.append(Commit(tokens=tuple(committed_now)))
-        if stop == "eos":
-            break
-        if new_committed >= max_new_tokens:
-            break
-    session.finalize()
-    result_stats = DecodeStats(
-        drafted=stats["drafted"],
-        presented_target=stats["drafted"],
-        checked_target=stats["checked"],
-        accepted_target=stats["accepted"],
-        flushed=stats["flushed"],
-    )
-    return DecodeResult(
-        tokens=session.trace.committed_tokens(),
-        trace=session.trace,
-        ledger=session.ledger,
-        stats=result_stats,
-        state=session.state,
-    )
-
-
-def _commit_capped(
-    session: DecodeSession,
-    accepted: Sequence[int],
-    already_committed: int,
-    max_new_tokens: int,
-    eos_token: int | None,
-) -> tuple[list[int], str | None]:
-    """Commit accepted tokens left to right, stopping at eos or the budget."""
-    committed: list[int] = []
-    stop: str | None = None
-    for token in accepted:
-        committed.append(token)
-        if eos_token is not None and token == eos_token:
-            stop = "eos"
-            break
-        if already_committed + len(committed) >= max_new_tokens:
-            stop = "budget"
-            break
-    session.state.mark_committed(session.state.committed_len + len(committed))
-    return committed, stop
+    return _speculate(session, prompt, max_new_tokens, draft_len)
 
 
 def hierarchical_decode(
@@ -488,140 +419,155 @@ def hierarchical_decode(
     model verifies the buffer against the committed context, committing
     the agreeing prefix and flushing the rest from the first mismatch,
     where exactly one full-model token is committed instead.
+    `boundary_hook(session)` runs after every full-model verification.
     """
     if config.full_layer != backend.n_layers:
         raise ConfigError(
             f"config.full_layer {config.full_layer} != backend depth {backend.n_layers}"
         )
     _check_capacity(backend, prompt, config.max_new_tokens)
-    eos = config.eos_token
     session = DecodeSession(
         backend,
         exits=(config.draft_layer, config.intermediate_layer, config.full_layer),
         policy=config.policy,
-        eos_token=eos,
+        eos_token=config.eos_token,
     )
+    return _speculate(
+        session, prompt, config.max_new_tokens, config.draft_len, config.accept_window,
+        boundary_hook,
+    )
+
+
+def _speculate(
+    session: DecodeSession,
+    prompt: Sequence[int],
+    max_new_tokens: int,
+    draft_len: int,
+    accept_window: int = 1,
+    boundary_hook=None,
+) -> DecodeResult:
+    """The speculative round loop over a 2- or 3-exit session.
+
+    Each round gathers tentative tokens (one draft burst with two exits,
+    screened bursts up to `accept_window` with three), verifies them at
+    the top exit, commits the agreeing prefix capped at eos and the
+    budget, and on a mismatch commits the top exit's own token instead.
+    `accept_window` matters only with three exits; `boundary_hook(session)`
+    runs after every top-exit verification.
+    """
     session.prefill(prompt)
-    buffer = TentativeBuffer()
-    stats = {
-        "drafted": 0,
-        "chk_i": 0,
-        "acc_i": 0,
-        "presented": 0,
-        "chk_f": 0,
-        "acc_f": 0,
-        "flushed": 0,
-    }
-    new_committed = 0
-    done = False
-    while not done:
-        # Draft rounds until the window fills or an end condition is pending.
-        while (
-            len(buffer) < config.accept_window
-            and (eos is None or eos not in buffer)
-            and new_committed + len(buffer) < config.max_new_tokens
-        ):
-            draft_start = len(session.state.tokens)
-            drafted, span = session.generate_next(config.draft_len)
-            if not drafted:
-                break  # out of room: force verification of what we have
-            session.trace.events.append(
-                DraftStep(start_pos=draft_start, tokens=tuple(drafted), processed=span)
-            )
-            accepted, bonus, mismatch, spans = session.leading_substring_verify(
-                drafted, level=1, phase="intermediate_verify", full_accept_bonus=True
-            )
-            stats["drafted"] += len(drafted)
-            stats["chk_i"] += len(accepted) + (1 if mismatch else 0)
-            stats["acc_i"] += len(accepted)
-            for token in accepted:
-                buffer.append(token, "draft")
-            bonus_recorded = None
-            if bonus is not None and len(session.state.tokens) < backend.max_seq_len:
-                session.state.append_token(bonus)
-                buffer.append(bonus, "intermediate")
-                bonus_recorded = bonus
-            session.trace.events.append(
-                IntermediateVerify(
-                    accepted=tuple(accepted),
-                    bonus=bonus_recorded,
-                    rejected=len(drafted) - len(accepted),
-                    processed=spans,
-                )
-            )
-            assert len(buffer) <= config.accept_window + config.draft_len
-        if len(buffer) == 0:
-            if new_committed >= config.max_new_tokens:
-                break
-            raise CapacityError("no tentative tokens and no room to draft")
-        if len(buffer) >= config.accept_window:
-            reason = "window"
-        elif eos is not None and eos in buffer:
-            reason = "eos"
-        elif new_committed + len(buffer) >= config.max_new_tokens:
-            reason = "budget"
+    top = len(session.exits) - 1
+    eos = session.eos_token
+    committed = 0
+    while committed < max_new_tokens:
+        room = max_new_tokens - committed
+        if top == 1:
+            tentative, reason = _draft(session, draft_len), "round"
         else:
-            reason = "capacity"
-        presented = list(buffer.tokens)
-        accepted_f, bonus_f, mismatch, spans = session.leading_substring_verify(
-            presented,
-            level=2,
+            tentative, reason = _screen(session, draft_len, accept_window, room)
+        if not tentative:
+            raise CapacityError("no room left to draft")
+        accepted, bonus, mismatch, spans = session.leading_substring_verify(
+            tentative,
+            level=top,
             phase="target_verify",
             full_accept_bonus=False,
             draft_start=session.state.committed_len,
         )
-        stats["presented"] += len(presented)
-        stats["chk_f"] += len(accepted_f) + (1 if mismatch else 0)
-        stats["acc_f"] += len(accepted_f)
-        committed_now, stop = _commit_capped(
-            session, accepted_f, new_committed, config.max_new_tokens, eos
-        )
-        new_committed += len(committed_now)
-        bonus_committed = None
-        if mismatch and stop is None:
-            session.state.append_token(bonus_f)
-            session.state.mark_committed(session.state.committed_len + 1)
-            committed_now.append(bonus_f)
-            bonus_committed = bonus_f
-            new_committed += 1
-            if eos is not None and bonus_f == eos:
-                stop = "eos"
-            elif new_committed >= config.max_new_tokens:
-                stop = "budget"
-        flushed = len(presented) - (len(committed_now) - (1 if bonus_committed is not None else 0))
-        stats["flushed"] += flushed
-        buffer.clear()
+        kept = accepted[:room]
+        if eos in kept:
+            kept = kept[: kept.index(eos) + 1]
+        flushed = len(tentative) - len(kept)
+        if mismatch and eos not in kept and len(kept) < room:
+            session.state.append_token(bonus)
+            kept.append(bonus)
+        else:
+            bonus = None
+        session.state.mark_committed(session.state.committed_len + len(kept))
+        committed += len(kept)
         session.trace.events.append(
             TargetVerify(
-                accepted=tuple(accepted_f),
-                bonus=bonus_committed,
-                presented=len(presented),
+                accepted=tuple(accepted),
+                bonus=bonus,
+                presented=len(tentative),
                 flushed=flushed,
                 mismatch=mismatch,
                 reason=reason,
                 processed=spans,
             )
         )
-        session.trace.events.append(Commit(tokens=tuple(committed_now)))
+        session.trace.events.append(Commit(tokens=tuple(kept)))
         if boundary_hook is not None:
             boundary_hook(session)
-        if stop == "eos" or new_committed >= config.max_new_tokens:
-            done = True
+        if eos in kept:
+            break
     session.finalize()
-    result_stats = DecodeStats(
-        drafted=stats["drafted"],
-        checked_intermediate=stats["chk_i"],
-        accepted_intermediate=stats["acc_i"],
-        presented_target=stats["presented"],
-        checked_target=stats["chk_f"],
-        accepted_target=stats["acc_f"],
-        flushed=stats["flushed"],
-    )
+    return _result(session)
+
+
+def _draft(session: DecodeSession, draft_len: int) -> list[int]:
+    """One draft burst at the lowest exit, recorded as a DraftStep."""
+    start = len(session.state.tokens)
+    drafted, span = session.generate_next(draft_len)
+    if drafted:
+        session.trace.events.append(
+            DraftStep(start_pos=start, tokens=tuple(drafted), processed=span)
+        )
+    return drafted
+
+
+def _screen(
+    session: DecodeSession, draft_len: int, accept_window: int, room: int
+) -> tuple[list[int], str]:
+    """Fill the tentative buffer through the intermediate exit.
+
+    Draft bursts are screened until the buffer holds `accept_window`
+    tokens, holds eos, reaches the remaining budget `room`, or no position
+    is left to draft into. Returns the buffer and the reason it is due.
+    """
+    eos = session.eos_token
+    tentative: list[int] = []
+    while len(tentative) < accept_window and eos not in tentative and len(tentative) < room:
+        drafted = _draft(session, draft_len)
+        if not drafted:
+            break
+        accepted, bonus, _, spans = session.leading_substring_verify(
+            drafted, level=1, phase="intermediate_verify", full_accept_bonus=True
+        )
+        tentative.extend(accepted)
+        if bonus is not None and len(session.state.tokens) < session.backend.max_seq_len:
+            session.state.append_token(bonus)
+            tentative.append(bonus)
+        else:
+            bonus = None
+        session.trace.events.append(
+            IntermediateVerify(
+                accepted=tuple(accepted),
+                bonus=bonus,
+                rejected=len(drafted) - len(accepted),
+                processed=spans,
+            )
+        )
+        if len(tentative) > accept_window + draft_len:
+            raise ProtocolError(
+                f"tentative buffer of {len(tentative)} exceeds accept_window + draft_len"
+            )
+    if len(tentative) >= accept_window:
+        return tentative, "window"
+    if eos in tentative:
+        return tentative, "eos"
+    if len(tentative) >= room:
+        return tentative, "budget"
+    return tentative, "capacity"
+
+
+def _result(session: DecodeSession) -> DecodeResult:
+    trace = session.trace
     return DecodeResult(
-        tokens=session.trace.committed_tokens(),
-        trace=session.trace,
+        tokens=trace.committed_tokens(),
+        trace=trace,
         ledger=session.ledger,
-        stats=result_stats,
+        stats=trace.stats(),
         state=session.state,
     )
 

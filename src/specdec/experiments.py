@@ -18,17 +18,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .costs import WALL_DEPTH_PAIRS, verification_wall_ratio
+from .costs import WALL_DEPTH_PAIRS, CostLedger, relative_throughput, verification_wall_ratio
 from .engine import (
     GREEDY,
     AcceptancePolicy,
+    DecodeStats,
     HierarchicalConfig,
     default_layer_placement,
     hierarchical_decode,
     selfspec_decode,
     vanilla_decode,
 )
-from .errors import ConfigError
+from .errors import ConfigError, UndefinedRatioError
 from .model import ModelConfig, ToyTransformer
 from .prompts import prompts_from_text, random_prompts
 from .synthetic import SyntheticBackend, SyntheticModelSpec, calibrate_preset
@@ -77,6 +78,14 @@ class GridPoint:
         )
 
 
+def config_int(value: Any, name: str) -> int:
+    """`int(value)`, or a ConfigError that names the field it came from."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     backend: dict
@@ -98,13 +107,14 @@ class ExperimentConfig:
         prompt_spec = raw.get("prompts", {"count": 50, "min_len": 4, "max_len": 12})
         strategies = raw.get("strategies") or [{"name": "hierarchical"}]
         decode = raw.get("decode", {})
-        max_new = int(decode.get("max_new_tokens", 32))
+        max_new = config_int(decode.get("max_new_tokens", 32), "decode.max_new_tokens")
         if max_new < 1:
             raise ConfigError("max_new_tokens must be >= 1")
-        seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
+        seed = config_int(raw.get("seed", 0), "seed") if seed_override is None else seed_override
         policy_raw = decode.get("policy", {"mode": "greedy"})
         policy = AcceptancePolicy(
-            mode=policy_raw.get("mode", "greedy"), k=int(policy_raw.get("k", 1))
+            mode=policy_raw.get("mode", "greedy"),
+            k=config_int(policy_raw.get("k", 1), "decode.policy.k"),
         )
         return cls(
             backend=backend,
@@ -126,32 +136,43 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
 
 
 def build_backend(spec: dict, seed: int):
+    def number(key: str, default: Any = None) -> int:
+        return config_int(spec.get(key, default), f"backend.{key}")
+
     if spec["type"] == "synthetic":
         if "preset" in spec:
             model = calibrate_preset(
                 spec["preset"],
-                n_layers=spec.get("n_layers"),
-                vocab_size=int(spec.get("vocab_size", 256)),
+                n_layers=None if spec.get("n_layers") is None else number("n_layers"),
+                vocab_size=number("vocab_size", 256),
                 seed=seed,
-                context_window=int(spec.get("context_window", 4)),
+                context_window=number("context_window", 4),
             )
         else:
-            profile = {int(k): float(v) for k, v in spec["profile"].items()}
+            profile = spec.get("profile")
+            if not isinstance(profile, dict):
+                raise ConfigError(
+                    "backend.profile must map layers to agreement rates (or set backend.preset)"
+                )
+            try:
+                profile = {int(k): float(v) for k, v in profile.items()}
+            except (TypeError, ValueError):
+                raise ConfigError("backend.profile must map integer layers to numbers") from None
             model = SyntheticModelSpec(
-                n_layers=int(spec["n_layers"]),
-                vocab_size=int(spec.get("vocab_size", 256)),
+                n_layers=number("n_layers"),
+                vocab_size=number("vocab_size", 256),
                 seed=seed,
                 agreement_profile=profile,
-                context_window=int(spec.get("context_window", 4)),
-                max_seq_len=int(spec.get("max_seq_len", 4096)),
+                context_window=number("context_window", 4),
+                max_seq_len=number("max_seq_len", 4096),
             )
         return SyntheticBackend(model)
     config = ModelConfig(
-        n_layers=int(spec["n_layers"]),
-        d_model=int(spec.get("d_model", 32)),
-        n_heads=int(spec.get("n_heads", 4)),
-        vocab_size=int(spec.get("vocab_size", 64)),
-        max_seq_len=int(spec.get("max_seq_len", 256)),
+        n_layers=number("n_layers"),
+        d_model=number("d_model", 32),
+        n_heads=number("n_heads", 4),
+        vocab_size=number("vocab_size", 64),
+        max_seq_len=number("max_seq_len", 256),
         seed=seed,
     )
     return ToyTransformer(config)
@@ -161,13 +182,15 @@ def build_prompts(config: ExperimentConfig, vocab_size: int) -> list[list[int]]:
     spec = config.prompt_spec
     if "text_path" in spec:
         return prompts_from_text(
-            spec["text_path"], vocab_size, max_len=int(spec.get("max_len", 64))
+            spec["text_path"],
+            vocab_size,
+            max_len=config_int(spec.get("max_len", 64), "prompts.max_len"),
         )
     return random_prompts(
-        count=int(spec.get("count", 50)),
+        count=config_int(spec.get("count", 50), "prompts.count"),
         vocab_size=vocab_size,
-        min_len=int(spec.get("min_len", 4)),
-        max_len=int(spec.get("max_len", 12)),
+        min_len=config_int(spec.get("min_len", 4), "prompts.min_len"),
+        max_len=config_int(spec.get("max_len", 12), "prompts.max_len"),
         seed=config.seed,
     )
 
@@ -237,16 +260,12 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
 
 @dataclass
 class PointAggregate:
+    """One grid point over the whole corpus: summed tokens, ledger and stats."""
+
     point: GridPoint
-    committed_tokens: int
-    seq_units: int
-    pos_layer_units: int
-    drafted: int
-    checked_intermediate: int
-    accepted_intermediate: int
-    checked_target: int
-    accepted_target: int
-    flushed: int
+    tokens: int
+    ledger: CostLedger
+    stats: DecodeStats
 
 
 def run_point(
@@ -258,10 +277,7 @@ def run_point(
     policy: AcceptancePolicy,
 ) -> PointAggregate:
     backend = _backend_cache(json.dumps(backend_spec, sort_keys=True), seed)
-    totals = dict.fromkeys(
-        ("tokens", "seq", "poslayer", "drafted", "chk_i", "acc_i", "chk_f", "acc_f", "flushed"),
-        0,
-    )
+    aggregate = PointAggregate(point, 0, CostLedger(), DecodeStats())
     for prompt in prompts:
         if point.strategy == "vanilla":
             result = vanilla_decode(backend, prompt, max_new_tokens, layer=point.layer)
@@ -285,27 +301,10 @@ def run_point(
                 policy=policy,
             )
             result = hierarchical_decode(backend, prompt, config)
-        totals["tokens"] += len(result.tokens)
-        totals["seq"] += result.ledger.sequential_units()
-        totals["poslayer"] += result.ledger.position_layer_units()
-        totals["drafted"] += result.stats.drafted
-        totals["chk_i"] += result.stats.checked_intermediate
-        totals["acc_i"] += result.stats.accepted_intermediate
-        totals["chk_f"] += result.stats.checked_target
-        totals["acc_f"] += result.stats.accepted_target
-        totals["flushed"] += result.stats.flushed
-    return PointAggregate(
-        point=point,
-        committed_tokens=totals["tokens"],
-        seq_units=totals["seq"],
-        pos_layer_units=totals["poslayer"],
-        drafted=totals["drafted"],
-        checked_intermediate=totals["chk_i"],
-        accepted_intermediate=totals["acc_i"],
-        checked_target=totals["chk_f"],
-        accepted_target=totals["acc_f"],
-        flushed=totals["flushed"],
-    )
+        aggregate.tokens += len(result.tokens)
+        aggregate.ledger.merge(result.ledger)
+        aggregate.stats += result.stats
+    return aggregate
 
 
 _BACKENDS: dict[tuple[str, int], Any] = {}
@@ -326,7 +325,7 @@ def _worker(payload: tuple) -> PointAggregate:
 def resolve_jobs(requested: int | None) -> int:
     env = os.environ.get("SPECDEC_JOBS")
     if env:
-        return max(1, int(env))
+        return max(1, config_int(env, "SPECDEC_JOBS"))
     return max(1, requested or 1)
 
 
@@ -358,11 +357,9 @@ def _row_from_aggregate(
     agg: PointAggregate, baseline: PointAggregate, n_prompts: int, n_layers: int
 ) -> dict:
     point = agg.point
-    if agg.seq_units > 0 and baseline.seq_units > 0 and baseline.committed_tokens > 0:
-        rel = (agg.committed_tokens / agg.seq_units) / (
-            baseline.committed_tokens / baseline.seq_units
-        )
-    else:
+    try:
+        rel = relative_throughput(agg.tokens, agg.ledger, baseline.tokens, baseline.ledger)
+    except UndefinedRatioError:
         rel = None
     return {
         "strategy": point.strategy,
@@ -372,18 +369,12 @@ def _row_from_aggregate(
         "N_d": point.draft_len,
         "N_i": point.accept_window,
         "prompts": n_prompts,
-        "committed_tokens": agg.committed_tokens,
-        "seq_units": agg.seq_units,
-        "pos_layer_units": agg.pos_layer_units,
-        "acc_rate_intermediate": (
-            agg.accepted_intermediate / agg.checked_intermediate
-            if agg.checked_intermediate
-            else None
-        ),
-        "acc_rate_target": (
-            agg.accepted_target / agg.checked_target if agg.checked_target else None
-        ),
-        "flushed": agg.flushed,
+        "committed_tokens": agg.tokens,
+        "seq_units": agg.ledger.sequential_units(),
+        "pos_layer_units": agg.ledger.position_layer_units(),
+        "acc_rate_intermediate": agg.stats.acceptance_rate_intermediate,
+        "acc_rate_target": agg.stats.acceptance_rate_target,
+        "flushed": agg.stats.flushed,
         "rel_throughput": rel,
     }
 

@@ -120,42 +120,6 @@ class LayeredState:
 
     # -- expand ------------------------------------------------------
 
-    def extend(
-        self,
-        start_layer: int,
-        end_layer: int,
-        start_pos: int,
-        count: int,
-        kv_entries: tuple[np.ndarray, np.ndarray] | None = None,
-        hidden_entries: dict[int, np.ndarray] | None = None,
-    ) -> None:
-        """Append `count` tentative positions to every layer in the range.
-
-        Positions must be contiguous with each layer's current fill.
-        `kv_entries` is a (K, V) pair of arrays shaped (layers, count, d);
-        `hidden_entries` maps a buffered layer to (count, d) outputs.
-        """
-        if count <= 0:
-            raise AlignmentError("extend requires at least one position")
-        end_pos = start_pos + count
-        if end_pos > self.max_seq_len:
-            raise AlignmentError(f"extend past max_seq_len at position {end_pos - 1}")
-        for layer in range(start_layer, end_layer + 1):
-            if self._fill[layer - 1] != start_pos:
-                raise AlignmentError(
-                    f"non-contiguous extend at (layer {layer}, position {start_pos}); "
-                    f"filled to {self._fill[layer - 1]}"
-                )
-        for idx, layer in enumerate(range(start_layer, end_layer + 1)):
-            if kv_entries is not None:
-                k_block, v_block = kv_entries
-                self.kv_k[layer - 1][start_pos:end_pos] = k_block[idx]
-                self.kv_v[layer - 1][start_pos:end_pos] = v_block[idx]
-            if hidden_entries is not None and layer in hidden_entries:
-                self.hidden[layer][start_pos:end_pos] = hidden_entries[layer]
-            self._fill[layer - 1] = end_pos
-            self._compute_count[layer - 1, start_pos:end_pos] += 1
-
     def append_kv(self, layer: int, position: int, k: np.ndarray, v: np.ndarray) -> None:
         """Single-position append used by in-flight forward passes."""
         if self._fill[layer - 1] != position:

@@ -200,25 +200,19 @@ class SyntheticBackend:
                 self._window_cache[window] = cached
         return cached
 
-    def predict_token(self, layer: int, context: Sequence[int]) -> int:
-        """Argmax token layer `layer` emits after `context`."""
-        check_layer_range(self.n_layers, layer, layer)
-        if len(context) == 0:
-            raise AlignmentError("context must be non-empty")
-        window = tuple(context[-self.spec.context_window :])
+    def _predict(self, layer: int, window: tuple[int, ...]) -> int:
+        """Truth when the window's shared draw falls below alpha(layer), else the decoy."""
         truth, agree_draw, decoy = self._window_draw(window)
         if layer == self.n_layers or agree_draw < self.spec.alpha(layer):
             return truth
         return decoy
 
-    def synth_predict(self, layer: int, context: Sequence[int]) -> TokenDistribution:
-        """One-hot distribution for the token following `context`."""
-        token = self.predict_token(layer, context)
-        logits = np.zeros(self.vocab_size)
-        logits[token] = 1.0
-        return TokenDistribution(
-            logits=logits, position=len(context) - 1, source_layer=layer, degenerate=True
-        )
+    def predict_token(self, layer: int, context: Sequence[int]) -> int:
+        """Argmax token layer `layer` emits after `context`."""
+        check_layer_range(self.n_layers, layer, layer)
+        if len(context) == 0:
+            raise AlignmentError("context must be non-empty")
+        return self._predict(layer, tuple(context[-self.spec.context_window :]))
 
     # -- backend protocol ------------------------------------------------
 
@@ -249,9 +243,7 @@ class SyntheticBackend:
         if state.filled(layer) <= position:
             raise AlignmentError(f"missing hidden state at (layer {layer}, position {position})")
         lo = max(0, position + 1 - self.spec.context_window)
-        window = tuple(state.tokens[lo : position + 1])
-        truth, agree_draw, decoy = self._window_draw(window)
-        token = truth if (layer == self.n_layers or agree_draw < self.spec.alpha(layer)) else decoy
+        token = self._predict(layer, tuple(state.tokens[lo : position + 1]))
         logits = np.zeros(self.vocab_size)
         logits[token] = 1.0
         return TokenDistribution(

@@ -5,7 +5,6 @@ from specdec import (
     HierarchicalConfig,
     UndefinedRatioError,
     hierarchical_decode,
-    record_pass,
     relative_throughput,
     selfspec_decode,
     vanilla_decode,
@@ -20,13 +19,13 @@ from conftest import all_agree_backend
 class TestRecordPass:
     def test_single_position_pass(self):
         ledger = CostLedger()
-        record_pass(ledger, "draft", layers=4, positions=1)
+        ledger.record_pass("draft", layers=4, positions=1)
         assert ledger.phases["draft"].sequential_depth_units == 4
         assert ledger.phases["draft"].position_layer_units == 4
 
     def test_batched_pass(self):
         ledger = CostLedger()
-        record_pass(ledger, "target_verify", layers=24, positions=5)
+        ledger.record_pass("target_verify", layers=24, positions=5)
         assert ledger.phases["target_verify"].sequential_depth_units == 24
         assert ledger.phases["target_verify"].position_layer_units == 120
 

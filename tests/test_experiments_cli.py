@@ -38,6 +38,24 @@ SMALL_CONFIG = {
 }
 
 
+# case -> (config overrides, command, SPECDEC_JOBS value, field the message names)
+MALFORMED_INPUTS = {
+    "synthetic-without-profile": (
+        {"backend": {"type": "synthetic", "n_layers": 8}}, ["compare"], None, "backend.profile"
+    ),
+    "non-integer-n-layers": (
+        {"backend": {"type": "toy", "n_layers": "x"}}, ["compare"], None, "backend.n_layers"
+    ),
+    "non-integer-max-new-tokens": (
+        {"decode": {"max_new_tokens": "abc"}}, ["compare"], None, "decode.max_new_tokens"
+    ),
+    "non-integer-ablate-value": (
+        {}, ["ablate", "--parameter", "N_d", "--values", "1,x"], None, "--values"
+    ),
+    "non-integer-jobs-env": ({}, ["compare"], "two", "SPECDEC_JOBS"),
+}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -199,6 +217,17 @@ class TestCli:
     def test_bad_config_exits_2(self, tmp_path):
         path = write_config(tmp_path, {"backend": {"type": "warp-drive"}})
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_malformed_input_exits_2_naming_the_field(self, tmp_path, monkeypatch, capsys, case):
+        overrides, command, jobs_env, field = MALFORMED_INPUTS[case]
+        monkeypatch.delenv("SPECDEC_JOBS", raising=False)
+        if jobs_env is not None:
+            monkeypatch.setenv("SPECDEC_JOBS", jobs_env)
+        config_path = write_config(tmp_path, dict(SMALL_CONFIG, **overrides))
+        argv = command + ["--config", str(config_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["compare", "--config", str(tmp_path / "nope.json"), "--out", "o"]) == 2

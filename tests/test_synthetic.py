@@ -69,18 +69,21 @@ class TestPredictions:
         from specdec import AcceptancePolicy, top_predictions
 
         backend = make_backend()
-        dist = backend.synth_predict(3, [1, 2, 3])
+        state = backend.new_state()
+        state.set_tokens([1, 2, 3])
+        backend.forward_range(state, 1, 3, 0, 3)
+        dist = backend.exit_distribution(state, 3, 2)
         assert dist.degenerate
         assert top_predictions(dist, AcceptancePolicy(mode="top_k", k=5)) == (dist.argmax(),)
 
-    def test_exit_distribution_matches_synth_predict(self):
+    def test_exit_distribution_matches_predict_token(self):
         backend = make_backend()
         state = backend.new_state()
         state.set_tokens([4, 5, 6, 7])
         backend.forward_range(state, 1, 8, 0, 4)
-        direct = backend.synth_predict(3, [4, 5, 6, 7])
+        direct = backend.predict_token(3, [4, 5, 6, 7])
         via_state = backend.exit_distribution(state, 3, 3)
-        assert direct.argmax() == via_state.argmax()
+        assert direct == via_state.argmax()
 
 
 class TestPresets:
