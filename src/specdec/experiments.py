@@ -79,7 +79,13 @@ class GridPoint:
 
 
 def config_int(value: Any, name: str) -> int:
-    """`int(value)`, or a ConfigError that names the field it came from."""
+    """`int(value)`, or a ConfigError that names the field it came from.
+
+    Integer strings and integral floats convert; bools and floats with a
+    fractional part are rejected rather than truncated.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -322,11 +328,16 @@ def _worker(payload: tuple) -> PointAggregate:
     return run_point(backend_spec, seed, prompts, point, max_new, policy)
 
 
-def resolve_jobs(requested: int | None) -> int:
+def resolve_jobs(requested: int) -> int:
+    """Worker count: SPECDEC_JOBS when set, else the --jobs value; at least 1."""
     env = os.environ.get("SPECDEC_JOBS")
     if env:
-        return max(1, config_int(env, "SPECDEC_JOBS"))
-    return max(1, requested or 1)
+        source, jobs = "SPECDEC_JOBS", config_int(env, "SPECDEC_JOBS")
+    else:
+        source, jobs = "--jobs", requested
+    if jobs < 1:
+        raise ConfigError(f"{source} must be at least 1, got {jobs}")
+    return jobs
 
 
 def run_points(

@@ -5,14 +5,30 @@ to be good at language: weights are a pure function of the seed and there
 is no training. Every exit layer shares one unembedding head, with the
 final normalization applied before it at every exit.
 
-Determinism contract: all math is float64 and every position is computed
-with the same sequence of vector-matrix products regardless of how work
-is batched into forward calls. Splitting a layer range or re-running a
-prefix therefore reproduces results bit for bit, which is what makes the
-recompute-based consistency oracle meaningful.
+Determinism contract: all math is float64 and every position gets the
+same bits however work is batched into forward calls. Splitting a layer
+range or re-running a prefix therefore reproduces results bit for bit,
+which is what makes the recompute-based consistency oracle meaningful.
+A layer processes a span of positions as one (n, d) array and keeps the
+contract with two kernels:
+
+- Projections are stacks of vector-matrix products,
+  `np.matmul(X[:, None, :], W)`. Each row takes the path a single
+  `x @ W` takes. A plain 2-D `X @ W` does not: its matrix-matrix kernel
+  sums in another order, so a row's bits would depend on the batch.
+- Attention runs per position, because prefix lengths differ. Within a
+  position all heads go through one batched `np.matmul`, which makes the
+  same products and sums as a loop over heads (`np.einsum` does not).
+
+Norms and softmax sums reduce along contiguous rows, so numpy's pairwise
+summation adds the same operands in the same order at any batch size.
+Both kernels are properties of numpy and the installed BLAS, not
+guarantees; `tests/test_batching.py` checks them and names this contract
+when a platform breaks them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,7 +68,27 @@ class ModelConfig:
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:
-    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _NORM_EPS)
+    # np.mean divides the same pairwise sum by d; one call fewer per norm.
+    return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + _NORM_EPS)
+
+
+def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`x[i] @ w` for every row i, bit for bit (see the determinism contract)."""
+    return np.matmul(x[:, None, :], w)[:, 0, :]
+
+
+def _attend_heads(keys: np.ndarray, values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Softmax attention of one position, all heads in one batched product.
+
+    `keys` and `values` are (heads, prefix, d_head) and `q` is
+    (heads, d_head, 1); returns (heads, 1, d_head). Each head's products
+    and sums are the ones a per-head loop would make, bit for bit.
+    """
+    scores = np.matmul(keys, q)[:, :, 0] * (1.0 / math.sqrt(keys.shape[-1]))
+    scores -= scores.max(axis=1, keepdims=True)
+    w = np.exp(scores)
+    w /= np.add.reduce(w, axis=1, keepdims=True)
+    return np.matmul(w[:, None, :], values)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -60,7 +96,7 @@ def _silu(x: np.ndarray) -> np.ndarray:
 
 
 class ToyTransformer:
-    """Decoder-only transformer over float64 with per-position evaluation."""
+    """Decoder-only transformer over float64, bit-exact under any batching of positions."""
 
     def __init__(self, config: ModelConfig) -> None:
         self.config = config
@@ -76,11 +112,13 @@ class ToyTransformer:
         self.pos_table = rng.normal(0.0, scale, size=(config.max_seq_len, d))
         self.layers = []
         for _ in range(config.n_layers):
+            w_qkv = np.concatenate([rng.normal(0.0, scale, size=(d, d)) for _ in range(3)], axis=1)
             self.layers.append(
                 {
-                    "w_q": rng.normal(0.0, scale, size=(d, d)),
-                    "w_k": rng.normal(0.0, scale, size=(d, d)),
-                    "w_v": rng.normal(0.0, scale, size=(d, d)),
+                    "w_qkv": w_qkv,
+                    "w_q": w_qkv[:, :d],
+                    "w_k": w_qkv[:, d : 2 * d],
+                    "w_v": w_qkv[:, 2 * d :],
                     "w_o": rng.normal(0.0, scale, size=(d, d)),
                     "w_up": rng.normal(0.0, scale, size=(d, d_ff)),
                     "w_down": rng.normal(0.0, 1.0 / np.sqrt(d_ff), size=(d_ff, d)),
@@ -100,50 +138,37 @@ class ToyTransformer:
 
     # -- forward -----------------------------------------------------
 
-    def _embed(self, token: int, position: int) -> np.ndarray:
-        if not 0 <= token < self.vocab_size:
-            raise AlignmentError(f"token {token} outside vocabulary")
-        if position >= self.max_seq_len:
-            raise AlignmentError(f"position {position} beyond max_seq_len")
-        return self.embedding[token] + self.pos_table[position]
-
-    def _attend(self, state: LayeredState, layer: int, position: int, x: np.ndarray) -> np.ndarray:
-        """One causal attention step for a single position, extending the cache."""
-        weights = self.layers[layer - 1]
-        xn = _rms_norm(x)
-        q = xn @ weights["w_q"]
-        k = xn @ weights["w_k"]
-        v = xn @ weights["w_v"]
-        state.append_kv(layer, position, k, v)
-        n_heads, d_head = self.config.n_heads, self._d_head
-        keys = state.kv_k[layer - 1][: position + 1].reshape(position + 1, n_heads, d_head)
-        values = state.kv_v[layer - 1][: position + 1].reshape(position + 1, n_heads, d_head)
-        q_heads = q.reshape(n_heads, d_head)
-        out = np.empty_like(q_heads)
-        inv_sqrt = 1.0 / np.sqrt(d_head)
-        for h in range(n_heads):
-            scores = (keys[:, h, :] @ q_heads[h]) * inv_sqrt
-            scores -= scores.max()
-            w = np.exp(scores)
-            w /= w.sum()
-            out[h] = w @ values[:, h, :]
-        return x + out.reshape(-1) @ weights["w_o"]
-
-    def _mlp(self, layer: int, x: np.ndarray) -> np.ndarray:
-        weights = self.layers[layer - 1]
-        return x + _silu(_rms_norm(x) @ weights["w_up"]) @ weights["w_down"]
+    def _embed(self, tokens: Sequence[int], start_pos: int) -> np.ndarray:
+        ids = np.asarray(tokens, dtype=np.intp)
+        bad = (ids < 0) | (ids >= self.vocab_size)
+        if bad.any():
+            raise AlignmentError(f"token {ids[bad][0]} outside vocabulary")
+        return self.embedding[ids] + self.pos_table[start_pos : start_pos + len(ids)]
 
     def _run_layer(
-        self, state: LayeredState, layer: int, start_pos: int, hiddens: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        out = []
-        for i, h in enumerate(hiddens):
-            x = self._attend(state, layer, start_pos + i, h)
-            out.append(self._mlp(layer, x))
+        self, state: LayeredState, layer: int, start_pos: int, x: np.ndarray
+    ) -> np.ndarray:
+        """One layer over the span of positions starting at start_pos, as an (n, d) array.
+
+        The span's K/V rows are appended first; each position then attends
+        causally over its own prefix, all heads in one batched product.
+        """
+        weights = self.layers[layer - 1]
+        d, n_heads, d_head = self.d_model, self.config.n_heads, self._d_head
+        qkv = _rows_matmul(_rms_norm(x), weights["w_qkv"])
+        state.append_kv(layer, start_pos, qkv[:, d : 2 * d], qkv[:, 2 * d :])
+        keys = state.kv_k[layer - 1].reshape(-1, n_heads, d_head).transpose(1, 0, 2)
+        values = state.kv_v[layer - 1].reshape(-1, n_heads, d_head).transpose(1, 0, 2)
+        q_heads = qkv[:, :d].reshape(-1, n_heads, d_head, 1)
+        attended = np.empty((len(x), n_heads, 1, d_head))
+        for i, q in enumerate(q_heads):
+            end = start_pos + i + 1
+            attended[i] = _attend_heads(keys[:, :end], values[:, :end], q)
+        x = x + _rows_matmul(attended.reshape(len(x), d), weights["w_o"])
+        x = x + _rows_matmul(_silu(_rows_matmul(_rms_norm(x), weights["w_up"])), weights["w_down"])
         if layer in state.buffered_layers:
-            for i, h in enumerate(out):
-                state.buffer_hidden(layer, start_pos + i, h)
-        return out
+            state.buffer_hidden(layer, start_pos, x)
+        return x
 
     def forward_range(
         self,
@@ -174,7 +199,7 @@ class ToyTransformer:
                     f"layer {layer} filled to {state.filled(layer)}, expected {start_pos}"
                 )
         if start_layer == 1:
-            hiddens = [self._embed(state.tokens[p], p) for p in range(start_pos, end_pos)]
+            x = self._embed(state.tokens[start_pos:end_pos], start_pos)
         else:
             resume = start_layer - 1
             if resume not in state.buffered_layers:
@@ -185,10 +210,10 @@ class ToyTransformer:
                 raise AlignmentError(
                     f"missing hidden state at (layer {resume}, position {state.filled(resume)})"
                 )
-            hiddens = [state.hidden[resume][p].copy() for p in range(start_pos, end_pos)]
+            x = state.hidden[resume][start_pos:end_pos]
         for layer in range(start_layer, end_layer + 1):
-            hiddens = self._run_layer(state, layer, start_pos, hiddens)
-        return np.stack(hiddens)
+            x = self._run_layer(state, layer, start_pos, x)
+        return x
 
     # -- heads -------------------------------------------------------
 
@@ -216,7 +241,7 @@ class ToyTransformer:
         ref.set_tokens(tokens)
         if fills[0] > len(tokens):
             raise AlignmentError(f"layer 1 fill {fills[0]} exceeds token count {len(tokens)}")
-        hiddens = [self._embed(ref.tokens[p], p) for p in range(fills[0])]
+        x = self._embed(ref.tokens[: fills[0]], 0)
         prev_fill = fills[0]
         for layer in range(1, self.n_layers + 1):
             fill = fills[layer - 1]
@@ -224,6 +249,6 @@ class ToyTransformer:
                 raise AlignmentError(
                     f"layer {layer} filled to {fill} beyond layer {layer - 1} ({prev_fill})"
                 )
-            hiddens = self._run_layer(ref, layer, 0, hiddens[:fill])
+            x = self._run_layer(ref, layer, 0, x[:fill])
             prev_fill = fill
         return ref

@@ -120,20 +120,14 @@ class LayeredState:
 
     # -- expand ------------------------------------------------------
 
-    def append_kv(self, layer: int, position: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Single-position append used by in-flight forward passes."""
-        if self._fill[layer - 1] != position:
-            raise AlignmentError(
-                f"non-contiguous append at (layer {layer}, position {position}); "
-                f"filled to {self._fill[layer - 1]}"
-            )
-        self.kv_k[layer - 1][position] = k
-        self.kv_v[layer - 1][position] = v
-        self._fill[layer - 1] = position + 1
-        self._compute_count[layer - 1, position] += 1
+    def append_kv(self, layer: int, start_pos: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Append the K/V rows of positions [start_pos, start_pos + len(k))."""
+        self.append_bookkeeping(layer, start_pos, len(k))
+        self.kv_k[layer - 1][start_pos : start_pos + len(k)] = k
+        self.kv_v[layer - 1][start_pos : start_pos + len(v)] = v
 
     def append_bookkeeping(self, layer: int, start_pos: int, count: int) -> None:
-        """Fill advance without tensors (synthetic backend)."""
+        """Advance the fill of one layer by count positions and count their computes."""
         if self._fill[layer - 1] != start_pos:
             raise AlignmentError(
                 f"non-contiguous extend at (layer {layer}, position {start_pos}); "
@@ -145,10 +139,11 @@ class LayeredState:
         self._fill[layer - 1] = end_pos
         self._compute_count[layer - 1, start_pos:end_pos] += 1
 
-    def buffer_hidden(self, layer: int, position: int, values: np.ndarray) -> None:
+    def buffer_hidden(self, layer: int, start_pos: int, values: np.ndarray) -> None:
+        """Record the hidden rows of positions [start_pos, start_pos + len(values))."""
         if layer not in self.buffered_layers:
             raise AlignmentError(f"layer {layer} has no hidden buffer")
-        self.hidden[layer][position] = values
+        self.hidden[layer][start_pos : start_pos + len(values)] = values
 
     def hidden_at(self, layer: int, position: int) -> HiddenState:
         if self.hidden is None or layer not in self.buffered_layers:

@@ -1,0 +1,126 @@
+"""Batching invariance of the toy forward, and the kernels it rests on.
+
+The property test cuts one position span into random `forward_range`
+calls and the layer stack at random split points, runs them in either
+position-major or layer-major order, and requires outputs and every
+KV/hidden buffer to be bit-identical to a single call over the whole
+span. The kernel guards check the two numpy/BLAS facts that make this
+hold: a stacked vector-matrix product equals `x @ W` row by row, and the
+head-batched attention equals a loop over heads.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specdec import ModelConfig, init_model
+from specdec.model import _attend_heads, _rows_matmul
+
+N_LAYERS = 5
+MAX_SEQ_LEN = 20
+
+CONTRACT = (
+    "the installed BLAS breaks the float64 determinism contract in specdec.model: "
+    "{what} are not bit-identical, so batched and per-position forwards would differ"
+)
+
+
+MODELS = [
+    init_model(
+        ModelConfig(
+            n_layers=N_LAYERS, d_model=d_model, n_heads=n_heads,
+            vocab_size=12, max_seq_len=MAX_SEQ_LEN, seed=d_model * n_heads,
+        )
+    )
+    for d_model, n_heads in [(8, 1), (8, 2), (16, 4), (24, 3)]
+]
+
+
+def _cuts(draw, lo, hi, max_cuts):
+    """Sorted distinct interior cut points of the range [lo, hi)."""
+    inner = draw(st.lists(st.integers(lo + 1, hi - 1), max_size=max_cuts, unique=True))
+    return [lo] + sorted(inner) + [hi]
+
+
+@st.composite
+def batching_cases(draw):
+    model = draw(st.sampled_from(MODELS))
+    span = draw(st.integers(1, 14))
+    tokens = draw(st.lists(st.integers(0, model.vocab_size - 1), min_size=span, max_size=span))
+    positions = _cuts(draw, 0, span, 5) if span > 1 else [0, span]
+    layers = _cuts(draw, 1, N_LAYERS + 1, 3)
+    return model, tokens, positions, layers, draw(st.booleans())
+
+
+def _buffers(state):
+    return state.kv_k + state.kv_v + [state.hidden[layer] for layer in sorted(state.hidden)]
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(batching_cases())
+def test_any_batching_is_bit_identical_to_one_call(case):
+    model, tokens, positions, layers, layer_major = case
+    buffered = tuple(layer - 1 for layer in layers[1:])
+    whole = model.new_state(buffered)
+    whole.set_tokens(tokens)
+    expected = model.forward_range(whole, 1, N_LAYERS, 0, len(tokens))
+
+    state = model.new_state(buffered)
+    state.set_tokens(tokens)
+    pos_spans = list(zip(positions, positions[1:]))
+    layer_spans = [(lo, hi - 1) for lo, hi in zip(layers, layers[1:])]
+    calls = (
+        [(l, p) for l in layer_spans for p in pos_spans]
+        if layer_major
+        else [(l, p) for p in pos_spans for l in layer_spans]
+    )
+    top = {}
+    for (l0, l1), (p0, p1) in calls:
+        out = model.forward_range(state, l0, l1, p0, p1)
+        if l1 == N_LAYERS:
+            top[p0] = out
+    got = np.concatenate([top[p0] for p0, _ in pos_spans])
+
+    assert np.array_equal(got, expected)
+    assert state.fills() == whole.fills()
+    for mine, theirs in zip(_buffers(state), _buffers(whole)):
+        assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("d", [8, 16, 32, 64])
+def test_stacked_matmul_equals_per_row_products(d):
+    rng = np.random.default_rng(d)
+    for shape in [(d, d), (d, 3 * d), (d, 4 * d), (4 * d, d)]:
+        w = rng.normal(size=shape)
+        for n in (1, 2, 3, 7):
+            x = rng.normal(size=(n, shape[0]))
+            per_row = np.stack([row @ w for row in x])
+            assert np.array_equal(_rows_matmul(x, w), per_row), CONTRACT.format(
+                what=f"stacked ({n}, 1, {shape[0]}) @ {shape} and per-row x @ W"
+            )
+
+
+@pytest.mark.parametrize("n_heads, d_head", [(1, 16), (2, 8), (4, 4), (4, 16), (8, 8)])
+def test_head_batched_attention_equals_head_loop(n_heads, d_head):
+    rng = np.random.default_rng(n_heads * d_head)
+    d = n_heads * d_head
+    # Caches laid out as in LayeredState: one (max_seq_len, d_model) array per layer.
+    kv_k, kv_v = rng.normal(size=(2, 128, d))
+    keys = kv_k.reshape(-1, n_heads, d_head)
+    values = kv_v.reshape(-1, n_heads, d_head)
+    for prefix in (1, 2, 5, 33, 100):
+        # A row of the fused QKV product, viewed per head as in the model.
+        q = rng.normal(size=(1, 3 * d))[:, :d].reshape(-1, n_heads, d_head, 1)[0]
+        loop = np.empty((n_heads, d_head))
+        for h in range(n_heads):
+            scores = (keys[:prefix, h, :] @ q[h, :, 0]) * (1.0 / np.sqrt(d_head))
+            scores -= scores.max()
+            w = np.exp(scores)
+            w /= w.sum()
+            loop[h] = w @ values[:prefix, h, :]
+        batched = _attend_heads(
+            keys.transpose(1, 0, 2)[:, :prefix], values.transpose(1, 0, 2)[:, :prefix], q
+        )
+        assert np.array_equal(batched[:, 0, :], loop), CONTRACT.format(
+            what=f"head-batched attention and the per-head loop ({n_heads} heads, prefix {prefix})"
+        )

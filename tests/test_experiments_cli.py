@@ -8,10 +8,12 @@ from specdec.cli import main
 from specdec.errors import ConfigError
 from specdec.experiments import (
     ExperimentConfig,
+    config_int,
     expand_grid,
     emit_matrix,
     emit_report,
     load_config,
+    resolve_jobs,
     run_ablation,
     run_compare,
     run_sweep,
@@ -53,6 +55,16 @@ MALFORMED_INPUTS = {
         {}, ["ablate", "--parameter", "N_d", "--values", "1,x"], None, "--values"
     ),
     "non-integer-jobs-env": ({}, ["compare"], "two", "SPECDEC_JOBS"),
+    "fractional-d-model": (
+        {"backend": {"type": "toy", "n_layers": 4, "d_model": 16.5}}, ["compare"], None,
+        "backend.d_model",
+    ),
+    "bool-n-layers": (
+        {"backend": {"type": "toy", "n_layers": True}}, ["compare"], None, "backend.n_layers"
+    ),
+    "zero-jobs-flag": ({}, ["compare", "--jobs", "0"], None, "--jobs"),
+    "negative-jobs-flag": ({}, ["compare", "--jobs", "-3"], None, "--jobs"),
+    "zero-jobs-env": ({}, ["compare"], "0", "SPECDEC_JOBS"),
 }
 
 
@@ -228,6 +240,14 @@ class TestCli:
         argv = command + ["--config", str(config_path), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, expected", [(3, 3), ("2", 2), (16.0, 16)])
+    def test_integer_fields_accept_integer_values(self, value, expected):
+        assert config_int(value, "field") == expected
+
+    def test_integer_jobs_env_overrides_flag(self, monkeypatch):
+        monkeypatch.setenv("SPECDEC_JOBS", "2")
+        assert resolve_jobs(1) == 2
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["compare", "--config", str(tmp_path / "nope.json"), "--out", "o"]) == 2
