@@ -123,8 +123,9 @@ class LayeredState:
     def append_kv(self, layer: int, start_pos: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append the K/V rows of positions [start_pos, start_pos + len(k))."""
         self.append_bookkeeping(layer, start_pos, len(k))
-        self.kv_k[layer - 1][start_pos : start_pos + len(k)] = k
-        self.kv_v[layer - 1][start_pos : start_pos + len(v)] = v
+        end_pos = start_pos + len(k)
+        self.kv_k[layer - 1][start_pos:end_pos] = k
+        self.kv_v[layer - 1][start_pos:end_pos] = v
 
     def append_bookkeeping(self, layer: int, start_pos: int, count: int) -> None:
         """Advance the fill of one layer by count positions and count their computes."""
