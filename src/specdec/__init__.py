@@ -25,7 +25,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .model import ModelConfig, ToyTransformer
-from .state import CommitMark, HiddenState, LayeredState, consistency_check
+from .state import LayeredState, consistency_check
 from .synthetic import (
     PRESET_NAMES,
     SyntheticBackend,
@@ -47,14 +47,12 @@ __all__ = [
     "AlignmentError",
     "Backend",
     "CapacityError",
-    "CommitMark",
     "ConfigError",
     "CostLedger",
     "DecodeResult",
     "DecodeSession",
     "DecodeTrace",
     "GREEDY",
-    "HiddenState",
     "HierarchicalConfig",
     "LayeredState",
     "ModelConfig",

@@ -65,10 +65,3 @@ class Backend(Protocol):
 
     def reference_state(self, tokens: Sequence[int], fills: Sequence[int], buffered_layers: Sequence[int]) -> LayeredState:
         ...
-
-
-def check_layer_range(n_layers: int, start_layer: int, end_layer: int) -> None:
-    if not (1 <= start_layer <= end_layer <= n_layers):
-        raise ValueError(
-            f"invalid layer range [{start_layer}, {end_layer}] for {n_layers} layers"
-        )

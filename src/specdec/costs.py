@@ -5,7 +5,7 @@ pass, independent of how many positions the pass covers in parallel.
 position_layer_units is the compute proxy: layers times positions. The
 throughput numbers quoted anywhere in this package are ratios of
 committed tokens per sequential unit; prefill is tracked separately and
-excluded from those ratios unless asked for.
+excluded from those ratios.
 """
 from __future__ import annotations
 
@@ -39,22 +39,15 @@ class CostLedger:
         cost.position_layer_units += layers * positions
         cost.pass_count += 1
 
-    def sequential_units(self, include_prefill: bool = False) -> int:
+    def sequential_units(self) -> int:
         return sum(
-            cost.sequential_depth_units
-            for name, cost in self.phases.items()
-            if include_prefill or name != "prefill"
+            cost.sequential_depth_units for name, cost in self.phases.items() if name != "prefill"
         )
 
-    def position_layer_units(self, include_prefill: bool = False) -> int:
+    def position_layer_units(self) -> int:
         return sum(
-            cost.position_layer_units
-            for name, cost in self.phases.items()
-            if include_prefill or name != "prefill"
+            cost.position_layer_units for name, cost in self.phases.items() if name != "prefill"
         )
-
-    def pass_count(self, phase: str) -> int:
-        return self.phases[phase].pass_count
 
     def merge(self, other: "CostLedger") -> None:
         for name, cost in other.phases.items():
@@ -81,13 +74,12 @@ def relative_throughput(
     subject_ledger: CostLedger,
     baseline_tokens: int,
     baseline_ledger: CostLedger,
-    include_prefill: bool = False,
 ) -> float:
     """(subject tokens per sequential unit) / (baseline tokens per unit)."""
     if baseline_tokens <= 0:
         raise UndefinedRatioError("baseline committed no tokens")
-    subject_units = subject_ledger.sequential_units(include_prefill)
-    baseline_units = baseline_ledger.sequential_units(include_prefill)
+    subject_units = subject_ledger.sequential_units()
+    baseline_units = baseline_ledger.sequential_units()
     if subject_units == 0 or baseline_units == 0:
         raise UndefinedRatioError("zero-cost ledger has no defined throughput")
     return (subject_tokens / subject_units) / (baseline_tokens / baseline_units)

@@ -248,10 +248,6 @@ class DecodeSession:
 
     # -- level plumbing ----------------------------------------------
 
-    def level_layers(self, level: int) -> int:
-        lo = 1 if level == 0 else self.exits[level - 1] + 1
-        return self.exits[level] - lo + 1
-
     def _advance(self, level: int, upto: int, phase: str) -> Span:
         hi = self.exits[level]
         start = self.state.filled(hi)

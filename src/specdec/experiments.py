@@ -92,6 +92,13 @@ def config_int(value: Any, name: str) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
+def config_object(value: Any, name: str) -> dict:
+    """`value` if it is a JSON object, or a ConfigError that names the field."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     backend: dict
@@ -110,14 +117,22 @@ class ExperimentConfig:
             raise ConfigError("config needs a backend object with a type")
         if backend["type"] not in ("synthetic", "toy"):
             raise ConfigError(f"unknown backend type {backend['type']!r}")
-        prompt_spec = raw.get("prompts", {"count": 50, "min_len": 4, "max_len": 12})
+        prompt_spec = config_object(
+            raw.get("prompts", {"count": 50, "min_len": 4, "max_len": 12}), "prompts"
+        )
         strategies = raw.get("strategies") or [{"name": "hierarchical"}]
-        decode = raw.get("decode", {})
+        if not isinstance(strategies, list):
+            raise ConfigError(f"strategies must be a list of objects, got {strategies!r}")
+        for index, strategy in enumerate(strategies):
+            config_object(strategy, f"strategies[{index}]")
+        decode = config_object(raw.get("decode", {}), "decode")
         max_new = config_int(decode.get("max_new_tokens", 32), "decode.max_new_tokens")
         if max_new < 1:
             raise ConfigError("max_new_tokens must be >= 1")
         seed = config_int(raw.get("seed", 0), "seed") if seed_override is None else seed_override
-        policy_raw = decode.get("policy", {"mode": "greedy"})
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
+        policy_raw = config_object(decode.get("policy", {"mode": "greedy"}), "decode.policy")
         policy = AcceptancePolicy(
             mode=policy_raw.get("mode", "greedy"),
             k=config_int(policy_raw.get("k", 1), "decode.policy.k"),
@@ -187,6 +202,8 @@ def build_backend(spec: dict, seed: int):
 def build_prompts(config: ExperimentConfig, vocab_size: int) -> list[list[int]]:
     spec = config.prompt_spec
     if "text_path" in spec:
+        if not isinstance(spec["text_path"], str):
+            raise ConfigError(f"prompts.text_path must be a string, got {spec['text_path']!r}")
         return prompts_from_text(
             spec["text_path"],
             vocab_size,
@@ -201,29 +218,30 @@ def build_prompts(config: ExperimentConfig, vocab_size: int) -> list[list[int]]:
     )
 
 
-def _expand_values(value: Any, all_range: Iterable[int]) -> list[int | None]:
-    if value is None:
-        return [None]
+def _expand_values(value: Any, all_range: Iterable[int], name: str) -> list[int]:
     if value == "all":
         return list(all_range)
     if isinstance(value, list):
-        return [int(v) for v in value]
-    return [int(value)]
+        return [config_int(v, name) for v in value]
+    return [config_int(value, name)]
 
 
 def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
     """Cartesian strategy grids; invalid points are skipped with a logged reason."""
     default_draft, default_intermediate = default_layer_placement(n_layers)
     points: list[GridPoint] = [GridPoint(strategy="vanilla", layer=n_layers)]
-    for strategy in config.strategies:
+    for index, strategy in enumerate(config.strategies):
+        where = f"strategies[{index}]"
         name = strategy.get("name")
         if name == "vanilla":
             continue  # the baseline row is always present
         if name == "selfspec":
             drafts = _expand_values(
-                strategy.get("draft_layer", default_draft), range(1, n_layers)
+                strategy.get("draft_layer", default_draft),
+                range(1, n_layers),
+                f"{where}.draft_layer",
             )
-            lens = _expand_values(strategy.get("draft_len", 2), [2])
+            lens = _expand_values(strategy.get("draft_len", 2), [2], f"{where}.draft_len")
             for draft, dlen in itertools.product(drafts, lens):
                 if not 1 <= draft < n_layers:
                     logger.warning("skip selfspec point draft_layer=%s: outside [1, %s)", draft, n_layers)
@@ -231,13 +249,19 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
                 points.append(GridPoint(strategy="selfspec", draft_layer=draft, draft_len=dlen))
         elif name == "hierarchical":
             drafts = _expand_values(
-                strategy.get("draft_layer", default_draft), range(1, n_layers - 1)
+                strategy.get("draft_layer", default_draft),
+                range(1, n_layers - 1),
+                f"{where}.draft_layer",
             )
             intermediates = _expand_values(
-                strategy.get("intermediate_layer", default_intermediate), range(2, n_layers)
+                strategy.get("intermediate_layer", default_intermediate),
+                range(2, n_layers),
+                f"{where}.intermediate_layer",
             )
-            lens = _expand_values(strategy.get("draft_len", 2), [2])
-            windows = _expand_values(strategy.get("accept_window", 4), [4])
+            lens = _expand_values(strategy.get("draft_len", 2), [2], f"{where}.draft_len")
+            windows = _expand_values(
+                strategy.get("accept_window", 4), [4], f"{where}.accept_window"
+            )
             for draft, inter, dlen, window in itertools.product(
                 drafts, intermediates, lens, windows
             ):

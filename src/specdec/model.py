@@ -34,9 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend import TokenDistribution, check_layer_range
+from .backend import TokenDistribution
 from .errors import AlignmentError, ConfigError
-from .state import LayeredState
+from .state import LayeredState, fill_runs
 
 _NORM_EPS = 1e-6
 
@@ -150,13 +150,16 @@ class ToyTransformer:
     ) -> np.ndarray:
         """One layer over the span of positions starting at start_pos, as an (n, d) array.
 
-        The span's K/V rows are appended first; each position then attends
-        causally over its own prefix, all heads in one batched product.
+        The state must already have advanced over the span. Its K/V rows
+        are written first; each position then attends causally over its own
+        prefix, all heads in one batched product.
         """
         weights = self.layers[layer - 1]
         d, n_heads, d_head = self.d_model, self.config.n_heads, self._d_head
         qkv = _rows_matmul(_rms_norm(x), weights["w_qkv"])
-        state.append_kv(layer, start_pos, qkv[:, d : 2 * d], qkv[:, 2 * d :])
+        end_pos = start_pos + len(x)
+        state.kv_k[layer - 1][start_pos:end_pos] = qkv[:, d : 2 * d]
+        state.kv_v[layer - 1][start_pos:end_pos] = qkv[:, 2 * d :]
         keys = state.kv_k[layer - 1].reshape(-1, n_heads, d_head).transpose(1, 0, 2)
         values = state.kv_v[layer - 1].reshape(-1, n_heads, d_head).transpose(1, 0, 2)
         q_heads = qkv[:, :d].reshape(-1, n_heads, d_head, 1)
@@ -166,8 +169,8 @@ class ToyTransformer:
             attended[i] = _attend_heads(keys[:, :end], values[:, :end], q)
         x = x + _rows_matmul(attended.reshape(len(x), d), weights["w_o"])
         x = x + _rows_matmul(_silu(_rows_matmul(_rms_norm(x), weights["w_up"])), weights["w_down"])
-        if layer in state.buffered_layers:
-            state.buffer_hidden(layer, start_pos, x)
+        if layer in state.hidden:
+            state.hidden[layer][start_pos:end_pos] = x
         return x
 
     def forward_range(
@@ -186,31 +189,16 @@ class ToyTransformer:
         the range also record their outputs. Returns the end-layer hidden
         states for the span.
         """
-        check_layer_range(self.n_layers, start_layer, end_layer)
-        if end_pos <= start_pos:
-            raise AlignmentError("empty position span")
-        if end_pos > self.max_seq_len:
-            raise AlignmentError(f"position {end_pos - 1} beyond max_seq_len")
-        if end_pos > len(state.tokens):
-            raise AlignmentError(f"no token recorded at position {end_pos - 1}")
-        for layer in range(start_layer, end_layer + 1):
-            if state.filled(layer) != start_pos:
-                raise AlignmentError(
-                    f"layer {layer} filled to {state.filled(layer)}, expected {start_pos}"
-                )
+        # Inputs are taken (and token ids checked) before the state advances,
+        # so a rejected call leaves the state untouched.
+        resume = start_layer - 1
         if start_layer == 1:
             x = self._embed(state.tokens[start_pos:end_pos], start_pos)
-        else:
-            resume = start_layer - 1
-            if resume not in state.buffered_layers:
-                raise AlignmentError(
-                    f"missing hidden state at (layer {resume}, position {start_pos})"
-                )
-            if state.filled(resume) < end_pos:
-                raise AlignmentError(
-                    f"missing hidden state at (layer {resume}, position {state.filled(resume)})"
-                )
+        elif resume in state.buffered_layers:
             x = state.hidden[resume][start_pos:end_pos]
+        else:
+            raise AlignmentError(f"missing hidden state at (layer {resume}, position {start_pos})")
+        state.advance(start_layer, end_layer, start_pos, end_pos)
         for layer in range(start_layer, end_layer + 1):
             x = self._run_layer(state, layer, start_pos, x)
         return x
@@ -225,8 +213,8 @@ class ToyTransformer:
         return TokenDistribution(logits=logits, position=position, source_layer=source_layer)
 
     def exit_distribution(self, state: LayeredState, layer: int, position: int) -> TokenDistribution:
-        hs = state.hidden_at(layer, position)
-        return self.exit_logits(hs.values, position=position, source_layer=layer)
+        hidden = state.hidden_at(layer, position)
+        return self.exit_logits(hidden, position=position, source_layer=layer)
 
     # -- consistency oracle --------------------------------------------
 
@@ -239,16 +227,9 @@ class ToyTransformer:
         """Fresh monolithic recompute brought to the given per-layer extents."""
         ref = self.new_state(buffered_layers)
         ref.set_tokens(tokens)
-        if fills[0] > len(tokens):
-            raise AlignmentError(f"layer 1 fill {fills[0]} exceeds token count {len(tokens)}")
         x = self._embed(ref.tokens[: fills[0]], 0)
-        prev_fill = fills[0]
+        for start_layer, end_layer, fill in fill_runs(fills):
+            ref.advance(start_layer, end_layer, 0, fill)
         for layer in range(1, self.n_layers + 1):
-            fill = fills[layer - 1]
-            if fill > prev_fill:
-                raise AlignmentError(
-                    f"layer {layer} filled to {fill} beyond layer {layer - 1} ({prev_fill})"
-                )
-            x = self._run_layer(ref, layer, 0, x[:fill])
-            prev_fill = fill
+            x = self._run_layer(ref, layer, 0, x[: ref.filled(layer)])
         return ref

@@ -1,17 +1,33 @@
 """Layered KV cache and exit hidden-state buffers with expand/prune semantics.
 
-The state tracks, per layer, how many positions have been computed
-(`filled`). Speculation expands layers ahead of the committed context;
-verification prunes rejected positions back. Lower layers may run ahead
-of higher ones, never the reverse. A per-(layer, position) compute
-counter backs the no-redundant-work invariant: while an entry is live it
-must be computed exactly once; pruning resets the counter because the
-position's occupant is discarded with it.
+The draft, the intermediate verifier and the full model share one
+`LayeredState`. It records, per layer, how many positions have been
+computed (the layer's fill) and how often each (layer, position) entry
+was computed. Two methods change that record, and both check the fill
+protocol before they change anything:
+
+- `advance(start_layer, end_layer, start_pos, end_pos)` records one
+  forward pass over a layer range and a position span. The span must be
+  non-empty, end within `max_seq_len` and the recorded tokens, continue
+  every layer of the range exactly where it stopped, and lie within the
+  fill of the layer below. Lower layers may therefore run ahead of higher
+  ones, never the reverse: fills never increase with depth. The backend
+  then writes the span's K/V rows (and hidden rows at buffered exits).
+- `prune_all(keep_len)` drops every entry at positions >= keep_len, with
+  the tokens there, and never a committed position.
+
+Every tensor row and counter past a layer's fill is zero. That invariant
+lets `prune_all` clear one block of positions across all layers at once,
+and makes a pruned-then-recomputed state bit-identical to one that never
+speculated. While an entry is live it must be computed exactly once;
+pruning resets its counter because the position's occupant is discarded
+with it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -22,25 +38,30 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @dataclass(frozen=True)
-class CommitMark:
-    """Last committed position and where the tentative buffer begins."""
-
-    position: int
-    buffer_start: int
-
-
-@dataclass(frozen=True)
-class HiddenState:
-    position: int
-    layer: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class LayerReport:
     layer: int
     max_abs_discrepancy: float
     worst_position: int | None
+
+
+def check_layer_range(n_layers: int, start_layer: int, end_layer: int) -> None:
+    if not (1 <= start_layer <= end_layer <= n_layers):
+        raise ValueError(
+            f"invalid layer range [{start_layer}, {end_layer}] for {n_layers} layers"
+        )
+
+
+def fill_runs(fills: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(start_layer, end_layer, fill) for each run of layers with one non-zero fill.
+
+    An empty state reaches `fills` with one `advance` from position 0 per run.
+    """
+    start_layer = 1
+    for fill, run in itertools.groupby(fills):
+        end_layer = start_layer + len(list(run)) - 1
+        if fill:
+            yield start_layer, end_layer, fill
+        start_layer = end_layer + 1
 
 
 class LayeredState:
@@ -69,7 +90,7 @@ class LayeredState:
                 raise ValueError(f"buffered layer {layer} outside [1, {n_layers}]")
         self.tokens: list[int] = []
         self.committed_len = 0
-        self._fill = [0] * n_layers
+        self._fill = np.zeros(n_layers, dtype=np.intp)
         self._compute_count = np.zeros((n_layers, max_seq_len), dtype=np.int32)
         if d_model is not None:
             self.kv_k = [np.zeros((max_seq_len, d_model)) for _ in range(n_layers)]
@@ -85,17 +106,13 @@ class LayeredState:
     # -- bookkeeping -------------------------------------------------
 
     def filled(self, layer: int) -> int:
-        return self._fill[layer - 1]
+        return int(self._fill[layer - 1])
 
     def fills(self) -> tuple[int, ...]:
-        return tuple(self._fill)
+        return tuple(self._fill.tolist())
 
     def compute_counts(self, layer: int) -> np.ndarray:
         return self._compute_count[layer - 1, : self._fill[layer - 1]]
-
-    @property
-    def commit_mark(self) -> CommitMark:
-        return CommitMark(position=self.committed_len - 1, buffer_start=self.committed_len)
 
     def set_tokens(self, tokens: Sequence[int]) -> None:
         if len(tokens) > self.max_seq_len:
@@ -120,86 +137,70 @@ class LayeredState:
 
     # -- expand ------------------------------------------------------
 
-    def append_kv(self, layer: int, start_pos: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Append the K/V rows of positions [start_pos, start_pos + len(k))."""
-        self.append_bookkeeping(layer, start_pos, len(k))
-        end_pos = start_pos + len(k)
-        self.kv_k[layer - 1][start_pos:end_pos] = k
-        self.kv_v[layer - 1][start_pos:end_pos] = v
+    def advance(self, start_layer: int, end_layer: int, start_pos: int, end_pos: int) -> None:
+        """Record a pass of layers [start_layer, end_layer] over positions [start_pos, end_pos).
 
-    def append_bookkeeping(self, layer: int, start_pos: int, count: int) -> None:
-        """Advance the fill of one layer by count positions and count their computes."""
-        if self._fill[layer - 1] != start_pos:
-            raise AlignmentError(
-                f"non-contiguous extend at (layer {layer}, position {start_pos}); "
-                f"filled to {self._fill[layer - 1]}"
-            )
-        end_pos = start_pos + count
+        Raises before changing anything when the pass breaks the fill
+        protocol; otherwise the span becomes live in every layer of the
+        range and each of its entries counts one more compute.
+        """
+        check_layer_range(self.n_layers, start_layer, end_layer)
+        if end_pos <= start_pos:
+            raise AlignmentError("empty position span")
         if end_pos > self.max_seq_len:
-            raise AlignmentError(f"extend past max_seq_len at position {end_pos - 1}")
-        self._fill[layer - 1] = end_pos
-        self._compute_count[layer - 1, start_pos:end_pos] += 1
+            raise AlignmentError(f"position {end_pos - 1} beyond max_seq_len")
+        if end_pos > len(self.tokens):
+            raise AlignmentError(f"no token recorded at position {end_pos - 1}")
+        fills = self._fill[start_layer - 1 : end_layer]
+        behind = fills != start_pos
+        if behind.any():
+            offset = int(behind.argmax())
+            raise AlignmentError(
+                f"non-contiguous pass at layer {start_layer + offset}: "
+                f"filled to {fills[offset]}, expected {start_pos}"
+            )
+        if start_layer > 1 and self._fill[start_layer - 2] < end_pos:
+            raise AlignmentError(
+                f"missing hidden state at (layer {start_layer - 1}, "
+                f"position {self._fill[start_layer - 2]})"
+            )
+        fills[:] = end_pos
+        self._compute_count[start_layer - 1 : end_layer, start_pos:end_pos] += 1
 
-    def buffer_hidden(self, layer: int, start_pos: int, values: np.ndarray) -> None:
-        """Record the hidden rows of positions [start_pos, start_pos + len(values))."""
-        if layer not in self.buffered_layers:
-            raise AlignmentError(f"layer {layer} has no hidden buffer")
-        self.hidden[layer][start_pos : start_pos + len(values)] = values
-
-    def hidden_at(self, layer: int, position: int) -> HiddenState:
-        if self.hidden is None or layer not in self.buffered_layers:
+    def hidden_at(self, layer: int, position: int) -> np.ndarray:
+        """The hidden row buffered at (layer, position)."""
+        if self.hidden is None or layer not in self.hidden:
             raise AlignmentError(f"no hidden buffer at layer {layer}")
         if position >= self._fill[layer - 1]:
             raise AlignmentError(f"missing hidden state at (layer {layer}, position {position})")
-        return HiddenState(position=position, layer=layer, values=self.hidden[layer][position])
+        return self.hidden[layer][position]
 
     # -- prune -------------------------------------------------------
 
-    def prune_to(self, start_layer: int, end_layer: int, keep_len: int) -> None:
-        """Drop entries at positions >= keep_len for every layer in the range."""
-        if keep_len < 0:
-            raise ProtocolError("keep_len must be non-negative")
+    def prune_all(self, keep_len: int) -> None:
+        """Drop every entry and token at positions >= keep_len, in all layers."""
         if keep_len < self.committed_len:
             raise ProtocolError(
                 f"prune to {keep_len} would discard committed positions "
                 f"(committed_len {self.committed_len})"
             )
-        for layer in range(start_layer, end_layer + 1):
-            fill = self._fill[layer - 1]
-            if keep_len > fill:
-                raise ProtocolError(
-                    f"prune keep_len {keep_len} beyond fill {fill} at layer {layer}"
-                )
-            if keep_len == fill:
-                continue
-            self._compute_count[layer - 1, keep_len:fill] = 0
+        top = int(self._fill[0])  # fills never increase with depth
+        if top > keep_len:
+            np.minimum(self._fill, keep_len, out=self._fill)
+            # Entries past each layer's old fill are zero already, so clearing
+            # positions [keep_len, top) everywhere clears exactly the pruned ones.
+            self._compute_count[:, keep_len:top] = 0
             if self.kv_k is not None:
-                self.kv_k[layer - 1][keep_len:fill] = 0.0
-                self.kv_v[layer - 1][keep_len:fill] = 0.0
-            if self.hidden is not None and layer in self.hidden:
-                self.hidden[layer][keep_len:fill] = 0.0
-            self._fill[layer - 1] = keep_len
-
-    def truncate_tokens(self, keep_len: int) -> None:
-        if keep_len < self.committed_len:
-            raise ProtocolError("cannot truncate committed tokens")
-        if max(self._fill) > keep_len:
-            raise ProtocolError("truncate would orphan filled positions; prune layers first")
+                for rows in itertools.chain(self.kv_k, self.kv_v, self.hidden.values()):
+                    rows[keep_len:top] = 0.0
         del self.tokens[keep_len:]
-
-    def prune_all(self, keep_len: int) -> None:
-        """Prune every layer above keep_len and drop the tokens with them."""
-        for layer in range(1, self.n_layers + 1):
-            if self._fill[layer - 1] > keep_len:
-                self.prune_to(layer, layer, keep_len)
-        self.truncate_tokens(max(keep_len, self.committed_len))
 
     # -- snapshots (test support) -------------------------------------
 
     def snapshot(self) -> dict:
         snap = {
             "tokens": list(self.tokens),
-            "fill": list(self._fill),
+            "fill": self.fills(),
             "committed": self.committed_len,
             "counts": self._compute_count.copy(),
         }
@@ -210,7 +211,7 @@ class LayeredState:
         return snap
 
     def equals_snapshot(self, snap: dict) -> bool:
-        if self.tokens != snap["tokens"] or self._fill != snap["fill"]:
+        if self.tokens != snap["tokens"] or self.fills() != snap["fill"]:
             return False
         if self.committed_len != snap["committed"]:
             return False

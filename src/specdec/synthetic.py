@@ -21,9 +21,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backend import TokenDistribution, check_layer_range
+from .backend import TokenDistribution
 from .errors import AlignmentError, ConfigError
-from .state import LayeredState
+from .state import LayeredState, check_layer_range, fill_runs
 
 _MASK64 = (1 << 64) - 1
 _MIX_A = 0xFF51AFD7ED558CCD
@@ -224,20 +224,7 @@ class SyntheticBackend:
         start_pos: int,
         end_pos: int,
     ) -> None:
-        check_layer_range(self.n_layers, start_layer, end_layer)
-        if end_pos <= start_pos:
-            raise AlignmentError("empty position span")
-        if end_pos > len(state.tokens):
-            raise AlignmentError(f"no token recorded at position {end_pos - 1}")
-        if start_layer > 1:
-            below = state.filled(start_layer - 1)
-            if below < end_pos:
-                raise AlignmentError(
-                    f"missing hidden state at (layer {start_layer - 1}, position {below})"
-                )
-        for layer in range(start_layer, end_layer + 1):
-            state.append_bookkeeping(layer, start_pos, end_pos - start_pos)
-        return None
+        state.advance(start_layer, end_layer, start_pos, end_pos)
 
     def exit_distribution(self, state: LayeredState, layer: int, position: int) -> TokenDistribution:
         if state.filled(layer) <= position:
@@ -258,14 +245,6 @@ class SyntheticBackend:
     ) -> LayeredState:
         ref = self.new_state(buffered_layers)
         ref.set_tokens(tokens)
-        prev_fill = len(tokens)
-        for layer in range(1, self.n_layers + 1):
-            fill = fills[layer - 1]
-            if fill > prev_fill:
-                raise AlignmentError(
-                    f"layer {layer} filled to {fill} beyond layer {layer - 1} ({prev_fill})"
-                )
-            if fill > 0:
-                ref.append_bookkeeping(layer, 0, fill)
-            prev_fill = fill
+        for start_layer, end_layer, fill in fill_runs(fills):
+            ref.advance(start_layer, end_layer, 0, fill)
         return ref

@@ -11,6 +11,7 @@ from specdec import (
     SyntheticBackend,
     SyntheticModelSpec,
     TokenDistribution,
+    consistency_check,
     default_layer_placement,
     hierarchical_decode,
     replay_ledger,
@@ -375,3 +376,26 @@ class TestHierarchical:
         result = hierarchical_decode(toy_backend, [1, 2, 3], config)
         assert len(result.tokens) == 12
         assert all(0 <= t < toy_backend.vocab_size for t in result.tokens)
+
+    def test_corrupted_kv_mid_decode_is_located(self, toy_backend):
+        # Corrupt one K/V entry of the full model's level at the second
+        # verification boundary; the recompute oracle must name it there.
+        config = HierarchicalConfig(
+            draft_layer=2, intermediate_layer=4, full_layer=6, max_new_tokens=12
+        )
+        reports_per_boundary = []
+        corrupted = []
+
+        def hook(session):
+            state = session.state
+            if len(reports_per_boundary) == 1:
+                position = state.filled(5) - 2
+                state.kv_v[4][position, 3] += 1e-3
+                corrupted.append((5, position))
+            reports_per_boundary.append(consistency_check(state, toy_backend, state.tokens))
+
+        hierarchical_decode(toy_backend, [8, 1, 30, 4], config, boundary_hook=hook)
+        assert len(reports_per_boundary) > 2
+        assert all(r.max_abs_discrepancy == 0.0 for r in reports_per_boundary[0])
+        flagged = [r for r in reports_per_boundary[1] if r.max_abs_discrepancy > 0]
+        assert [(r.layer, r.worst_position) for r in flagged] == corrupted

@@ -65,6 +65,24 @@ MALFORMED_INPUTS = {
     "zero-jobs-flag": ({}, ["compare", "--jobs", "0"], None, "--jobs"),
     "negative-jobs-flag": ({}, ["compare", "--jobs", "-3"], None, "--jobs"),
     "zero-jobs-env": ({}, ["compare"], "0", "SPECDEC_JOBS"),
+    "non-integer-grid-value": (
+        {"strategies": [{"name": "hierarchical", "draft_layer": ["x"]}]}, ["sweep"], None,
+        "strategies[0].draft_layer",
+    ),
+    "fractional-grid-value": (
+        {"strategies": [{"name": "selfspec", "draft_layer": 2.5}]}, ["sweep"], None,
+        "strategies[0].draft_layer",
+    ),
+    "null-grid-value": (
+        {"strategies": [{"name": "selfspec", "draft_len": None}]}, ["sweep"], None,
+        "strategies[0].draft_len",
+    ),
+    "strategy-not-an-object": ({"strategies": ["hierarchical"]}, ["sweep"], None, "strategies[0]"),
+    "decode-not-an-object": ({"decode": 5}, ["compare"], None, "decode"),
+    "policy-not-an-object": ({"decode": {"policy": "greedy"}}, ["compare"], None, "decode.policy"),
+    "prompts-not-an-object": ({"prompts": [1, 2]}, ["compare"], None, "prompts"),
+    "non-string-text-path": ({"prompts": {"text_path": 5}}, ["compare"], None, "prompts.text_path"),
+    "negative-seed": ({"seed": -1}, ["compare"], None, "seed"),
 }
 
 

@@ -63,16 +63,24 @@ class TestForwardRange:
 
     def test_position_split_equals_monolithic_bitwise(self):
         backend = init_model(make_config())
-        whole, whole_state = full_forward(backend, PROMPT)
-        state = backend.new_state(buffered_layers=(backend.n_layers,))
-        state.set_tokens(PROMPT)
-        backend.forward_range(state, 1, backend.n_layers, 0, 2)
-        backend.forward_range(state, 1, backend.n_layers, 2, len(PROMPT))
-        for layer in range(1, backend.n_layers + 1):
-            assert np.array_equal(
-                state.kv_k[layer - 1][: len(PROMPT)],
-                whole_state.kv_k[layer - 1][: len(PROMPT)],
+        every_layer = range(1, backend.n_layers + 1)
+        states = []
+        for cuts in ((0, len(PROMPT)), (0, 1, 3, len(PROMPT))):
+            state = backend.new_state(buffered_layers=every_layer)
+            state.set_tokens(PROMPT)
+            output = np.concatenate(
+                [
+                    backend.forward_range(state, 1, backend.n_layers, start, end)
+                    for start, end in zip(cuts, cuts[1:])
+                ]
             )
+            states.append((output, state))
+        (whole, whole_state), (parts, state) = states
+        assert np.array_equal(parts, whole)
+        for layer in every_layer:
+            assert np.array_equal(state.kv_k[layer - 1], whole_state.kv_k[layer - 1])
+            assert np.array_equal(state.kv_v[layer - 1], whole_state.kv_v[layer - 1])
+            assert np.array_equal(state.hidden[layer], whole_state.hidden[layer])
 
     def test_causality_under_truncation(self):
         backend = init_model(make_config())

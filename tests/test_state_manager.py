@@ -34,10 +34,19 @@ class TestExtend:
         with pytest.raises(AlignmentError, match="expected 4"):
             toy_backend.forward_range(state, 1, 2, 4, 5)
 
+    def test_rejected_token_leaves_state_untouched(self, toy_backend):
+        state = prepared_state(toy_backend, [1, 2, 3])
+        state.tokens.extend([4, toy_backend.vocab_size])
+        before = state.snapshot()
+        with pytest.raises(AlignmentError, match="outside vocabulary"):
+            toy_backend.forward_range(state, 1, 6, 3, 5)
+        assert state.equals_snapshot(before)
+
     def test_bookkeeping_extend_contiguity(self, toy_backend):
         state = toy_backend.new_state()
+        state.set_tokens([1, 2, 3])
         with pytest.raises(AlignmentError, match="non-contiguous"):
-            state.append_bookkeeping(1, 2, 1)
+            state.advance(1, 1, 2, 3)
 
     def test_extend_then_prune_restores_snapshot_bitwise(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
@@ -53,14 +62,14 @@ class TestPrune:
     def test_prune_to_fill_is_noop(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
         before = state.snapshot()
-        state.prune_to(1, 6, 3)
+        state.prune_all(3)
         assert state.equals_snapshot(before)
 
     def test_cannot_prune_below_committed(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
         state.mark_committed(3)
         with pytest.raises(ProtocolError, match="committed"):
-            state.prune_to(1, 6, 2)
+            state.prune_all(2)
 
     def test_prune_then_recompute_matches_untouched_run(self, toy_backend):
         # Rejected speculation must leave no trace: recomputing the same
@@ -88,15 +97,6 @@ class TestPrune:
         toy_backend.forward_range(state, 1, 6, 3, 4)
         for layer in range(1, 7):
             assert (state.compute_counts(layer) == 1).all()
-
-
-class TestCommitMark:
-    def test_buffer_starts_after_commit(self, toy_backend):
-        state = prepared_state(toy_backend, [1, 2, 3])
-        state.mark_committed(3)
-        mark = state.commit_mark
-        assert mark.position == 2
-        assert mark.buffer_start == mark.position + 1
 
 
 class TestConsistencyCheck:
