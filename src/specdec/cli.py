@@ -78,16 +78,15 @@ def _cmd_sweep(args) -> int:
     path = _write(rows, args, "sweep", RESULT_COLUMNS)
     print(f"wrote {len(rows)} rows to {path}")
     if args.matrix:
-        backend = build_backend(config.backend, config.seed)
         matrix_path = Path(args.out) / "matrix.txt"
-        emit_matrix(rows, matrix_path, backend.n_layers)
+        emit_matrix(rows, matrix_path, rows[0]["L_f"])
         print(f"wrote matrix to {matrix_path}")
     return 0
 
 
 def _cmd_ablate(args) -> int:
     config = load_config(args.config, args.seed)
-    values = [config_int(v, "--values") for v in args.values.split(",") if v.strip()]
+    values = [config_int(v, "--values", minimum=1) for v in args.values.split(",") if v.strip()]
     rows = run_ablation(config, args.parameter, values, jobs=resolve_jobs(args.jobs))
     path = _write(rows, args, f"ablate_{args.parameter}", RESULT_COLUMNS)
     print(f"wrote {len(rows)} rows to {path}")

@@ -236,8 +236,8 @@ class DecodeSession:
         exits = tuple(exits)
         if not exits or list(exits) != sorted(set(exits)):
             raise ConfigError("exits must be strictly increasing")
-        if exits[-1] > backend.n_layers:
-            raise ConfigError("exit beyond the model depth")
+        if exits[0] < 1 or exits[-1] > backend.n_layers:
+            raise ConfigError(f"exits {exits} outside the model's layers 1 to {backend.n_layers}")
         self.backend = backend
         self.exits = exits
         self.policy = policy
@@ -279,7 +279,7 @@ class DecodeSession:
         self.ledger.record_pass("prefill", self.exits[-1], len(prompt))
         self.state.mark_committed(len(prompt))
 
-    def generate_next(self, n: int, phase: str = "draft") -> tuple[list[int], Span]:
+    def generate_next(self, n: int) -> tuple[list[int], Span]:
         """Emit up to n greedy tokens at the lowest exit, extending its layers.
 
         Each emission processes the newest context position through the
@@ -295,14 +295,14 @@ class DecodeSession:
                 break
             pos = len(self.state.tokens) - 1
             if self.state.filled(hi) <= pos:
-                self._advance(0, pos + 1, phase)
+                self._advance(0, pos + 1, "draft")
             token = self.dist(0, pos).argmax()
             self.state.append_token(token)
             emitted.append(token)
             if self.eos_token is not None and token == self.eos_token:
                 break
         if emitted and self.state.filled(hi) < len(self.state.tokens):
-            self._advance(0, len(self.state.tokens), phase)
+            self._advance(0, len(self.state.tokens), "draft")
         return emitted, (start_fill, self.state.filled(hi))
 
     def leading_substring_verify(

@@ -1,11 +1,14 @@
 """Declarative experiment runner behind the CLI.
 
 A config describes one backend, one prompt corpus, and a list of strategy
-grids. Each grid point decodes the whole corpus, aggregates its cost
-ledger, and becomes one result row; vanilla full-depth decoding over the
-same corpus is always computed and serves as the throughput baseline.
-Rows are emitted in sorted parameter order so output bytes never depend
-on scheduling.
+grids. Its strategies are checked once, when the config is loaded: each
+entry names a strategy of `STRATEGY_FIELDS` and gives only that
+strategy's grid fields. Every report is such a grid: `sweep` runs the
+config's own, while `compare` and `ablate` run fixed ones. Each grid
+point decodes the whole corpus, aggregates its cost ledger, and becomes
+one result row; vanilla full-depth decoding over the same corpus is
+always computed and serves as the throughput baseline. Rows are emitted
+in sorted parameter order so output bytes never depend on scheduling.
 """
 from __future__ import annotations
 
@@ -14,9 +17,9 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .costs import WALL_DEPTH_PAIRS, CostLedger, relative_throughput, verification_wall_ratio
 from .engine import (
@@ -58,19 +61,27 @@ WALL_COLUMNS = ("draft_model", "draft_layers", "target_model", "target_layers", 
 _FLOAT_COLUMNS = {"acc_rate_intermediate", "acc_rate_target", "rel_throughput", "wall_ratio"}
 
 
+# The grid fields of each strategy: its exit layers, shallowest first, then
+# its burst lengths. Vanilla has none; its full-depth row is the baseline.
+STRATEGY_FIELDS = {
+    "vanilla": (),
+    "selfspec": ("draft_layer", "draft_len"),
+    "hierarchical": ("draft_layer", "intermediate_layer", "draft_len", "accept_window"),
+}
+_LAYER_FIELDS = {"draft_layer": "L_d", "intermediate_layer": "L_i"}  # field -> column
+
+
 @dataclass(frozen=True)
 class GridPoint:
     strategy: str
     draft_layer: int | None = None
     intermediate_layer: int | None = None
-    layer: int | None = None
     draft_len: int | None = None
     accept_window: int | None = None
 
     def sort_key(self) -> tuple:
-        order = {"vanilla": 0, "selfspec": 1, "hierarchical": 2}[self.strategy]
         return (
-            order,
+            list(STRATEGY_FIELDS).index(self.strategy),
             self.draft_layer or 0,
             self.intermediate_layer or 0,
             self.draft_len or 0,
@@ -78,18 +89,22 @@ class GridPoint:
         )
 
 
-def config_int(value: Any, name: str) -> int:
+def config_int(value: Any, name: str, minimum: int | None = None) -> int:
     """`int(value)`, or a ConfigError that names the field it came from.
 
     Integer strings and integral floats convert; bools and floats with a
-    fractional part are rejected rather than truncated.
+    fractional part are rejected rather than truncated, and so is a value
+    below `minimum` when one is given.
     """
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {number}")
+    return number
 
 
 def config_object(value: Any, name: str) -> dict:
@@ -123,15 +138,13 @@ class ExperimentConfig:
         strategies = raw.get("strategies") or [{"name": "hierarchical"}]
         if not isinstance(strategies, list):
             raise ConfigError(f"strategies must be a list of objects, got {strategies!r}")
-        for index, strategy in enumerate(strategies):
-            config_object(strategy, f"strategies[{index}]")
         decode = config_object(raw.get("decode", {}), "decode")
-        max_new = config_int(decode.get("max_new_tokens", 32), "decode.max_new_tokens")
-        if max_new < 1:
-            raise ConfigError("max_new_tokens must be >= 1")
-        seed = config_int(raw.get("seed", 0), "seed") if seed_override is None else seed_override
-        if seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {seed}")
+        max_new = config_int(
+            decode.get("max_new_tokens", 32), "decode.max_new_tokens", minimum=1
+        )
+        seed = config_int(
+            raw.get("seed", 0) if seed_override is None else seed_override, "seed", minimum=0
+        )
         policy_raw = config_object(decode.get("policy", {"mode": "greedy"}), "decode.policy")
         policy = AcceptancePolicy(
             mode=policy_raw.get("mode", "greedy"),
@@ -140,11 +153,41 @@ class ExperimentConfig:
         return cls(
             backend=backend,
             prompt_spec=prompt_spec,
-            strategies=tuple(strategies),
+            strategies=tuple(
+                _parse_strategy(entry, f"strategies[{index}]")
+                for index, entry in enumerate(strategies)
+            ),
             max_new_tokens=max_new,
             seed=seed,
             policy=policy,
         )
+
+
+def _parse_strategy(entry: Any, where: str) -> dict:
+    """One strategies entry: its name and each grid field as int values or "all"."""
+    config_object(entry, where)
+    name = entry.get("name")
+    if name not in STRATEGY_FIELDS:
+        raise ConfigError(
+            f"{where}.name must be one of {', '.join(STRATEGY_FIELDS)}, got {name!r}"
+        )
+    parsed: dict[str, Any] = {"name": name}
+    for key, value in entry.items():
+        if key == "name":
+            continue
+        field = f"{where}.{key}"
+        if key not in STRATEGY_FIELDS[name]:
+            raise ConfigError(
+                f"{field} is not a grid field of {name}; "
+                f"its fields are {', '.join(STRATEGY_FIELDS[name]) or 'none'}"
+            )
+        if value == "all":
+            parsed[key] = value
+            continue
+        minimum = None if key in _LAYER_FIELDS else 1
+        values = value if isinstance(value, list) else [value]
+        parsed[key] = tuple(config_int(v, field, minimum) for v in values)
+    return parsed
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
@@ -218,74 +261,45 @@ def build_prompts(config: ExperimentConfig, vocab_size: int) -> list[list[int]]:
     )
 
 
-def _expand_values(value: Any, all_range: Iterable[int], name: str) -> list[int]:
-    if value == "all":
-        return list(all_range)
-    if isinstance(value, list):
-        return [config_int(v, name) for v in value]
-    return [config_int(value, name)]
-
-
 def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
-    """Cartesian strategy grids; invalid points are skipped with a logged reason."""
-    default_draft, default_intermediate = default_layer_placement(n_layers)
-    points: list[GridPoint] = [GridPoint(strategy="vanilla", layer=n_layers)]
-    for index, strategy in enumerate(config.strategies):
-        where = f"strategies[{index}]"
-        name = strategy.get("name")
-        if name == "vanilla":
-            continue  # the baseline row is always present
-        if name == "selfspec":
-            drafts = _expand_values(
-                strategy.get("draft_layer", default_draft),
-                range(1, n_layers),
-                f"{where}.draft_layer",
-            )
-            lens = _expand_values(strategy.get("draft_len", 2), [2], f"{where}.draft_len")
-            for draft, dlen in itertools.product(drafts, lens):
-                if not 1 <= draft < n_layers:
-                    logger.warning("skip selfspec point draft_layer=%s: outside [1, %s)", draft, n_layers)
-                    continue
-                points.append(GridPoint(strategy="selfspec", draft_layer=draft, draft_len=dlen))
-        elif name == "hierarchical":
-            drafts = _expand_values(
-                strategy.get("draft_layer", default_draft),
-                range(1, n_layers - 1),
-                f"{where}.draft_layer",
-            )
-            intermediates = _expand_values(
-                strategy.get("intermediate_layer", default_intermediate),
-                range(2, n_layers),
-                f"{where}.intermediate_layer",
-            )
-            lens = _expand_values(strategy.get("draft_len", 2), [2], f"{where}.draft_len")
-            windows = _expand_values(
-                strategy.get("accept_window", 4), [4], f"{where}.accept_window"
-            )
-            for draft, inter, dlen, window in itertools.product(
-                drafts, intermediates, lens, windows
-            ):
-                if not 1 <= draft < inter < n_layers:
-                    logger.warning(
-                        "skip hierarchical point (L_d=%s, L_i=%s): needs 1 <= L_d < L_i < %s",
-                        draft,
-                        inter,
-                        n_layers,
-                    )
-                    continue
-                points.append(
-                    GridPoint(
-                        strategy="hierarchical",
-                        draft_layer=draft,
-                        intermediate_layer=inter,
-                        draft_len=dlen,
-                        accept_window=window,
-                    )
+    """Cartesian strategy grids; invalid points are skipped with a logged reason.
+
+    A missing field takes its default (the default layer placement, N_d 2,
+    N_i 4). For an exit layer, "all" spans every layer that the field can
+    hold under 1 <= L_d < L_i < L_f; for a burst length it is the default.
+    """
+    defaults = dict(
+        zip(_LAYER_FIELDS, default_layer_placement(n_layers)), draft_len=2, accept_window=4
+    )
+    points = {GridPoint(strategy="vanilla")}
+    for strategy in config.strategies:
+        name = strategy["name"]
+        fields = STRATEGY_FIELDS[name]
+        layers = [field for field in fields if field in _LAYER_FIELDS]
+        axes = []
+        for field in fields:
+            values = strategy.get(field, (defaults[field],))
+            if values == "all":
+                if field in layers:
+                    k = layers.index(field)
+                    values = range(1 + k, n_layers - len(layers) + 1 + k)
+                else:
+                    values = (defaults[field],)
+            axes.append(values)
+        for combo in itertools.product(*axes):
+            params = dict(zip(fields, combo))
+            exits = [0] + [params[field] for field in layers] + [n_layers]
+            if not all(lo < hi for lo, hi in zip(exits, exits[1:])):
+                logger.warning(
+                    "skip %s point (%s): needs 1 <= %s < %s",
+                    name,
+                    ", ".join(f"{_LAYER_FIELDS[field]}={params[field]}" for field in layers),
+                    " < ".join(_LAYER_FIELDS[field] for field in layers),
+                    n_layers,
                 )
-        else:
-            raise ConfigError(f"unknown strategy {name!r}")
-    unique = sorted(set(points), key=GridPoint.sort_key)
-    return unique
+                continue
+            points.add(GridPoint(strategy=name, **params))
+    return sorted(points, key=GridPoint.sort_key)
 
 
 @dataclass
@@ -310,7 +324,7 @@ def run_point(
     aggregate = PointAggregate(point, 0, CostLedger(), DecodeStats())
     for prompt in prompts:
         if point.strategy == "vanilla":
-            result = vanilla_decode(backend, prompt, max_new_tokens, layer=point.layer)
+            result = vanilla_decode(backend, prompt, max_new_tokens)
         elif point.strategy == "selfspec":
             result = selfspec_decode(
                 backend,
@@ -356,12 +370,8 @@ def resolve_jobs(requested: int) -> int:
     """Worker count: SPECDEC_JOBS when set, else the --jobs value; at least 1."""
     env = os.environ.get("SPECDEC_JOBS")
     if env:
-        source, jobs = "SPECDEC_JOBS", config_int(env, "SPECDEC_JOBS")
-    else:
-        source, jobs = "--jobs", requested
-    if jobs < 1:
-        raise ConfigError(f"{source} must be at least 1, got {jobs}")
-    return jobs
+        return config_int(env, "SPECDEC_JOBS", minimum=1)
+    return config_int(requested, "--jobs", minimum=1)
 
 
 def run_points(
@@ -380,7 +390,7 @@ def run_points(
     else:
         aggregates = [_worker(p) for p in payloads]
     by_point = {agg.point: agg for agg in aggregates}
-    baseline = by_point[GridPoint(strategy="vanilla", layer=backend.n_layers)]
+    baseline = by_point[GridPoint(strategy="vanilla")]
     rows = []
     for point in sorted(points, key=GridPoint.sort_key):
         agg = by_point[point]
@@ -400,7 +410,7 @@ def _row_from_aggregate(
         "strategy": point.strategy,
         "L_d": point.draft_layer,
         "L_i": point.intermediate_layer,
-        "L_f": n_layers if point.strategy != "vanilla" else (point.layer or n_layers),
+        "L_f": n_layers,
         "N_d": point.draft_len,
         "N_i": point.accept_window,
         "prompts": n_prompts,
@@ -427,45 +437,19 @@ def run_ablation(
     config: ExperimentConfig, parameter: str, values: Sequence[int], jobs: int = 1
 ) -> list[dict]:
     """Vary draft_len (N_d) or accept_window (N_i) with everything else at defaults."""
-    if parameter not in ("N_d", "N_i"):
+    field = {"N_d": "draft_len", "N_i": "accept_window"}.get(parameter)
+    if field is None:
         raise ConfigError("ablation parameter must be N_d or N_i")
     if not values:
         return []
-    backend = build_backend(config.backend, config.seed)
-    draft, intermediate = default_layer_placement(backend.n_layers)
-    points = [GridPoint(strategy="vanilla", layer=backend.n_layers)]
-    for value in values:
-        if value < 1:
-            logger.warning("skip ablation value %s: must be >= 1", value)
-            continue
-        points.append(
-            GridPoint(
-                strategy="hierarchical",
-                draft_layer=draft,
-                intermediate_layer=intermediate,
-                draft_len=value if parameter == "N_d" else 2,
-                accept_window=value if parameter == "N_i" else 4,
-            )
-        )
-    return run_points(config, points, jobs)
+    strategy = {"name": "hierarchical", field: tuple(values)}
+    return run_sweep(replace(config, strategies=(strategy,)), jobs)
 
 
 def run_compare(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Vanilla vs selfspec vs hierarchical at the default placement."""
-    backend = build_backend(config.backend, config.seed)
-    draft, intermediate = default_layer_placement(backend.n_layers)
-    points = [
-        GridPoint(strategy="vanilla", layer=backend.n_layers),
-        GridPoint(strategy="selfspec", draft_layer=draft, draft_len=2),
-        GridPoint(
-            strategy="hierarchical",
-            draft_layer=draft,
-            intermediate_layer=intermediate,
-            draft_len=2,
-            accept_window=4,
-        ),
-    ]
-    return run_points(config, points, jobs)
+    strategies = ({"name": "selfspec"}, {"name": "hierarchical"})
+    return run_sweep(replace(config, strategies=strategies), jobs)
 
 
 def run_wall(extra_pairs: Sequence[tuple[str, int, str, int]] = ()) -> list[dict]:

@@ -116,9 +116,6 @@ class ToyTransformer:
             self.layers.append(
                 {
                     "w_qkv": w_qkv,
-                    "w_q": w_qkv[:, :d],
-                    "w_k": w_qkv[:, d : 2 * d],
-                    "w_v": w_qkv[:, 2 * d :],
                     "w_o": rng.normal(0.0, scale, size=(d, d)),
                     "w_up": rng.normal(0.0, scale, size=(d, d_ff)),
                     "w_down": rng.normal(0.0, 1.0 / np.sqrt(d_ff), size=(d_ff, d)),

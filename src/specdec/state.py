@@ -250,19 +250,15 @@ def consistency_check(
         worst = 0.0
         worst_pos: int | None = None
         if state.kv_k is not None:
-            for mine, theirs in (
-                (state.kv_k[layer - 1][:fill], reference.kv_k[layer - 1][:fill]),
-                (state.kv_v[layer - 1][:fill], reference.kv_v[layer - 1][:fill]),
-            ):
-                diff = np.abs(mine - theirs)
-                per_pos = diff.max(axis=1)
-                if per_pos.max() > worst:
-                    worst = float(per_pos.max())
-                    worst_pos = int(per_pos.argmax())
+            pairs = [
+                (state.kv_k[layer - 1], reference.kv_k[layer - 1]),
+                (state.kv_v[layer - 1], reference.kv_v[layer - 1]),
+            ]
             if layer in state.buffered_layers:
-                diff = np.abs(state.hidden[layer][:fill] - reference.hidden[layer][:fill])
-                per_pos = diff.max(axis=1)
-                if per_pos.size and per_pos.max() > worst:
+                pairs.append((state.hidden[layer], reference.hidden[layer]))
+            for mine, theirs in pairs:
+                per_pos = np.abs(mine[:fill] - theirs[:fill]).max(axis=1)
+                if per_pos.max() > worst:
                     worst = float(per_pos.max())
                     worst_pos = int(per_pos.argmax())
         else:

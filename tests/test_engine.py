@@ -194,6 +194,12 @@ class TestVanilla:
         with pytest.raises(CapacityError):
             vanilla_decode(toy_backend, [1] * 100, 100)
 
+    def test_exit_below_layer_one_is_a_config_error(self, oracle_backend):
+        with pytest.raises(ConfigError, match="exits"):
+            vanilla_decode(oracle_backend, [1, 2], 4, layer=0)
+        with pytest.raises(ConfigError, match="exits"):
+            DecodeSession(oracle_backend, exits=(0, 8))
+
     def test_eos_stops_decode(self):
         backend = all_agree_backend()
         free = vanilla_decode(backend, [1, 2], 16)

@@ -83,6 +83,23 @@ MALFORMED_INPUTS = {
     "prompts-not-an-object": ({"prompts": [1, 2]}, ["compare"], None, "prompts"),
     "non-string-text-path": ({"prompts": {"text_path": 5}}, ["compare"], None, "prompts.text_path"),
     "negative-seed": ({"seed": -1}, ["compare"], None, "seed"),
+    "unknown-strategy-compare": (
+        {"strategies": [{"name": "hierarchcal"}]}, ["compare"], None, "strategies[0].name"
+    ),
+    "unknown-strategy-check": (
+        {"strategies": [{"name": "hierarchcal"}]}, ["check"], None, "strategies[0].name"
+    ),
+    "unknown-grid-key": (
+        {"strategies": [{"name": "hierarchical", "draft_layers": [1, 2]}]}, ["sweep"], None,
+        "strategies[0].draft_layers",
+    ),
+    "zero-grid-draft-len": (
+        {"strategies": [{"name": "hierarchical", "draft_len": [0, 2]}]}, ["sweep"], None,
+        "strategies[0].draft_len",
+    ),
+    "zero-ablate-value": (
+        {}, ["ablate", "--parameter", "N_d", "--values", "0,2"], None, "--values"
+    ),
 }
 
 
@@ -162,6 +179,26 @@ class TestRunAndEmit:
         hier = [r for r in rows if r["strategy"] == "hierarchical"]
         assert [r["N_d"] for r in hier] == [1, 2, 4]
         assert all(r["N_i"] == 4 for r in hier)
+
+    def test_ablation_repeated_value_gives_one_row(self):
+        config = ExperimentConfig.from_dict(SMALL_CONFIG)
+        rows = run_ablation(config, "N_d", [2, 2])
+        assert [r["strategy"] for r in rows] == ["vanilla", "hierarchical"]
+
+    def test_compare_skips_invalid_default_placement_like_sweep(self, tmp_path, caplog):
+        raw = {
+            "seed": 1,
+            "backend": {"type": "toy", "n_layers": 4, "d_model": 8, "n_heads": 2},
+            "prompts": {"count": 2, "min_len": 2, "max_len": 4},
+            "decode": {"max_new_tokens": 4},
+        }
+        config_path = write_config(tmp_path, raw)
+        out_dir = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="specdec"):
+            assert main(["compare", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        assert any("skip hierarchical" in rec.message for rec in caplog.records)
+        rows = (out_dir / "compare.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["vanilla", "selfspec"]
 
     def test_ablation_empty_range(self):
         config = ExperimentConfig.from_dict(SMALL_CONFIG)
@@ -309,6 +346,8 @@ class TestCli:
         proc = subprocess.run(
             [
                 sys.executable,
+                "-W",
+                "error",
                 "-m",
                 "specdec.cli",
                 "compare",
