@@ -11,20 +11,21 @@ import logging
 import sys
 from pathlib import Path
 
-from .engine import HierarchicalConfig, hierarchical_decode
 from .errors import ConfigError, SpecdecError
 from .experiments import (
     RESULT_COLUMNS,
     WALL_COLUMNS,
-    build_backend,
+    _backend_cache,
     build_prompts,
     config_int,
     emit_matrix,
     emit_report,
+    expand_grid,
     load_config,
     resolve_jobs,
     run_ablation,
     run_compare,
+    run_point,
     run_sweep,
     run_wall,
 )
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     wall = sub.add_parser("wall", help="verification-wall ratio table")
     _add_common(wall, needs_config=False)
 
-    check = sub.add_parser("check", help="decode once, recompute state at every boundary")
+    check = sub.add_parser("check", help="recompute state at every boundary of each grid point")
     _add_common(check)
     return parser
 
@@ -110,7 +111,10 @@ def _cmd_wall(args) -> int:
 
 def _cmd_check(args) -> int:
     config = load_config(args.config, args.seed)
-    backend = build_backend(config.backend, config.seed)
+    backend = _backend_cache(config.backend, config.seed)
+    points = [p for p in expand_grid(config, backend.n_layers) if p.strategy != "vanilla"]
+    if not points:
+        raise ConfigError(f"strategies have no speculative point for {backend.n_layers} layers")
     prompts = build_prompts(config, backend.vocab_size)
     worst = 0.0
     boundaries = 0
@@ -121,14 +125,14 @@ def _cmd_check(args) -> int:
         for report in consistency_check(session.state, backend, session.state.tokens):
             worst = max(worst, report.max_abs_discrepancy)
 
-    decode_config = HierarchicalConfig.with_defaults(
-        backend.n_layers, max_new_tokens=config.max_new_tokens, policy=config.policy
-    )
-    for prompt in prompts:
-        hierarchical_decode(backend, prompt, decode_config, boundary_hook=hook)
+    for point in points:
+        run_point(
+            config.backend, config.seed, prompts, point, config.max_new_tokens, config.policy,
+            boundary_hook=hook,
+        )
     print(
-        f"checked {boundaries} verification boundaries over {len(prompts)} prompts; "
-        f"max discrepancy {worst:.3e}"
+        f"checked {boundaries} verification boundaries over {len(prompts)} prompts "
+        f"at {len(points)} grid points; max discrepancy {worst:.3e}"
     )
     if worst != 0.0:
         print("state recompute mismatch detected", file=sys.stderr)

@@ -1,24 +1,28 @@
-"""Decoding strategies over early exits: vanilla, self-speculation, and
-speculation with an intermediate verifier.
+"""Decoding strategies over early exits: vanilla decoding and speculation
+through any number of verifying exits.
 
 A `DecodeSession` owns one decode's layered state, cost ledger and trace.
 Its exits split the layer stack into levels; lower levels run ahead of
 higher ones, and verification prunes rejected positions before the next
-phase. Vanilla decoding emits greedy tokens at a single exit. Both
-speculative strategies run one round loop, `_speculate`:
+phase. Vanilla decoding emits greedy tokens at a single exit. Speculative
+decoding over N >= 2 exits is one round loop, `_speculate`, with one burst
+length per level below the top:
 
-- with exits (draft, full), each round drafts a burst at the draft exit
-  and the full model verifies it;
-- with exits (draft, intermediate, full), each draft burst is first
-  screened by the intermediate exit, which keeps the longest agreeing
-  prefix and adds one token of its own (on mismatch the rejected tail is
-  pruned first); once the tentative buffer holds `accept_window` tokens,
-  or an end condition is pending, the full model verifies it.
+- level 0 drafts a burst of greedy tokens at the lowest exit;
+- each level k between the draft and the top screens bursts from level
+  k-1: it keeps the longest prefix its exit agrees with, adds one token
+  of its own (on mismatch the rejected tail is pruned first), and stops
+  once it holds its burst length of tokens or an end condition is
+  pending;
+- the top exit verifies what level N-2 gathered.
 
-The full model commits the agreeing prefix and flushes everything from
-the first disagreement, committing its own token in its place. Under the
-greedy top-1 policy the speculative strategies are therefore lossless:
-the output matches vanilla decoding token for token. Top-k acceptance is
+Self-speculation is the 2-exit case (draft, full) with no screening
+level, and speculation with an intermediate verifier the 3-exit case
+(draft, intermediate, full), whose screening burst is `accept_window`.
+The top exit commits the agreeing prefix and flushes everything from the
+first disagreement, committing its own token in its place. Under the
+greedy top-1 policy speculative decoding is therefore lossless: the
+output matches vanilla decoding token for token. Top-k acceptance is
 available but lossy by construction.
 
 The trace is the record of a decode: `DecodeTrace.stats()` derives the
@@ -89,15 +93,6 @@ class HierarchicalConfig:
         if self.max_new_tokens < 1:
             raise ConfigError("max_new_tokens must be >= 1")
 
-    @classmethod
-    def with_defaults(cls, full_layer: int, **overrides) -> "HierarchicalConfig":
-        draft, intermediate = default_layer_placement(full_layer)
-        params = dict(
-            draft_layer=draft, intermediate_layer=intermediate, full_layer=full_layer
-        )
-        params.update(overrides)
-        return cls(**params)
-
 
 Span = tuple[int, int]
 
@@ -150,7 +145,8 @@ class DecodeTrace:
 
         `drafted` counts the draft tokens shown to the first verifier, i.e.
         each DraftStep directly followed by a verify event; a vanilla trace
-        has no verifier and counts zero everywhere.
+        has no verifier and counts zero everywhere. The intermediate counts
+        sum over every screening level between the draft and the top exit.
         """
         drafted = checked_i = accepted_i = presented = checked_t = accepted_t = flushed = 0
         previous = None
@@ -306,25 +302,21 @@ class DecodeSession:
         return emitted, (start_fill, self.state.filled(hi))
 
     def leading_substring_verify(
-        self,
-        draft_tokens: Sequence[int],
-        level: int,
-        phase: str,
-        full_accept_bonus: bool = True,
-        draft_start: int | None = None,
+        self, draft_tokens: Sequence[int], level: int, phase: str
     ) -> tuple[list[int], int | None, bool, tuple[Span, ...]]:
         """Longest prefix of the draft the level's verifier agrees with.
 
-        Runs one batched pass of the level's layers over every position it
-        is behind on, then checks tokens left to right. On the first
-        mismatch the rejected positions are pruned from all filled layers
-        and the verifier's own greedy token is returned as the bonus; on
-        full acceptance the bonus (when requested) is the verifier's
-        prediction for the position after the draft.
+        The draft is the newest tokens of the context. Runs one batched
+        pass of the level's layers over every position it is behind on,
+        then checks tokens left to right. On the first mismatch the
+        rejected positions are pruned from all filled layers and the
+        verifier's own greedy token is returned as the bonus; on full
+        acceptance below the top exit the bonus is the verifier's
+        prediction for the position after the draft, and at the top exit
+        there is none.
         """
-        if draft_start is None:
-            draft_start = len(self.state.tokens) - len(draft_tokens)
-        upto = draft_start + len(draft_tokens)
+        upto = len(self.state.tokens)
+        draft_start = upto - len(draft_tokens)
         spans = self._ensure_through(level, upto, phase)
         accepted: list[int] = []
         for j, token in enumerate(draft_tokens):
@@ -336,7 +328,7 @@ class DecodeSession:
             self.state.prune_all(draft_start + j)
             return accepted, bonus, True, spans
         bonus = None
-        if full_accept_bonus:
+        if level < len(self.exits) - 1:
             bonus = self.dist(level, upto - 1).argmax()
         return accepted, bonus, False, spans
 
@@ -388,17 +380,18 @@ def selfspec_decode(
     max_new_tokens: int,
     eos_token: int | None = None,
     policy: AcceptancePolicy = GREEDY,
+    boundary_hook=None,
 ) -> DecodeResult:
-    """Single-layer self-speculation: draft at an early exit, verify at full depth."""
-    if not 1 <= draft_layer < backend.n_layers:
-        raise ConfigError("draft_layer must lie strictly below the full depth")
+    """Single-layer self-speculation: draft at an early exit, verify at full depth.
+
+    `boundary_hook(session)` runs after every full-model verification.
+    """
     if draft_len < 1:
         raise ConfigError("draft_len must be >= 1")
-    _check_capacity(backend, prompt, max_new_tokens)
     session = DecodeSession(
         backend, exits=(draft_layer, backend.n_layers), policy=policy, eos_token=eos_token
     )
-    return _speculate(session, prompt, max_new_tokens, draft_len)
+    return _speculate(session, prompt, max_new_tokens, (draft_len,), boundary_hook)
 
 
 def hierarchical_decode(
@@ -407,21 +400,16 @@ def hierarchical_decode(
     config: HierarchicalConfig,
     boundary_hook=None,
 ) -> DecodeResult:
-    """Draft -> intermediate verify -> full-model verify decoding loop.
+    """Draft -> intermediate verify -> full-model verify: the 3-exit round
+    loop, whose intermediate exit screens drafts until it holds
+    `accept_window` tokens.
 
-    The intermediate verifier tentatively accepts draft tokens and adds
-    one token of its own per round; once the tentative buffer holds at
-    least `accept_window` tokens (or an end condition is pending) the full
-    model verifies the buffer against the committed context, committing
-    the agreeing prefix and flushing the rest from the first mismatch,
-    where exactly one full-model token is committed instead.
     `boundary_hook(session)` runs after every full-model verification.
     """
     if config.full_layer != backend.n_layers:
         raise ConfigError(
             f"config.full_layer {config.full_layer} != backend depth {backend.n_layers}"
         )
-    _check_capacity(backend, prompt, config.max_new_tokens)
     session = DecodeSession(
         backend,
         exits=(config.draft_layer, config.intermediate_layer, config.full_layer),
@@ -429,7 +417,7 @@ def hierarchical_decode(
         eos_token=config.eos_token,
     )
     return _speculate(
-        session, prompt, config.max_new_tokens, config.draft_len, config.accept_window,
+        session, prompt, config.max_new_tokens, (config.draft_len, config.accept_window),
         boundary_hook,
     )
 
@@ -438,37 +426,30 @@ def _speculate(
     session: DecodeSession,
     prompt: Sequence[int],
     max_new_tokens: int,
-    draft_len: int,
-    accept_window: int = 1,
+    bursts: Sequence[int],
     boundary_hook=None,
 ) -> DecodeResult:
-    """The speculative round loop over a 2- or 3-exit session.
+    """The speculative round loop over a session of N >= 2 exits.
 
-    Each round gathers tentative tokens (one draft burst with two exits,
-    screened bursts up to `accept_window` with three), verifies them at
-    the top exit, commits the agreeing prefix capped at eos and the
-    budget, and on a mismatch commits the top exit's own token instead.
-    `accept_window` matters only with three exits; `boundary_hook(session)`
-    runs after every top-exit verification.
+    `bursts[k]` is the burst length of level k, one for each level below
+    the top exit. Each round fills the tentative buffer through level
+    N-2 (`_fill`), verifies it at the top exit, commits the agreeing
+    prefix capped at eos and the budget, and on a mismatch commits the
+    top exit's own token instead. `boundary_hook(session)` runs after
+    every top-exit verification.
     """
+    _check_capacity(session.backend, prompt, max_new_tokens)
     session.prefill(prompt)
     top = len(session.exits) - 1
     eos = session.eos_token
     committed = 0
     while committed < max_new_tokens:
         room = max_new_tokens - committed
-        if top == 1:
-            tentative, reason = _draft(session, draft_len), "round"
-        else:
-            tentative, reason = _screen(session, draft_len, accept_window, room)
+        tentative, reason = _fill(session, top - 1, bursts, room)
         if not tentative:
             raise CapacityError("no room left to draft")
         accepted, bonus, mismatch, spans = session.leading_substring_verify(
-            tentative,
-            level=top,
-            phase="target_verify",
-            full_accept_bonus=False,
-            draft_start=session.state.committed_len,
+            tentative, level=top, phase="target_verify"
         )
         kept = accepted[:room]
         if eos in kept:
@@ -501,60 +482,61 @@ def _speculate(
     return _result(session)
 
 
-def _draft(session: DecodeSession, draft_len: int) -> list[int]:
-    """One draft burst at the lowest exit, recorded as a DraftStep."""
-    start = len(session.state.tokens)
-    drafted, span = session.generate_next(draft_len)
-    if drafted:
-        session.trace.events.append(
-            DraftStep(start_pos=start, tokens=tuple(drafted), processed=span)
-        )
-    return drafted
-
-
-def _screen(
-    session: DecodeSession, draft_len: int, accept_window: int, room: int
+def _fill(
+    session: DecodeSession, level: int, bursts: Sequence[int], room: int
 ) -> tuple[list[int], str]:
-    """Fill the tentative buffer through the intermediate exit.
+    """Gather tentative tokens through `level`; return them and why they are due.
 
-    Draft bursts are screened until the buffer holds `accept_window`
-    tokens, holds eos, reaches the remaining budget `room`, or no position
-    is left to draft into. Returns the buffer and the reason it is due.
+    Level 0 drafts one burst of `bursts[0]` tokens, recorded as a
+    DraftStep with reason "round". Level k screens bursts from level k-1
+    until it holds `bursts[k]` tokens ("window"), holds eos ("eos"),
+    reaches the remaining budget `room` ("budget"), or no position is
+    left to draft into ("capacity"). The gathered tokens are always the
+    newest tokens of the context.
     """
+    if level == 0:
+        start = len(session.state.tokens)
+        drafted, span = session.generate_next(bursts[0])
+        if drafted:
+            session.trace.events.append(
+                DraftStep(start_pos=start, tokens=tuple(drafted), processed=span)
+            )
+        return drafted, "round"
     eos = session.eos_token
-    tentative: list[int] = []
-    while len(tentative) < accept_window and eos not in tentative and len(tentative) < room:
-        drafted = _draft(session, draft_len)
-        if not drafted:
+    gathered: list[int] = []
+    while len(gathered) < bursts[level] and eos not in gathered and len(gathered) < room:
+        offered, _ = _fill(session, level - 1, bursts, room - len(gathered))
+        if not offered:
             break
         accepted, bonus, _, spans = session.leading_substring_verify(
-            drafted, level=1, phase="intermediate_verify", full_accept_bonus=True
+            offered, level=level, phase="intermediate_verify"
         )
-        tentative.extend(accepted)
+        gathered.extend(accepted)
         if bonus is not None and len(session.state.tokens) < session.backend.max_seq_len:
             session.state.append_token(bonus)
-            tentative.append(bonus)
+            gathered.append(bonus)
         else:
             bonus = None
         session.trace.events.append(
             IntermediateVerify(
                 accepted=tuple(accepted),
                 bonus=bonus,
-                rejected=len(drafted) - len(accepted),
+                rejected=len(offered) - len(accepted),
                 processed=spans,
             )
         )
-        if len(tentative) > accept_window + draft_len:
+        if len(gathered) > sum(bursts[: level + 1]):
             raise ProtocolError(
-                f"tentative buffer of {len(tentative)} exceeds accept_window + draft_len"
+                f"level {level} gathered {len(gathered)} tokens, "
+                f"more than the burst lengths {tuple(bursts[: level + 1])} allow"
             )
-    if len(tentative) >= accept_window:
-        return tentative, "window"
-    if eos in tentative:
-        return tentative, "eos"
-    if len(tentative) >= room:
-        return tentative, "budget"
-    return tentative, "capacity"
+    if len(gathered) >= bursts[level]:
+        return gathered, "window"
+    if eos in gathered:
+        return gathered, "eos"
+    if len(gathered) >= room:
+        return gathered, "budget"
+    return gathered, "capacity"
 
 
 def _result(session: DecodeSession) -> DecodeResult:

@@ -267,11 +267,14 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
     A missing field takes its default (the default layer placement, N_d 2,
     N_i 4). For an exit layer, "all" spans every layer that the field can
     hold under 1 <= L_d < L_i < L_f; for a burst length it is the default.
+    The skip reason is logged once per strategy and invalid layer
+    combination, however many burst lengths the grid pairs it with.
     """
     defaults = dict(
         zip(_LAYER_FIELDS, default_layer_placement(n_layers)), draft_len=2, accept_window=4
     )
     points = {GridPoint(strategy="vanilla")}
+    skipped = set()
     for strategy in config.strategies:
         name = strategy["name"]
         fields = STRATEGY_FIELDS[name]
@@ -290,13 +293,15 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
             params = dict(zip(fields, combo))
             exits = [0] + [params[field] for field in layers] + [n_layers]
             if not all(lo < hi for lo, hi in zip(exits, exits[1:])):
-                logger.warning(
-                    "skip %s point (%s): needs 1 <= %s < %s",
-                    name,
-                    ", ".join(f"{_LAYER_FIELDS[field]}={params[field]}" for field in layers),
-                    " < ".join(_LAYER_FIELDS[field] for field in layers),
-                    n_layers,
-                )
+                if (name, *exits) not in skipped:
+                    skipped.add((name, *exits))
+                    logger.warning(
+                        "skip %s point (%s): needs 1 <= %s < %s",
+                        name,
+                        ", ".join(f"{_LAYER_FIELDS[field]}={params[field]}" for field in layers),
+                        " < ".join(_LAYER_FIELDS[field] for field in layers),
+                        n_layers,
+                    )
                 continue
             points.add(GridPoint(strategy=name, **params))
     return sorted(points, key=GridPoint.sort_key)
@@ -319,8 +324,9 @@ def run_point(
     point: GridPoint,
     max_new_tokens: int,
     policy: AcceptancePolicy,
+    boundary_hook=None,
 ) -> PointAggregate:
-    backend = _backend_cache(json.dumps(backend_spec, sort_keys=True), seed)
+    backend = _backend_cache(backend_spec, seed)
     aggregate = PointAggregate(point, 0, CostLedger(), DecodeStats())
     for prompt in prompts:
         if point.strategy == "vanilla":
@@ -333,6 +339,7 @@ def run_point(
                 draft_len=point.draft_len,
                 max_new_tokens=max_new_tokens,
                 policy=policy,
+                boundary_hook=boundary_hook,
             )
         else:
             config = HierarchicalConfig(
@@ -344,7 +351,7 @@ def run_point(
                 max_new_tokens=max_new_tokens,
                 policy=policy,
             )
-            result = hierarchical_decode(backend, prompt, config)
+            result = hierarchical_decode(backend, prompt, config, boundary_hook=boundary_hook)
         aggregate.tokens += len(result.tokens)
         aggregate.ledger.merge(result.ledger)
         aggregate.stats += result.stats
@@ -354,10 +361,11 @@ def run_point(
 _BACKENDS: dict[tuple[str, int], Any] = {}
 
 
-def _backend_cache(spec_json: str, seed: int):
-    key = (spec_json, seed)
+def _backend_cache(spec: dict, seed: int):
+    """The backend for (spec, seed), built once per process."""
+    key = (json.dumps(spec, sort_keys=True), seed)
     if key not in _BACKENDS:
-        _BACKENDS[key] = build_backend(json.loads(spec_json), seed)
+        _BACKENDS[key] = build_backend(spec, seed)
     return _BACKENDS[key]
 
 
@@ -378,7 +386,7 @@ def run_points(
     config: ExperimentConfig, points: Sequence[GridPoint], jobs: int = 1
 ) -> list[dict]:
     """Execute grid points and assemble sorted result rows."""
-    backend = build_backend(config.backend, config.seed)
+    backend = _backend_cache(config.backend, config.seed)
     prompts = build_prompts(config, backend.vocab_size)
     payloads = [
         (config.backend, config.seed, prompts, point, config.max_new_tokens, config.policy)
@@ -428,7 +436,7 @@ def _row_from_aggregate(
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    backend = build_backend(config.backend, config.seed)
+    backend = _backend_cache(config.backend, config.seed)
     points = expand_grid(config, backend.n_layers)
     return run_points(config, points, jobs)
 

@@ -19,7 +19,7 @@ from specdec import (
     top_predictions,
     vanilla_decode,
 )
-from specdec.engine import Commit, DraftStep, IntermediateVerify, TargetVerify
+from specdec.engine import Commit, DraftStep, IntermediateVerify, TargetVerify, _speculate
 from specdec.synthetic import uniform_profile
 
 from conftest import all_agree_backend, random_prompt
@@ -68,8 +68,8 @@ class TestDefaults:
             HierarchicalConfig(draft_layer=1, intermediate_layer=2, full_layer=8, draft_len=0)
 
     def test_defaults_match_paper_style_values(self):
-        config = HierarchicalConfig.with_defaults(32)
-        assert (config.draft_layer, config.intermediate_layer) == (4, 8)
+        assert default_layer_placement(32) == (4, 8)
+        config = HierarchicalConfig(draft_layer=4, intermediate_layer=8, full_layer=32)
         assert config.draft_len == 2
         assert config.accept_window == 4
 
@@ -111,7 +111,7 @@ class TestLeadingSubstringVerify:
         session = DecodeSession(oracle_backend, exits=(2, 4, 8))
         session.prefill(prompt)
         accepted, bonus, mismatch, _ = session.leading_substring_verify(
-            [], level=1, phase="intermediate_verify", draft_start=len(prompt)
+            [], level=1, phase="intermediate_verify"
         )
         assert accepted == [] and not mismatch
         assert bonus == oracle_backend.predict_token(4, prompt)
@@ -209,6 +209,16 @@ class TestVanilla:
 
 
 class TestSelfspec:
+    @pytest.mark.parametrize(
+        "draft_layer, draft_len", [(0, 2), (8, 2), (2, 0)], ids=["layer-0", "full-depth", "len-0"]
+    )
+    def test_invalid_draft_is_a_config_error(self, oracle_backend, draft_layer, draft_len):
+        with pytest.raises(ConfigError):
+            selfspec_decode(
+                oracle_backend, [1, 2], draft_layer=draft_layer, draft_len=draft_len,
+                max_new_tokens=4,
+            )
+
     def test_all_accept_round_cost(self):
         backend = all_agree_backend(n_layers=32, max_seq_len=256)
         result = selfspec_decode(backend, [1, 2, 3], draft_layer=4, draft_len=2, max_new_tokens=24)
@@ -405,3 +415,20 @@ class TestHierarchical:
         assert all(r.max_abs_discrepancy == 0.0 for r in reports_per_boundary[0])
         flagged = [r for r in reports_per_boundary[1] if r.max_abs_discrepancy > 0]
         assert [(r.layer, r.worst_position) for r in flagged] == corrupted
+
+
+class TestCascade:
+    def test_all_accept_structure(self):
+        # Exits (2, 4, 6, 8) with bursts (1, 2, 4): level 1 passes on one
+        # draft token plus its bonus, level 2 screens two such pairs and adds
+        # its own bonus to each, so every top verification sees 6 tokens.
+        backend = all_agree_backend()
+        session = DecodeSession(backend, exits=(2, 4, 6, 8))
+        result = _speculate(session, [1, 2, 3], 24, (1, 2, 4))
+        assert result.tokens == vanilla_decode(backend, [1, 2, 3], 24).tokens
+        verifies = [e for e in result.trace.events if isinstance(e, TargetVerify)]
+        assert [e.presented for e in verifies] == [6, 6, 6, 6]
+        assert all(e.reason == "window" and not e.mismatch for e in verifies)
+        screens = [e for e in result.trace.events if isinstance(e, IntermediateVerify)]
+        assert len(screens) == 4 * (2 + 2)  # per round: two screens at each level
+        assert all(e.rejected == 0 and e.bonus is not None for e in screens)

@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
+from specdec import experiments
 from specdec.cli import main
 from specdec.errors import ConfigError
 from specdec.experiments import (
     ExperimentConfig,
+    build_backend,
     config_int,
     expand_grid,
     emit_matrix,
@@ -100,6 +102,14 @@ MALFORMED_INPUTS = {
     "zero-ablate-value": (
         {}, ["ablate", "--parameter", "N_d", "--values", "0,2"], None, "--values"
     ),
+    "check-without-valid-point": (
+        {
+            "backend": {"type": "toy", "n_layers": 4, "d_model": 8, "n_heads": 2},
+            "strategies": [{"name": "hierarchical"}],
+        },
+        ["check"], None, "strategies",
+    ),
+    "check-vanilla-only": ({"strategies": [{"name": "vanilla"}]}, ["check"], None, "strategies"),
 }
 
 
@@ -136,6 +146,27 @@ class TestGridExpansion:
         hier = [p for p in points if p.strategy == "hierarchical"]
         assert len(hier) == 1
         assert any("skip hierarchical" in rec.message for rec in caplog.records)
+
+    def test_skip_warning_once_per_layer_pair(self, caplog):
+        raw = dict(
+            SWEEP_CONFIG,
+            strategies=[
+                {
+                    "name": "hierarchical",
+                    "draft_layer": [5],
+                    "intermediate_layer": [3, 9],
+                    "draft_len": [1, 2],
+                    "accept_window": [2, 4],
+                }
+            ],
+        )
+        config = ExperimentConfig.from_dict(raw)
+        with caplog.at_level("WARNING", logger="specdec"):
+            points = expand_grid(config, 32)
+        assert len([p for p in points if p.strategy == "hierarchical"]) == 4
+        assert [rec.message for rec in caplog.records] == [
+            "skip hierarchical point (L_d=5, L_i=3): needs 1 <= L_d < L_i < 32"
+        ]
 
 
 class TestRunAndEmit:
@@ -199,6 +230,18 @@ class TestRunAndEmit:
         assert any("skip hierarchical" in rec.message for rec in caplog.records)
         rows = (out_dir / "compare.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["vanilla", "selfspec"]
+
+    def test_sweep_builds_the_backend_once(self, monkeypatch):
+        built = []
+
+        def counting_build(spec, seed):
+            built.append(seed)
+            return build_backend(spec, seed)
+
+        monkeypatch.setattr(experiments, "_BACKENDS", {})
+        monkeypatch.setattr(experiments, "build_backend", counting_build)
+        run_compare(ExperimentConfig.from_dict(SMALL_CONFIG))
+        assert built == [SMALL_CONFIG["seed"]]
 
     def test_ablation_empty_range(self):
         config = ExperimentConfig.from_dict(SMALL_CONFIG)
@@ -341,7 +384,21 @@ class TestCli:
         config_path = write_config(tmp_path, raw)
         assert main(["check", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
 
-    def test_console_entry_point(self, tmp_path):
+    def test_check_runs_the_configs_selfspec_points(self, tmp_path, capsys):
+        raw = {
+            "seed": 1,
+            "backend": {"type": "toy", "n_layers": 4, "d_model": 8, "n_heads": 2},
+            "prompts": {"count": 2, "min_len": 2, "max_len": 4},
+            "decode": {"max_new_tokens": 6},
+            "strategies": [{"name": "selfspec", "draft_layer": [1, 2], "draft_len": [1, 3]}],
+        }
+        config_path = write_config(tmp_path, raw)
+        assert main(["check", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "over 2 prompts at 4 grid points; max discrepancy 0.000e+00" in out
+
+    @pytest.mark.parametrize("command", ["compare", "check"])
+    def test_console_entry_point(self, tmp_path, command):
         config_path = write_config(tmp_path, SMALL_CONFIG)
         proc = subprocess.run(
             [
@@ -350,7 +407,7 @@ class TestCli:
                 "error",
                 "-m",
                 "specdec.cli",
-                "compare",
+                command,
                 "--config",
                 str(config_path),
                 "--out",

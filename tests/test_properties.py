@@ -1,19 +1,22 @@
 """Property tests: speculative decoding over random synthetic and toy models.
 
 Each synthetic example draws an agreement profile, prompt, exits, N_d,
-N_i, eos and budget, then checks the invariants the engine promises for
-every input: greedy speculative output equals vanilla output, the live
-ledger equals its replay from the trace, every live (layer, position)
-entry was computed exactly once at every verification boundary and at
-the end, and the trace-derived acceptance counts never exceed what was
-checked. Each toy example draws a small random-weight transformer and
-checks, at every verification boundary of a hierarchical decode, that a
+N_i, eos and budget, plus a fourth exit and its burst length when the
+model has a layer left for one. It then checks the invariants the engine
+promises for every input, on 2-, 3- and 4-exit sessions: greedy
+speculative output equals vanilla output, the live ledger equals its
+replay from the trace, every live (layer, position) entry was computed
+exactly once at every verification boundary and at the end, and the
+trace-derived acceptance counts never exceed what was checked. Each toy
+example draws a small random-weight transformer and checks, at every
+verification boundary of a hierarchical and a 4-exit decode, that a
 recompute from scratch matches the live state exactly.
 """
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec import (
+    DecodeSession,
     HierarchicalConfig,
     ModelConfig,
     SyntheticBackend,
@@ -25,6 +28,7 @@ from specdec import (
     selfspec_decode,
     vanilla_decode,
 )
+from specdec.engine import _speculate
 
 
 def hierarchical_config(draw, n_layers, vocab, max_seq_len, prompt_len):
@@ -39,6 +43,23 @@ def hierarchical_config(draw, n_layers, vocab, max_seq_len, prompt_len):
         max_new_tokens=budget,
         eos_token=draw(st.none() | st.integers(0, vocab - 1)),
     )
+
+
+def cascade(draw, config):
+    """Exits and burst lengths of a 4-exit session: the config's exits plus
+    one more below the full depth, or None when no layer is free."""
+    n_layers = config.full_layer
+    free = sorted(set(range(1, n_layers)) - {config.draft_layer, config.intermediate_layer})
+    if not free:
+        return None
+    extra = draw(st.sampled_from(free))
+    exits = tuple(sorted((config.draft_layer, config.intermediate_layer, extra, n_layers)))
+    return exits, (config.draft_len, config.accept_window, draw(st.integers(1, 8)))
+
+
+def cascade_decode(backend, prompt, config, exits, bursts, boundary_hook=None):
+    session = DecodeSession(backend, exits, eos_token=config.eos_token)
+    return _speculate(session, prompt, config.max_new_tokens, bursts, boundary_hook)
 
 
 @st.composite
@@ -61,7 +82,7 @@ def decode_cases(draw):
     )
     prompt = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=min(8, max_seq_len - 1)))
     config = hierarchical_config(draw, n_layers, vocab, max_seq_len, len(prompt))
-    return backend, prompt, config
+    return backend, prompt, config, cascade(draw, config)
 
 
 @st.composite
@@ -82,7 +103,7 @@ def toy_cases(draw):
     )
     prompt = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=min(8, max_seq_len - 1)))
     config = hierarchical_config(draw, n_layers, vocab, max_seq_len, len(prompt))
-    return backend, prompt, config
+    return backend, prompt, config, cascade(draw, config)
 
 
 def live_counts_are_one(state):
@@ -92,7 +113,7 @@ def live_counts_are_one(state):
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(decode_cases())
 def test_speculative_decodes_keep_engine_invariants(case):
-    backend, prompt, config = case
+    backend, prompt, config, four_exits = case
     eos, budget = config.eos_token, config.max_new_tokens
     boundaries_clean = []
 
@@ -102,12 +123,15 @@ def test_speculative_decodes_keep_engine_invariants(case):
     decodes = {
         (backend.n_layers,): vanilla_decode(backend, prompt, budget, eos_token=eos),
         (config.draft_layer, backend.n_layers): selfspec_decode(
-            backend, prompt, config.draft_layer, config.draft_len, budget, eos_token=eos
+            backend, prompt, config.draft_layer, config.draft_len, budget, eos_token=eos,
+            boundary_hook=hook,
         ),
         (config.draft_layer, config.intermediate_layer, backend.n_layers): hierarchical_decode(
             backend, prompt, config, boundary_hook=hook
         ),
     }
+    if four_exits is not None:
+        decodes[four_exits[0]] = cascade_decode(backend, prompt, config, *four_exits, hook)
     reference = decodes[(backend.n_layers,)].tokens
     assert all(boundaries_clean)
     for exits, result in decodes.items():
@@ -122,7 +146,7 @@ def test_speculative_decodes_keep_engine_invariants(case):
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(toy_cases())
 def test_toy_boundaries_recompute_exactly(case):
-    backend, prompt, config = case
+    backend, prompt, config, four_exits = case
     boundaries = []
 
     def hook(session):
@@ -132,8 +156,10 @@ def test_toy_boundaries_recompute_exactly(case):
             (max(r.max_abs_discrepancy for r in reports), live_counts_are_one(state))
         )
 
-    result = hierarchical_decode(backend, prompt, config, boundary_hook=hook)
-    assert boundaries
+    results = [hierarchical_decode(backend, prompt, config, boundary_hook=hook)]
+    if four_exits is not None:
+        results.append(cascade_decode(backend, prompt, config, *four_exits, hook))
+    assert len(boundaries) >= len(results)
     assert all(worst == 0.0 and counts_ok for worst, counts_ok in boundaries)
     vanilla = vanilla_decode(backend, prompt, config.max_new_tokens, eos_token=config.eos_token)
-    assert result.tokens == vanilla.tokens
+    assert all(result.tokens == vanilla.tokens for result in results)
