@@ -13,6 +13,7 @@ from .engine import (
     hierarchical_decode,
     replay_ledger,
     selfspec_decode,
+    speculative_decode,
     top_predictions,
     vanilla_decode,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "relative_throughput",
     "replay_ledger",
     "selfspec_decode",
+    "speculative_decode",
     "top_predictions",
     "uniform_profile",
     "vanilla_decode",

@@ -15,21 +15,17 @@ from .errors import ConfigError, SpecdecError
 from .experiments import (
     RESULT_COLUMNS,
     WALL_COLUMNS,
-    _backend_cache,
-    build_prompts,
     config_int,
     emit_matrix,
     emit_report,
-    expand_grid,
     load_config,
     resolve_jobs,
     run_ablation,
+    run_check,
     run_compare,
-    run_point,
     run_sweep,
     run_wall,
 )
-from .state import consistency_check
 
 
 def _add_common(parser: argparse.ArgumentParser, needs_config: bool = True) -> None:
@@ -111,28 +107,10 @@ def _cmd_wall(args) -> int:
 
 def _cmd_check(args) -> int:
     config = load_config(args.config, args.seed)
-    backend = _backend_cache(config.backend, config.seed)
-    points = [p for p in expand_grid(config, backend.n_layers) if p.strategy != "vanilla"]
-    if not points:
-        raise ConfigError(f"strategies have no speculative point for {backend.n_layers} layers")
-    prompts = build_prompts(config, backend.vocab_size)
-    worst = 0.0
-    boundaries = 0
-
-    def hook(session) -> None:
-        nonlocal worst, boundaries
-        boundaries += 1
-        for report in consistency_check(session.state, backend, session.state.tokens):
-            worst = max(worst, report.max_abs_discrepancy)
-
-    for point in points:
-        run_point(
-            config.backend, config.seed, prompts, point, config.max_new_tokens, config.policy,
-            boundary_hook=hook,
-        )
+    boundaries, prompts, points, worst = run_check(config, jobs=resolve_jobs(args.jobs))
     print(
-        f"checked {boundaries} verification boundaries over {len(prompts)} prompts "
-        f"at {len(points)} grid points; max discrepancy {worst:.3e}"
+        f"checked {boundaries} verification boundaries over {prompts} prompts "
+        f"at {points} grid points; max discrepancy {worst:.3e}"
     )
     if worst != 0.0:
         print("state recompute mismatch detected", file=sys.stderr)

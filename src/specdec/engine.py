@@ -5,8 +5,8 @@ A `DecodeSession` owns one decode's layered state, cost ledger and trace.
 Its exits split the layer stack into levels; lower levels run ahead of
 higher ones, and verification prunes rejected positions before the next
 phase. Vanilla decoding emits greedy tokens at a single exit. Speculative
-decoding over N >= 2 exits is one round loop, `_speculate`, with one burst
-length per level below the top:
+decoding over N >= 2 exits, the last at full depth, is one round loop,
+`speculative_decode`, with one burst length per level below the top:
 
 - level 0 drafts a burst of greedy tokens at the lowest exit;
 - each level k between the draft and the top screens bursts from level
@@ -70,13 +70,17 @@ def default_layer_placement(full_layer: int) -> tuple[int, int]:
     return math.ceil(full_layer / 8), math.ceil(full_layer / 4)
 
 
+# Burst lengths of the draft and intermediate levels when none are given.
+DEFAULT_BURSTS = (2, 4)
+
+
 @dataclass(frozen=True)
 class HierarchicalConfig:
     draft_layer: int
     intermediate_layer: int
     full_layer: int
-    draft_len: int = 2
-    accept_window: int = 4
+    draft_len: int = DEFAULT_BURSTS[0]
+    accept_window: int = DEFAULT_BURSTS[1]
     max_new_tokens: int = 64
     eos_token: int | None = None
     policy: AcceptancePolicy = GREEDY
@@ -382,16 +386,11 @@ def selfspec_decode(
     policy: AcceptancePolicy = GREEDY,
     boundary_hook=None,
 ) -> DecodeResult:
-    """Single-layer self-speculation: draft at an early exit, verify at full depth.
-
-    `boundary_hook(session)` runs after every full-model verification.
-    """
-    if draft_len < 1:
-        raise ConfigError("draft_len must be >= 1")
-    session = DecodeSession(
-        backend, exits=(draft_layer, backend.n_layers), policy=policy, eos_token=eos_token
+    """Single-layer self-speculation: draft at an early exit, verify at full depth."""
+    return speculative_decode(
+        backend, prompt, (draft_layer, backend.n_layers), (draft_len,), max_new_tokens,
+        eos_token, policy, boundary_hook,
     )
-    return _speculate(session, prompt, max_new_tokens, (draft_len,), boundary_hook)
 
 
 def hierarchical_decode(
@@ -402,46 +401,50 @@ def hierarchical_decode(
 ) -> DecodeResult:
     """Draft -> intermediate verify -> full-model verify: the 3-exit round
     loop, whose intermediate exit screens drafts until it holds
-    `accept_window` tokens.
-
-    `boundary_hook(session)` runs after every full-model verification.
-    """
-    if config.full_layer != backend.n_layers:
-        raise ConfigError(
-            f"config.full_layer {config.full_layer} != backend depth {backend.n_layers}"
-        )
-    session = DecodeSession(
-        backend,
-        exits=(config.draft_layer, config.intermediate_layer, config.full_layer),
-        policy=config.policy,
-        eos_token=config.eos_token,
-    )
-    return _speculate(
-        session, prompt, config.max_new_tokens, (config.draft_len, config.accept_window),
+    `accept_window` tokens."""
+    exits = (config.draft_layer, config.intermediate_layer, config.full_layer)
+    bursts = (config.draft_len, config.accept_window)
+    return speculative_decode(
+        backend, prompt, exits, bursts, config.max_new_tokens, config.eos_token, config.policy,
         boundary_hook,
     )
 
 
-def _speculate(
-    session: DecodeSession,
+def speculative_decode(
+    backend: Backend,
     prompt: Sequence[int],
-    max_new_tokens: int,
+    exits: Sequence[int],
     bursts: Sequence[int],
+    max_new_tokens: int,
+    eos_token: int | None = None,
+    policy: AcceptancePolicy = GREEDY,
     boundary_hook=None,
 ) -> DecodeResult:
-    """The speculative round loop over a session of N >= 2 exits.
+    """The speculative round loop over N >= 2 strictly increasing exits,
+    the last at full depth.
 
-    `bursts[k]` is the burst length of level k, one for each level below
-    the top exit. Each round fills the tentative buffer through level
-    N-2 (`_fill`), verifies it at the top exit, commits the agreeing
-    prefix capped at eos and the budget, and on a mismatch commits the
-    top exit's own token instead. `boundary_hook(session)` runs after
-    every top-exit verification.
+    `bursts[k] >= 1` is the burst length of level k, one for each level
+    below the top exit. Each round fills the tentative buffer through
+    level N-2 (`_fill`), verifies it at the top exit, commits the
+    agreeing prefix capped at eos and the budget, and on a mismatch
+    commits the top exit's own token instead. `boundary_hook(session)`
+    runs after every top-exit verification.
     """
-    _check_capacity(session.backend, prompt, max_new_tokens)
+    exits, bursts = tuple(exits), tuple(bursts)
+    if len(exits) < 2 or exits[-1] != backend.n_layers:
+        raise ConfigError(
+            f"exits {exits} must number two or more and end at the full_layer {backend.n_layers}"
+        )
+    if len(bursts) != len(exits) - 1 or min(bursts) < 1:
+        raise ConfigError(
+            f"bursts {bursts} must give one length >= 1 for each of the "
+            f"{len(exits) - 1} levels below the top exit"
+        )
+    session = DecodeSession(backend, exits, policy=policy, eos_token=eos_token)
+    _check_capacity(backend, prompt, max_new_tokens)
     session.prefill(prompt)
-    top = len(session.exits) - 1
-    eos = session.eos_token
+    top = len(exits) - 1
+    eos = eos_token
     committed = 0
     while committed < max_new_tokens:
         room = max_new_tokens - committed

@@ -1,13 +1,13 @@
 """Declarative experiment runner behind the CLI.
 
 A config describes one backend, one prompt corpus, and a list of strategy
-grids. Its strategies are checked once, when the config is loaded: each
-entry names a strategy of `STRATEGY_FIELDS` and gives only that
-strategy's grid fields. Every report is such a grid: `sweep` runs the
-config's own, while `compare` and `ablate` run fixed ones. Each grid
-point decodes the whole corpus, aggregates its cost ledger, and becomes
-one result row; vanilla full-depth decoding over the same corpus is
-always computed and serves as the throughput baseline. Rows are emitted
+grids. The whole config is checked once, when it is loaded: an unknown key
+is an error, and each strategy entry gives only its own grid fields. Every
+report is such a grid: `sweep` runs the config's own, while `compare` and
+`ablate` run fixed ones. A grid point is a strategy's exits and burst
+lengths; it decodes the whole corpus, aggregates its cost ledger, and
+becomes one result row. Vanilla full-depth decoding over the same corpus
+is always computed and serves as the throughput baseline. Rows are emitted
 in sorted parameter order so output bytes never depend on scheduling.
 """
 from __future__ import annotations
@@ -23,18 +23,18 @@ from typing import Any, Sequence
 
 from .costs import WALL_DEPTH_PAIRS, CostLedger, relative_throughput, verification_wall_ratio
 from .engine import (
+    DEFAULT_BURSTS,
     GREEDY,
     AcceptancePolicy,
     DecodeStats,
-    HierarchicalConfig,
     default_layer_placement,
-    hierarchical_decode,
-    selfspec_decode,
+    speculative_decode,
     vanilla_decode,
 )
 from .errors import ConfigError, UndefinedRatioError
 from .model import ModelConfig, ToyTransformer
 from .prompts import prompts_from_text, random_prompts
+from .state import consistency_check
 from .synthetic import SyntheticBackend, SyntheticModelSpec, calibrate_preset
 
 logger = logging.getLogger("specdec")
@@ -61,32 +61,43 @@ WALL_COLUMNS = ("draft_model", "draft_layers", "target_model", "target_layers", 
 _FLOAT_COLUMNS = {"acc_rate_intermediate", "acc_rate_target", "rel_throughput", "wall_ratio"}
 
 
-# The grid fields of each strategy: its exit layers, shallowest first, then
-# its burst lengths. Vanilla has none; its full-depth row is the baseline.
+# The grid fields of each strategy: its exit layers below the full depth, shallowest
+# first, then one burst length for each. Vanilla has none; its row is the baseline.
 STRATEGY_FIELDS = {
     "vanilla": (),
     "selfspec": ("draft_layer", "draft_len"),
     "hierarchical": ("draft_layer", "intermediate_layer", "draft_len", "accept_window"),
 }
-_LAYER_FIELDS = {"draft_layer": "L_d", "intermediate_layer": "L_i"}  # field -> column
+# Each grid field's report column; exit layers are the "L_" columns. The
+# order matches the default layer placement followed by DEFAULT_BURSTS.
+FIELD_COLUMNS = {
+    "draft_layer": "L_d",
+    "intermediate_layer": "L_i",
+    "draft_len": "N_d",
+    "accept_window": "N_i",
+}
+
+# The keys each backend kind and prompt source reads; a synthetic backend is a
+# preset or a profile, and prompts come from a text file or a seeded generator.
+_BACKEND_KEYS = {
+    "toy": ("type", "n_layers", "d_model", "n_heads", "vocab_size", "max_seq_len"),
+    "preset": ("type", "preset", "n_layers", "vocab_size", "context_window"),
+    "profile": ("type", "profile", "n_layers", "vocab_size", "context_window", "max_seq_len"),
+}
+_PROMPT_KEYS = {"text": ("text_path", "max_len"), "random": ("count", "min_len", "max_len")}
 
 
 @dataclass(frozen=True)
 class GridPoint:
+    """A strategy's exit layers, the last at full depth, and one burst
+    length per level below it; vanilla has one exit and no bursts."""
+
     strategy: str
-    draft_layer: int | None = None
-    intermediate_layer: int | None = None
-    draft_len: int | None = None
-    accept_window: int | None = None
+    exits: tuple[int, ...]
+    bursts: tuple[int, ...]
 
     def sort_key(self) -> tuple:
-        return (
-            list(STRATEGY_FIELDS).index(self.strategy),
-            self.draft_layer or 0,
-            self.intermediate_layer or 0,
-            self.draft_len or 0,
-            self.accept_window or 0,
-        )
+        return (list(STRATEGY_FIELDS).index(self.strategy), self.exits, self.bursts)
 
 
 def config_int(value: Any, name: str, minimum: int | None = None) -> int:
@@ -107,10 +118,15 @@ def config_int(value: Any, name: str, minimum: int | None = None) -> int:
     return number
 
 
-def config_object(value: Any, name: str) -> dict:
-    """`value` if it is a JSON object, or a ConfigError that names the field."""
+def config_object(value: Any, name: str, keys: Sequence[str] | None = None) -> dict:
+    """`value` if it is a JSON object with no key outside `keys` (when
+    given), or a ConfigError that names the field. The root's name is ""."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be an object, got {value!r}")
+        raise ConfigError(f"{name or 'config root'} must be an object, got {value!r}")
+    unknown = [key for key in value if keys is not None and key not in keys]
+    if unknown:
+        field = f"{name}.{unknown[0]}" if name else unknown[0]
+        raise ConfigError(f"unknown field {field}; known fields are {', '.join(keys)}")
     return value
 
 
@@ -125,27 +141,30 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, seed_override: int | None = None) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
+        config_object(raw, "", ("seed", "backend", "prompts", "decode", "strategies"))
         backend = raw.get("backend")
         if not isinstance(backend, dict) or "type" not in backend:
             raise ConfigError("config needs a backend object with a type")
         if backend["type"] not in ("synthetic", "toy"):
             raise ConfigError(f"unknown backend type {backend['type']!r}")
+        kind = "toy" if backend["type"] == "toy" else "preset" if "preset" in backend else "profile"
+        config_object(backend, "backend", _BACKEND_KEYS[kind])
         prompt_spec = config_object(
             raw.get("prompts", {"count": 50, "min_len": 4, "max_len": 12}), "prompts"
         )
+        source = "text" if "text_path" in prompt_spec else "random"
+        config_object(prompt_spec, "prompts", _PROMPT_KEYS[source])
         strategies = raw.get("strategies") or [{"name": "hierarchical"}]
         if not isinstance(strategies, list):
             raise ConfigError(f"strategies must be a list of objects, got {strategies!r}")
-        decode = config_object(raw.get("decode", {}), "decode")
+        decode = config_object(raw.get("decode", {}), "decode", ("max_new_tokens", "policy"))
         max_new = config_int(
             decode.get("max_new_tokens", 32), "decode.max_new_tokens", minimum=1
         )
         seed = config_int(
             raw.get("seed", 0) if seed_override is None else seed_override, "seed", minimum=0
         )
-        policy_raw = config_object(decode.get("policy", {"mode": "greedy"}), "decode.policy")
+        policy_raw = config_object(decode.get("policy", {}), "decode.policy", ("mode", "k"))
         policy = AcceptancePolicy(
             mode=policy_raw.get("mode", "greedy"),
             k=config_int(policy_raw.get("k", 1), "decode.policy.k"),
@@ -165,26 +184,20 @@ class ExperimentConfig:
 
 def _parse_strategy(entry: Any, where: str) -> dict:
     """One strategies entry: its name and each grid field as int values or "all"."""
-    config_object(entry, where)
-    name = entry.get("name")
+    name = config_object(entry, where).get("name")
     if name not in STRATEGY_FIELDS:
         raise ConfigError(
             f"{where}.name must be one of {', '.join(STRATEGY_FIELDS)}, got {name!r}"
         )
     parsed: dict[str, Any] = {"name": name}
-    for key, value in entry.items():
+    for key, value in config_object(entry, where, ("name", *STRATEGY_FIELDS[name])).items():
         if key == "name":
             continue
         field = f"{where}.{key}"
-        if key not in STRATEGY_FIELDS[name]:
-            raise ConfigError(
-                f"{field} is not a grid field of {name}; "
-                f"its fields are {', '.join(STRATEGY_FIELDS[name]) or 'none'}"
-            )
         if value == "all":
             parsed[key] = value
             continue
-        minimum = None if key in _LAYER_FIELDS else 1
+        minimum = None if FIELD_COLUMNS[key].startswith("L_") else 1
         values = value if isinstance(value, list) else [value]
         parsed[key] = tuple(config_int(v, field, minimum) for v in values)
     return parsed
@@ -264,46 +277,39 @@ def build_prompts(config: ExperimentConfig, vocab_size: int) -> list[list[int]]:
 def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
     """Cartesian strategy grids; invalid points are skipped with a logged reason.
 
-    A missing field takes its default (the default layer placement, N_d 2,
-    N_i 4). For an exit layer, "all" spans every layer that the field can
-    hold under 1 <= L_d < L_i < L_f; for a burst length it is the default.
-    The skip reason is logged once per strategy and invalid layer
-    combination, however many burst lengths the grid pairs it with.
+    A missing field takes its default (the default layer placement and
+    DEFAULT_BURSTS). For an exit layer, "all" spans every layer that the
+    field can hold under 1 <= L_d < L_i < L_f; for a burst length it is
+    the default. The skip reason is logged once per strategy and invalid
+    layer combination, however many burst lengths the grid pairs it with.
     """
-    defaults = dict(
-        zip(_LAYER_FIELDS, default_layer_placement(n_layers)), draft_len=2, accept_window=4
-    )
-    points = {GridPoint(strategy="vanilla")}
+    defaults = dict(zip(FIELD_COLUMNS, default_layer_placement(n_layers) + DEFAULT_BURSTS))
+    points = set()
     skipped = set()
-    for strategy in config.strategies:
+    for strategy in ({"name": "vanilla"}, *config.strategies):
         name = strategy["name"]
         fields = STRATEGY_FIELDS[name]
-        layers = [field for field in fields if field in _LAYER_FIELDS]
+        depth = len(fields) // 2  # exit layers below the full depth
         axes = []
-        for field in fields:
+        for k, field in enumerate(fields):
             values = strategy.get(field, (defaults[field],))
             if values == "all":
-                if field in layers:
-                    k = layers.index(field)
-                    values = range(1 + k, n_layers - len(layers) + 1 + k)
-                else:
-                    values = (defaults[field],)
+                values = range(1 + k, n_layers - depth + 1 + k) if k < depth else (defaults[field],)
             axes.append(values)
         for combo in itertools.product(*axes):
-            params = dict(zip(fields, combo))
-            exits = [0] + [params[field] for field in layers] + [n_layers]
-            if not all(lo < hi for lo, hi in zip(exits, exits[1:])):
-                if (name, *exits) not in skipped:
-                    skipped.add((name, *exits))
-                    logger.warning(
-                        "skip %s point (%s): needs 1 <= %s < %s",
-                        name,
-                        ", ".join(f"{_LAYER_FIELDS[field]}={params[field]}" for field in layers),
-                        " < ".join(_LAYER_FIELDS[field] for field in layers),
-                        n_layers,
-                    )
-                continue
-            points.add(GridPoint(strategy=name, **params))
+            exits = (*combo[:depth], n_layers)
+            if all(lo < hi for lo, hi in zip((0, *exits), exits)):
+                points.add(GridPoint(name, exits, combo[depth:]))
+            elif (name, exits) not in skipped:
+                skipped.add((name, exits))
+                columns = [FIELD_COLUMNS[field] for field in fields[:depth]]
+                logger.warning(
+                    "skip %s point (%s): needs 1 <= %s < %s",
+                    name,
+                    ", ".join(f"{column}={layer}" for column, layer in zip(columns, exits)),
+                    " < ".join(columns),
+                    n_layers,
+                )
     return sorted(points, key=GridPoint.sort_key)
 
 
@@ -331,27 +337,11 @@ def run_point(
     for prompt in prompts:
         if point.strategy == "vanilla":
             result = vanilla_decode(backend, prompt, max_new_tokens)
-        elif point.strategy == "selfspec":
-            result = selfspec_decode(
-                backend,
-                prompt,
-                draft_layer=point.draft_layer,
-                draft_len=point.draft_len,
-                max_new_tokens=max_new_tokens,
-                policy=policy,
-                boundary_hook=boundary_hook,
-            )
         else:
-            config = HierarchicalConfig(
-                draft_layer=point.draft_layer,
-                intermediate_layer=point.intermediate_layer,
-                full_layer=backend.n_layers,
-                draft_len=point.draft_len,
-                accept_window=point.accept_window,
-                max_new_tokens=max_new_tokens,
-                policy=policy,
+            result = speculative_decode(
+                backend, prompt, point.exits, point.bursts, max_new_tokens,
+                policy=policy, boundary_hook=boundary_hook,
             )
-            result = hierarchical_decode(backend, prompt, config, boundary_hook=boundary_hook)
         aggregate.tokens += len(result.tokens)
         aggregate.ledger.merge(result.ledger)
         aggregate.stats += result.stats
@@ -370,8 +360,21 @@ def _backend_cache(spec: dict, seed: int):
 
 
 def _worker(payload: tuple) -> PointAggregate:
-    backend_spec, seed, prompts, point, max_new, policy = payload
-    return run_point(backend_spec, seed, prompts, point, max_new, policy)
+    return run_point(*payload)
+
+
+def _check_worker(payload: tuple) -> tuple[int, float]:
+    """Run one grid point with consistency_check at every top-exit
+    verification; return the boundaries checked and the worst discrepancy."""
+    backend = _backend_cache(payload[0], payload[1])
+    worst: list[float] = []  # one entry per boundary
+
+    def hook(session) -> None:
+        reports = consistency_check(session.state, backend, session.state.tokens)
+        worst.append(max(report.max_abs_discrepancy for report in reports))
+
+    run_point(*payload, boundary_hook=hook)
+    return len(worst), max(worst, default=0.0)
 
 
 def resolve_jobs(requested: int) -> int:
@@ -382,45 +385,45 @@ def resolve_jobs(requested: int) -> int:
     return config_int(requested, "--jobs", minimum=1)
 
 
-def run_points(
-    config: ExperimentConfig, points: Sequence[GridPoint], jobs: int = 1
-) -> list[dict]:
-    """Execute grid points and assemble sorted result rows."""
-    backend = _backend_cache(config.backend, config.seed)
-    prompts = build_prompts(config, backend.vocab_size)
+def _map_points(
+    worker, config: ExperimentConfig, prompts: list, points: Sequence[GridPoint], jobs: int
+) -> list:
+    """`worker` over each point's payload, in point order, in up to `jobs` processes."""
     payloads = [
         (config.backend, config.seed, prompts, point, config.max_new_tokens, config.policy)
         for point in points
     ]
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            aggregates = list(pool.map(_worker, payloads, chunksize=1))
-    else:
-        aggregates = [_worker(p) for p in payloads]
-    by_point = {agg.point: agg for agg in aggregates}
-    baseline = by_point[GridPoint(strategy="vanilla")]
-    rows = []
-    for point in sorted(points, key=GridPoint.sort_key):
-        agg = by_point[point]
-        rows.append(_row_from_aggregate(agg, baseline, len(prompts), backend.n_layers))
-    return rows
+            return list(pool.map(worker, payloads, chunksize=1))
+    return [worker(p) for p in payloads]
 
 
-def _row_from_aggregate(
-    agg: PointAggregate, baseline: PointAggregate, n_prompts: int, n_layers: int
-) -> dict:
+def run_points(
+    config: ExperimentConfig, points: Sequence[GridPoint], jobs: int = 1
+) -> list[dict]:
+    """Execute grid points and assemble sorted result rows."""
+    backend = _backend_cache(config.backend, config.seed)
+    prompts = build_prompts(config, backend.vocab_size)
+    by_point = {agg.point: agg for agg in _map_points(_worker, config, prompts, points, jobs)}
+    baseline = by_point[GridPoint("vanilla", (backend.n_layers,), ())]
+    return [
+        _row_from_aggregate(by_point[point], baseline, len(prompts))
+        for point in sorted(points, key=GridPoint.sort_key)
+    ]
+
+
+def _row_from_aggregate(agg: PointAggregate, baseline: PointAggregate, n_prompts: int) -> dict:
     point = agg.point
     try:
         rel = relative_throughput(agg.tokens, agg.ledger, baseline.tokens, baseline.ledger)
     except UndefinedRatioError:
         rel = None
+    fields = dict(zip(STRATEGY_FIELDS[point.strategy], point.exits[:-1] + point.bursts))
     return {
         "strategy": point.strategy,
-        "L_d": point.draft_layer,
-        "L_i": point.intermediate_layer,
-        "L_f": n_layers,
-        "N_d": point.draft_len,
-        "N_i": point.accept_window,
+        **{column: fields.get(field) for field, column in FIELD_COLUMNS.items()},
+        "L_f": point.exits[-1],
         "prompts": n_prompts,
         "committed_tokens": agg.tokens,
         "seq_units": agg.ledger.sequential_units(),
@@ -445,13 +448,26 @@ def run_ablation(
     config: ExperimentConfig, parameter: str, values: Sequence[int], jobs: int = 1
 ) -> list[dict]:
     """Vary draft_len (N_d) or accept_window (N_i) with everything else at defaults."""
-    field = {"N_d": "draft_len", "N_i": "accept_window"}.get(parameter)
-    if field is None:
-        raise ConfigError("ablation parameter must be N_d or N_i")
+    bursts = {column: field for field, column in FIELD_COLUMNS.items() if column.startswith("N_")}
+    if parameter not in bursts:
+        raise ConfigError(f"ablation parameter must be one of {', '.join(bursts)}")
     if not values:
         return []
-    strategy = {"name": "hierarchical", field: tuple(values)}
+    strategy = {"name": "hierarchical", bursts[parameter]: tuple(values)}
     return run_sweep(replace(config, strategies=(strategy,)), jobs)
+
+
+def run_check(config: ExperimentConfig, jobs: int = 1) -> tuple[int, int, int, float]:
+    """Recompute the state at every top-exit verification of each
+    speculative grid point. Returns the boundaries checked, the prompts,
+    the points and the worst discrepancy, which is 0.0 on a sound state."""
+    backend = _backend_cache(config.backend, config.seed)
+    points = [p for p in expand_grid(config, backend.n_layers) if p.strategy != "vanilla"]
+    if not points:
+        raise ConfigError(f"strategies have no speculative point for {backend.n_layers} layers")
+    prompts = build_prompts(config, backend.vocab_size)
+    checked = _map_points(_check_worker, config, prompts, points, jobs)
+    return sum(b for b, _ in checked), len(prompts), len(points), max(w for _, w in checked)
 
 
 def run_compare(config: ExperimentConfig, jobs: int = 1) -> list[dict]:

@@ -16,10 +16,11 @@ from specdec import (
     hierarchical_decode,
     replay_ledger,
     selfspec_decode,
+    speculative_decode,
     top_predictions,
     vanilla_decode,
 )
-from specdec.engine import Commit, DraftStep, IntermediateVerify, TargetVerify, _speculate
+from specdec.engine import Commit, DraftStep, IntermediateVerify, TargetVerify
 from specdec.synthetic import uniform_profile
 
 from conftest import all_agree_backend, random_prompt
@@ -423,8 +424,7 @@ class TestCascade:
         # draft token plus its bonus, level 2 screens two such pairs and adds
         # its own bonus to each, so every top verification sees 6 tokens.
         backend = all_agree_backend()
-        session = DecodeSession(backend, exits=(2, 4, 6, 8))
-        result = _speculate(session, [1, 2, 3], 24, (1, 2, 4))
+        result = speculative_decode(backend, [1, 2, 3], (2, 4, 6, 8), (1, 2, 4), 24)
         assert result.tokens == vanilla_decode(backend, [1, 2, 3], 24).tokens
         verifies = [e for e in result.trace.events if isinstance(e, TargetVerify)]
         assert [e.presented for e in verifies] == [6, 6, 6, 6]
@@ -432,3 +432,24 @@ class TestCascade:
         screens = [e for e in result.trace.events if isinstance(e, IntermediateVerify)]
         assert len(screens) == 4 * (2 + 2)  # per round: two screens at each level
         assert all(e.rejected == 0 and e.bonus is not None for e in screens)
+
+    @pytest.mark.parametrize(
+        "n_layers, exits, bursts",
+        [
+            (8, (2, 8), (0,)),
+            (8, (2, 4, 8), (2,)),
+            (8, (2, 4, 8), (2, 4, 1)),
+            (8, (2, 4, 8), (2, -1)),
+            (16, (2, 4, 8), (2, 4)),
+            (8, (8,), ()),
+            (8, (4, 2, 8), (2, 4)),
+        ],
+        ids=[
+            "zero-burst", "burst-short", "burst-extra", "negative-burst", "top-below-full",
+            "one-exit", "decreasing",
+        ],
+    )
+    def test_malformed_shape_is_a_config_error(self, n_layers, exits, bursts):
+        backend = all_agree_backend(n_layers=n_layers)
+        with pytest.raises(ConfigError):
+            speculative_decode(backend, [1, 2, 3], exits, bursts, 8)

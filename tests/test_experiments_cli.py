@@ -110,6 +110,31 @@ MALFORMED_INPUTS = {
         ["check"], None, "strategies",
     ),
     "check-vanilla-only": ({"strategies": [{"name": "vanilla"}]}, ["check"], None, "strategies"),
+    "check-zero-jobs-flag": ({}, ["check", "--jobs", "0"], None, "--jobs"),
+    "check-non-integer-jobs-env": ({}, ["check"], "abc", "SPECDEC_JOBS"),
+    "unknown-root-key": ({"prompt": {"count": 2}}, ["compare"], None, "prompt"),
+    "unknown-toy-backend-key": (
+        {"backend": {"type": "toy", "n_layers": 4, "d_modle": 16}}, ["compare"], None,
+        "backend.d_modle",
+    ),
+    "preset-backend-max-seq-len": (
+        {"backend": {"type": "synthetic", "preset": "quarter-depth-69", "max_seq_len": 8}},
+        ["compare"], None, "backend.max_seq_len",
+    ),
+    "unknown-profile-backend-key": (
+        {"backend": {"type": "synthetic", "n_layers": 4, "profile": {"4": 1.0}, "seed": 1}},
+        ["compare"], None, "backend.seed",
+    ),
+    "unknown-prompts-key": ({"prompts": {"cout": 3}}, ["compare"], None, "prompts.cout"),
+    "text-prompts-with-count": (
+        {"prompts": {"text_path": "prompts.txt", "count": 3}}, ["compare"], None, "prompts.count"
+    ),
+    "unknown-decode-key": (
+        {"decode": {"max_new_token": 4}}, ["compare"], None, "decode.max_new_token"
+    ),
+    "unknown-policy-key": (
+        {"decode": {"policy": {"mode": "top_k", "kk": 2}}}, ["compare"], None, "decode.policy.kk"
+    ),
 }
 
 
@@ -396,6 +421,24 @@ class TestCli:
         assert main(["check", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
         out = capsys.readouterr().out
         assert "over 2 prompts at 4 grid points; max discrepancy 0.000e+00" in out
+
+    def test_check_line_is_the_same_across_jobs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SPECDEC_JOBS", raising=False)
+        raw = {
+            "seed": 1,
+            "backend": {"type": "toy", "n_layers": 4, "d_model": 8, "n_heads": 2},
+            "prompts": {"count": 2, "min_len": 2, "max_len": 4},
+            "decode": {"max_new_tokens": 6},
+            "strategies": [{"name": "selfspec", "draft_layer": [1, 2]}],
+        }
+        config_path = write_config(tmp_path, raw)
+        lines = []
+        for jobs in ("1", "2"):
+            argv = ["check", "--config", str(config_path), "--out", str(tmp_path / "o")]
+            assert main(argv + ["--jobs", jobs]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert "over 2 prompts at 2 grid points; max discrepancy 0.000e+00" in lines[0]
 
     @pytest.mark.parametrize("command", ["compare", "check"])
     def test_console_entry_point(self, tmp_path, command):

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec import (
-    DecodeSession,
     HierarchicalConfig,
     ModelConfig,
     SyntheticBackend,
@@ -26,9 +25,9 @@ from specdec import (
     hierarchical_decode,
     replay_ledger,
     selfspec_decode,
+    speculative_decode,
     vanilla_decode,
 )
-from specdec.engine import _speculate
 
 
 def hierarchical_config(draw, n_layers, vocab, max_seq_len, prompt_len):
@@ -58,8 +57,10 @@ def cascade(draw, config):
 
 
 def cascade_decode(backend, prompt, config, exits, bursts, boundary_hook=None):
-    session = DecodeSession(backend, exits, eos_token=config.eos_token)
-    return _speculate(session, prompt, config.max_new_tokens, bursts, boundary_hook)
+    return speculative_decode(
+        backend, prompt, exits, bursts, config.max_new_tokens, config.eos_token,
+        boundary_hook=boundary_hook,
+    )
 
 
 @st.composite
