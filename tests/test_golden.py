@@ -6,7 +6,9 @@ at every verification boundary and at the end. A change to the decode
 loops that moves a single event, span or counter fails here, even when
 the committed tokens stay the same. The report cases pin the bytes the
 CLI writes for `compare`, `sweep --matrix` and `ablate`, in csv and
-jsonl, at one and two jobs.
+jsonl, at one and two jobs, for a synthetic preset, a synthetic profile
+with text prompts, a toy model with top-k acceptance and a config that
+leaves every defaultable field unset.
 
 Update a digest only for a deliberate change of decode or report
 behaviour, and say so in the change log.
@@ -190,7 +192,29 @@ REPORT_CONFIGS = {
         "decode": {"max_new_tokens": 8, "policy": {"mode": "top_k", "k": 2}},
         "strategies": [{"name": "selfspec", "draft_layer": [2]}, {"name": "hierarchical"}],
     },
+    "profile-text": {
+        "seed": 8,
+        "backend": {
+            "type": "synthetic", "n_layers": 8, "vocab_size": 32, "context_window": 2,
+            "max_seq_len": 64,
+            "profile": {
+                "1": 0.2, "2": 0.35, "3": 0.5, "4": 0.6, "5": 0.7, "6": 0.8, "7": 0.9, "8": 1.0,
+            },
+        },
+        "prompts": {"text_path": "prompts.txt", "max_len": 6},
+        "decode": {"max_new_tokens": 10},
+        "strategies": [
+            {"name": "selfspec", "draft_layer": [1, 3]},
+            {"name": "hierarchical", "draft_layer": [1, 2], "intermediate_layer": [4, 6]},
+        ],
+    },
+    # Every defaultable field unset: 50 random prompts, 32 new tokens, greedy
+    # acceptance, the hierarchical default placement and the preset's own depth.
+    "defaults": {"backend": {"type": "synthetic", "preset": "quarter-depth-69"}},
 }
+
+# The file the profile-text config's prompts name, relative to the working directory.
+PROMPT_TEXT = "the quick brown fox\njumps over\n\n  \nthe lazy dog\nspeculative decoding\n"
 
 COMMANDS = {
     "compare": (["compare"], ["compare"]),
@@ -211,12 +235,26 @@ REPORT_GOLDEN = {
         "ba9508f0aaeab62df5e8236e5eef89847b042b713c4a56f23c3885897dabb18b",
     ("toy-topk", "ablate"):
         "d61328589f3276f5a2124b2d763ccb76f7b8f1eed29a8a9cfe8985cc06e70703",
+    ("profile-text", "compare"):
+        "9ae8840ec03430f07b231f34b44d85cb81898cd8e48047aa6f2bdfb6782d8845",
+    ("profile-text", "sweep"):
+        "707d37d3a8abc5fd3d1e221f13abe543e0b4a5b5af7f77b656392c3c0bd4e979",
+    ("profile-text", "ablate"):
+        "7c47699817d52d03322467326cc7b99b8fc4227e7dc6866a66c1d144983834d4",
+    ("defaults", "compare"):
+        "710bf16d4fc6c66efa6a56daa8efa7d2cc01d1b0facdda6c469c1b3000120e36",
+    ("defaults", "sweep"):
+        "e6c779d4b6765dcf531736a11744abc3be0d6343cc9bf523219bc92e1e6f7dd8",
+    ("defaults", "ablate"):
+        "8f480cb0417f1d5d4a6e10b6610bfb471787f402e92a1717f57e76b754fad457",
 }
 
 
 @pytest.mark.parametrize("config_name, command", sorted(REPORT_GOLDEN))
 def test_report_bytes_match_golden(tmp_path, monkeypatch, config_name, command):
     monkeypatch.delenv("SPECDEC_JOBS", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "prompts.txt").write_text(PROMPT_TEXT, encoding="utf-8")
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(REPORT_CONFIGS[config_name]), encoding="utf-8")
     args, stems = COMMANDS[command]
