@@ -1,14 +1,18 @@
 """Declarative experiment runner behind the CLI.
 
 A config describes one backend, one prompt corpus, and a list of strategy
-grids. The whole config is checked once, when it is loaded: an unknown key
-is an error, and each strategy entry gives only its own grid fields. Every
-report is such a grid: `sweep` runs the config's own, while `compare` and
-`ablate` run fixed ones. A grid point is a strategy's exits and burst
-lengths; it decodes the whole corpus, aggregates its cost ledger, and
-becomes one result row. Vanilla full-depth decoding over the same corpus
-is always computed and serves as the throughput baseline. Rows are emitted
-in sorted parameter order so output bytes never depend on scheduling.
+grids. `ExperimentConfig.from_dict` is the only reader of the raw config.
+It checks every section once, when the config is loaded, against one table
+of fields, rules and defaults, and builds the backend's model spec, so an
+unknown key or a bad value is an error that names its field, and the
+builders downstream read only checked values. Each strategy entry gives
+only its own grid fields. Every report is such a grid: `sweep` runs the
+config's own, while `compare` and `ablate` run fixed ones. A grid point
+is a strategy's exits and burst lengths; it decodes the whole corpus,
+aggregates its cost ledger, and becomes one result row. Vanilla
+full-depth decoding over the same corpus is always computed and serves
+as the throughput baseline. Rows are emitted in sorted parameter order
+so output bytes never depend on scheduling.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from .errors import ConfigError, UndefinedRatioError
 from .model import ModelConfig, ToyTransformer
 from .prompts import prompts_from_text, random_prompts
 from .state import consistency_check
-from .synthetic import SyntheticBackend, SyntheticModelSpec, calibrate_preset
+from .synthetic import PRESET_NAMES, SyntheticBackend, SyntheticModelSpec, calibrate_preset
 
 logger = logging.getLogger("specdec")
 
@@ -77,14 +81,30 @@ FIELD_COLUMNS = {
     "accept_window": "N_i",
 }
 
-# The keys each backend kind and prompt source reads; a synthetic backend is a
-# preset or a profile, and prompts come from a text file or a seeded generator.
-_BACKEND_KEYS = {
-    "toy": ("type", "n_layers", "d_model", "n_heads", "vocab_size", "max_seq_len"),
-    "preset": ("type", "preset", "n_layers", "vocab_size", "context_window"),
-    "profile": ("type", "profile", "n_layers", "vocab_size", "context_window", "max_seq_len"),
+_REQUIRED = object()
+# Each config section kind's fields as (default, rule); a _REQUIRED field has no
+# default. A rule is an integer field's minimum, the tuple of allowed values,
+# `str`, or `dict` for an object. A backend is a toy model, a synthetic preset
+# (whose depth is the preset's own unless n_layers is given) or a synthetic
+# profile, and prompts come from a text file or a seeded generator.
+SECTION_FIELDS = {
+    "toy": {
+        "n_layers": (_REQUIRED, 3), "d_model": (32, 1), "n_heads": (4, 1),
+        "vocab_size": (64, 4), "max_seq_len": (256, 1),
+    },
+    "preset": {
+        "preset": (_REQUIRED, PRESET_NAMES), "n_layers": (None, 3), "vocab_size": (256, 4),
+        "context_window": (4, 1),
+    },
+    "profile": {
+        "profile": (_REQUIRED, dict), "n_layers": (_REQUIRED, 3), "vocab_size": (256, 4),
+        "context_window": (4, 1), "max_seq_len": (4096, 1),
+    },
+    "text": {"text_path": (_REQUIRED, str), "max_len": (64, 1)},
+    "random": {"count": (50, 1), "min_len": (4, 1), "max_len": (12, 1)},
+    "decode": {"max_new_tokens": (32, 1), "policy": ({}, dict)},
+    "policy": {"mode": ("greedy", ("greedy", "top_k")), "k": (1, 1)},
 }
-_PROMPT_KEYS = {"text": ("text_path", "max_len"), "random": ("count", "min_len", "max_len")}
 
 
 @dataclass(frozen=True)
@@ -132,7 +152,7 @@ def config_object(value: Any, name: str, keys: Sequence[str] | None = None) -> d
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    backend: dict
+    backend: ModelConfig | SyntheticModelSpec
     prompt_spec: dict
     strategies: tuple[dict, ...]
     max_new_tokens: int
@@ -142,50 +162,85 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict, seed_override: int | None = None) -> "ExperimentConfig":
         config_object(raw, "", ("seed", "backend", "prompts", "decode", "strategies"))
-        backend = raw.get("backend")
-        if not isinstance(backend, dict) or "type" not in backend:
-            raise ConfigError("config needs a backend object with a type")
-        if backend["type"] not in ("synthetic", "toy"):
-            raise ConfigError(f"unknown backend type {backend['type']!r}")
-        kind = "toy" if backend["type"] == "toy" else "preset" if "preset" in backend else "profile"
-        config_object(backend, "backend", _BACKEND_KEYS[kind])
-        prompt_spec = config_object(
-            raw.get("prompts", {"count": 50, "min_len": 4, "max_len": 12}), "prompts"
-        )
-        source = "text" if "text_path" in prompt_spec else "random"
-        config_object(prompt_spec, "prompts", _PROMPT_KEYS[source])
-        strategies = raw.get("strategies") or [{"name": "hierarchical"}]
-        if not isinstance(strategies, list):
-            raise ConfigError(f"strategies must be a list of objects, got {strategies!r}")
-        decode = config_object(raw.get("decode", {}), "decode", ("max_new_tokens", "policy"))
-        max_new = config_int(
-            decode.get("max_new_tokens", 32), "decode.max_new_tokens", minimum=1
-        )
         seed = config_int(
             raw.get("seed", 0) if seed_override is None else seed_override, "seed", minimum=0
         )
-        policy_raw = config_object(decode.get("policy", {}), "decode.policy", ("mode", "k"))
-        policy = AcceptancePolicy(
-            mode=policy_raw.get("mode", "greedy"),
-            k=config_int(policy_raw.get("k", 1), "decode.policy.k"),
-        )
+        if seed >= 2**64:
+            raise ConfigError(f"seed must be < 2**64, got {seed}")
+        prompts = config_object(raw.get("prompts", {}), "prompts")
+        prompt_spec = _section(prompts, "prompts", "text" if "text_path" in prompts else "random")
+        if prompt_spec.get("min_len", 1) > prompt_spec["max_len"]:
+            raise ConfigError(f"prompts.min_len must be <= prompts.max_len, got {prompt_spec}")
+        decode = _section(raw.get("decode", {}), "decode", "decode")
+        strategies = raw.get("strategies", [{"name": "hierarchical"}])
+        if not isinstance(strategies, list) or not strategies:
+            raise ConfigError(f"strategies must be a non-empty list of objects, got {strategies!r}")
         return cls(
-            backend=backend,
+            backend=_model_spec(raw.get("backend"), seed),
             prompt_spec=prompt_spec,
             strategies=tuple(
                 _parse_strategy(entry, f"strategies[{index}]")
                 for index, entry in enumerate(strategies)
             ),
-            max_new_tokens=max_new,
+            max_new_tokens=decode["max_new_tokens"],
             seed=seed,
-            policy=policy,
+            policy=AcceptancePolicy(**_section(decode["policy"], "decode.policy", "policy")),
         )
+
+
+def _section(raw: Any, where: str, kind: str, extra: tuple[str, ...] = ()) -> dict:
+    """The fields of a `kind` section at `where`, each given one checked by
+    its rule and each missing one set to its default; `extra` keys may appear."""
+    fields = SECTION_FIELDS[kind]
+    given = config_object(raw, where, (*extra, *fields))
+    parsed = {}
+    for key, (default, rule) in fields.items():
+        field, value = f"{where}.{key}", given.get(key, default)
+        if key not in given:
+            if default is _REQUIRED:
+                raise ConfigError(f"{field} is required for a {kind} {where}")
+        elif isinstance(rule, int):
+            value = config_int(value, field, rule)
+        elif rule is dict:
+            config_object(value, field)
+        elif rule is str and not isinstance(value, str):
+            raise ConfigError(f"{field} must be a string, got {value!r}")
+        elif isinstance(rule, tuple) and value not in rule:
+            raise ConfigError(f"{field} must be one of {', '.join(rule)}, got {value!r}")
+        parsed[key] = value
+    return parsed
+
+
+def _model_spec(raw: Any, seed: int) -> ModelConfig | SyntheticModelSpec:
+    """The checked model spec of the backend section, built with `seed`."""
+    backend = config_object(raw, "backend")
+    if backend.get("type") not in ("toy", "synthetic"):
+        raise ConfigError(f"backend.type must be toy or synthetic, got {backend.get('type')!r}")
+    kind = "toy" if backend["type"] == "toy" else "preset" if "preset" in backend else "profile"
+    fields = _section(backend, "backend", kind, extra=("type",))
+    if kind == "toy":
+        if fields["d_model"] % fields["n_heads"]:
+            raise ConfigError(f"backend.d_model must be a multiple of backend.n_heads: {fields}")
+        return ModelConfig(**fields, seed=seed)
+    if kind == "preset":
+        try:  # each field is checked by now, all but the preset's least depth
+            return calibrate_preset(fields.pop("preset"), **fields, seed=seed)
+        except ConfigError as exc:
+            raise ConfigError(f"backend.n_layers: {exc}") from None
+    try:
+        profile = {int(layer): float(alpha) for layer, alpha in fields.pop("profile").items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"backend.profile must map integer layers to numbers: {exc}") from None
+    try:
+        return SyntheticModelSpec(**fields, seed=seed, agreement_profile=profile)
+    except ConfigError as exc:
+        raise ConfigError(f"backend.profile must rate layers 1..backend.n_layers: {exc}") from None
 
 
 def _parse_strategy(entry: Any, where: str) -> dict:
     """One strategies entry: its name and each grid field as int values or "all"."""
     name = config_object(entry, where).get("name")
-    if name not in STRATEGY_FIELDS:
+    if not isinstance(name, str) or name not in STRATEGY_FIELDS:
         raise ConfigError(
             f"{where}.name must be one of {', '.join(STRATEGY_FIELDS)}, got {name!r}"
         )
@@ -199,6 +254,8 @@ def _parse_strategy(entry: Any, where: str) -> dict:
             continue
         minimum = None if FIELD_COLUMNS[key].startswith("L_") else 1
         values = value if isinstance(value, list) else [value]
+        if not values:
+            raise ConfigError(f"{field} must hold at least one value")
         parsed[key] = tuple(config_int(v, field, minimum) for v in values)
     return parsed
 
@@ -212,66 +269,21 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     return ExperimentConfig.from_dict(raw, seed_override)
 
 
-def build_backend(spec: dict, seed: int):
-    def number(key: str, default: Any = None) -> int:
-        return config_int(spec.get(key, default), f"backend.{key}")
-
-    if spec["type"] == "synthetic":
-        if "preset" in spec:
-            model = calibrate_preset(
-                spec["preset"],
-                n_layers=None if spec.get("n_layers") is None else number("n_layers"),
-                vocab_size=number("vocab_size", 256),
-                seed=seed,
-                context_window=number("context_window", 4),
-            )
-        else:
-            profile = spec.get("profile")
-            if not isinstance(profile, dict):
-                raise ConfigError(
-                    "backend.profile must map layers to agreement rates (or set backend.preset)"
-                )
-            try:
-                profile = {int(k): float(v) for k, v in profile.items()}
-            except (TypeError, ValueError):
-                raise ConfigError("backend.profile must map integer layers to numbers") from None
-            model = SyntheticModelSpec(
-                n_layers=number("n_layers"),
-                vocab_size=number("vocab_size", 256),
-                seed=seed,
-                agreement_profile=profile,
-                context_window=number("context_window", 4),
-                max_seq_len=number("max_seq_len", 4096),
-            )
-        return SyntheticBackend(model)
-    config = ModelConfig(
-        n_layers=number("n_layers"),
-        d_model=number("d_model", 32),
-        n_heads=number("n_heads", 4),
-        vocab_size=number("vocab_size", 64),
-        max_seq_len=number("max_seq_len", 256),
-        seed=seed,
-    )
-    return ToyTransformer(config)
+def build_backend(spec: ModelConfig | SyntheticModelSpec, seed: int):
+    """The backend of a checked model spec, drawn from `seed`."""
+    spec = replace(spec, seed=seed)
+    return ToyTransformer(spec) if isinstance(spec, ModelConfig) else SyntheticBackend(spec)
 
 
 def build_prompts(config: ExperimentConfig, vocab_size: int) -> list[list[int]]:
+    """The prompt corpus of the config's checked prompt fields."""
     spec = config.prompt_spec
-    if "text_path" in spec:
-        if not isinstance(spec["text_path"], str):
-            raise ConfigError(f"prompts.text_path must be a string, got {spec['text_path']!r}")
-        return prompts_from_text(
-            spec["text_path"],
-            vocab_size,
-            max_len=config_int(spec.get("max_len", 64), "prompts.max_len"),
-        )
-    return random_prompts(
-        count=config_int(spec.get("count", 50), "prompts.count"),
-        vocab_size=vocab_size,
-        min_len=config_int(spec.get("min_len", 4), "prompts.min_len"),
-        max_len=config_int(spec.get("max_len", 12), "prompts.max_len"),
-        seed=config.seed,
-    )
+    if "text_path" not in spec:
+        return random_prompts(**spec, vocab_size=vocab_size, seed=config.seed)
+    try:
+        return prompts_from_text(spec["text_path"], vocab_size, spec["max_len"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"prompts.text_path cannot be read: {exc}") from None
 
 
 def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
@@ -324,15 +336,14 @@ class PointAggregate:
 
 
 def run_point(
-    backend_spec: dict,
-    seed: int,
+    backend_spec: ModelConfig | SyntheticModelSpec,
     prompts: Sequence[Sequence[int]],
     point: GridPoint,
     max_new_tokens: int,
     policy: AcceptancePolicy,
     boundary_hook=None,
 ) -> PointAggregate:
-    backend = _backend_cache(backend_spec, seed)
+    backend = _backend_cache(backend_spec)
     aggregate = PointAggregate(point, 0, CostLedger(), DecodeStats())
     for prompt in prompts:
         if point.strategy == "vanilla":
@@ -348,15 +359,14 @@ def run_point(
     return aggregate
 
 
-_BACKENDS: dict[tuple[str, int], Any] = {}
+_BACKENDS: dict[ModelConfig | SyntheticModelSpec, Any] = {}
 
 
-def _backend_cache(spec: dict, seed: int):
-    """The backend for (spec, seed), built once per process."""
-    key = (json.dumps(spec, sort_keys=True), seed)
-    if key not in _BACKENDS:
-        _BACKENDS[key] = build_backend(spec, seed)
-    return _BACKENDS[key]
+def _backend_cache(spec: ModelConfig | SyntheticModelSpec):
+    """The backend of a model spec, built once per process."""
+    if spec not in _BACKENDS:
+        _BACKENDS[spec] = build_backend(spec, spec.seed)
+    return _BACKENDS[spec]
 
 
 def _worker(payload: tuple) -> PointAggregate:
@@ -366,7 +376,7 @@ def _worker(payload: tuple) -> PointAggregate:
 def _check_worker(payload: tuple) -> tuple[int, float]:
     """Run one grid point with consistency_check at every top-exit
     verification; return the boundaries checked and the worst discrepancy."""
-    backend = _backend_cache(payload[0], payload[1])
+    backend = _backend_cache(payload[0])
     worst: list[float] = []  # one entry per boundary
 
     def hook(session) -> None:
@@ -390,7 +400,7 @@ def _map_points(
 ) -> list:
     """`worker` over each point's payload, in point order, in up to `jobs` processes."""
     payloads = [
-        (config.backend, config.seed, prompts, point, config.max_new_tokens, config.policy)
+        (config.backend, prompts, point, config.max_new_tokens, config.policy)
         for point in points
     ]
     if jobs > 1 and len(payloads) > 1:
@@ -403,10 +413,9 @@ def run_points(
     config: ExperimentConfig, points: Sequence[GridPoint], jobs: int = 1
 ) -> list[dict]:
     """Execute grid points and assemble sorted result rows."""
-    backend = _backend_cache(config.backend, config.seed)
-    prompts = build_prompts(config, backend.vocab_size)
+    prompts = build_prompts(config, config.backend.vocab_size)
     by_point = {agg.point: agg for agg in _map_points(_worker, config, prompts, points, jobs)}
-    baseline = by_point[GridPoint("vanilla", (backend.n_layers,), ())]
+    baseline = by_point[GridPoint("vanilla", (config.backend.n_layers,), ())]
     return [
         _row_from_aggregate(by_point[point], baseline, len(prompts))
         for point in sorted(points, key=GridPoint.sort_key)
@@ -439,9 +448,7 @@ def _row_from_aggregate(agg: PointAggregate, baseline: PointAggregate, n_prompts
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    backend = _backend_cache(config.backend, config.seed)
-    points = expand_grid(config, backend.n_layers)
-    return run_points(config, points, jobs)
+    return run_points(config, expand_grid(config, config.backend.n_layers), jobs)
 
 
 def run_ablation(
@@ -461,11 +468,11 @@ def run_check(config: ExperimentConfig, jobs: int = 1) -> tuple[int, int, int, f
     """Recompute the state at every top-exit verification of each
     speculative grid point. Returns the boundaries checked, the prompts,
     the points and the worst discrepancy, which is 0.0 on a sound state."""
-    backend = _backend_cache(config.backend, config.seed)
-    points = [p for p in expand_grid(config, backend.n_layers) if p.strategy != "vanilla"]
+    n_layers = config.backend.n_layers
+    points = [p for p in expand_grid(config, n_layers) if p.strategy != "vanilla"]
     if not points:
-        raise ConfigError(f"strategies have no speculative point for {backend.n_layers} layers")
-    prompts = build_prompts(config, backend.vocab_size)
+        raise ConfigError(f"strategies have no speculative point for {n_layers} layers")
+    prompts = build_prompts(config, config.backend.vocab_size)
     checked = _map_points(_check_worker, config, prompts, points, jobs)
     return sum(b for b, _ in checked), len(prompts), len(points), max(w for _, w in checked)
 
@@ -476,22 +483,13 @@ def run_compare(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     return run_sweep(replace(config, strategies=strategies), jobs)
 
 
-def run_wall(extra_pairs: Sequence[tuple[str, int, str, int]] = ()) -> list[dict]:
-    rows = []
-    for draft_name, draft_layers, target_name, target_layers in (
-        tuple(WALL_DEPTH_PAIRS) + tuple(extra_pairs)
-    ):
-        rows.append(
-            {
-                "draft_model": draft_name,
-                "draft_layers": draft_layers,
-                "target_model": target_name,
-                "target_layers": target_layers,
-                "wall_ratio": verification_wall_ratio(draft_layers, target_layers),
-            }
-        )
-    rows.sort(key=lambda r: (r["target_layers"], r["draft_layers"], r["draft_model"]))
-    return rows
+def run_wall() -> list[dict]:
+    """The verification-wall ratio of each reference (draft, target) depth pair."""
+    rows = [
+        dict(zip(WALL_COLUMNS, (*pair, verification_wall_ratio(pair[1], pair[3]))))
+        for pair in WALL_DEPTH_PAIRS
+    ]
+    return sorted(rows, key=lambda r: (r["target_layers"], r["draft_layers"], r["draft_model"]))
 
 
 # -- report emission ----------------------------------------------------

@@ -63,8 +63,6 @@ class ModelConfig:
             raise ConfigError("vocab_size must be >= 4")
         if self.max_seq_len < 1:
             raise ConfigError("max_seq_len must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:

@@ -81,6 +81,10 @@ class SyntheticModelSpec:
             raise ConfigError("alpha at the final layer must be 1.0")
         object.__setattr__(self, "agreement_profile", profile)
 
+    def __hash__(self) -> int:
+        # The profile is a dict; equal specs share these fields, and == tells apart the rest.
+        return hash((self.n_layers, self.vocab_size, self.seed))
+
     def alpha(self, layer: int) -> float:
         return self.agreement_profile[layer]
 

@@ -135,6 +135,55 @@ MALFORMED_INPUTS = {
     "unknown-policy-key": (
         {"decode": {"policy": {"mode": "top_k", "kk": 2}}}, ["compare"], None, "decode.policy.kk"
     ),
+    "seed-beyond-64-bits": ({"seed": 2**64}, ["compare"], None, "seed"),
+    "seed-flag-beyond-64-bits": ({}, ["compare", "--seed", str(2**64)], None, "seed"),
+    "empty-grid-list-sweep": (
+        {"strategies": [{"name": "hierarchical", "draft_layer": []}]}, ["sweep"], None,
+        "strategies[0].draft_layer",
+    ),
+    "empty-grid-list-check": (
+        {"strategies": [{"name": "selfspec", "draft_len": []}]}, ["check"], None,
+        "strategies[0].draft_len",
+    ),
+    "empty-strategies": ({"strategies": []}, ["sweep"], None, "strategies"),
+    "zero-prompt-count": (
+        {"prompts": {"count": 0, "min_len": 3, "max_len": 6}}, ["compare"], None, "prompts.count"
+    ),
+    "min-len-above-max-len": (
+        {"prompts": {"count": 2, "min_len": 7, "max_len": 3}}, ["compare"], None,
+        "prompts.min_len",
+    ),
+    "text-prompts-zero-max-len": (
+        {"prompts": {"text_path": "prompts.txt", "max_len": 0}}, ["compare"], None,
+        "prompts.max_len",
+    ),
+    "profile-missing-layers": (
+        {"backend": {"type": "synthetic", "n_layers": 4, "profile": {"1": 0.5, "4": 1.0}}},
+        ["compare"], None, "backend.profile",
+    ),
+    "unknown-preset": (
+        {"backend": {"type": "synthetic", "preset": "llama-70b"}}, ["compare"], None,
+        "backend.preset",
+    ),
+    "unknown-backend-type": (
+        {"backend": {"type": "warp-drive"}}, ["compare"], None, "backend.type"
+    ),
+    "unknown-policy-mode": (
+        {"decode": {"policy": {"mode": "topk"}}}, ["compare"], None, "decode.policy.mode"
+    ),
+    "zero-policy-k": (
+        {"decode": {"policy": {"mode": "top_k", "k": 0}}}, ["compare"], None, "decode.policy.k"
+    ),
+    "two-layer-toy": (
+        {"backend": {"type": "toy", "n_layers": 2}}, ["compare"], None, "backend.n_layers"
+    ),
+    "zero-context-window": (
+        {"backend": {"type": "synthetic", "preset": "quarter-depth-69", "context_window": 0}},
+        ["compare"], None, "backend.context_window",
+    ),
+    "missing-text-path-file": (
+        {"prompts": {"text_path": "missing.txt"}}, ["compare"], None, "prompts.text_path"
+    ),
 }
 
 
@@ -268,6 +317,19 @@ class TestRunAndEmit:
         run_compare(ExperimentConfig.from_dict(SMALL_CONFIG))
         assert built == [SMALL_CONFIG["seed"]]
 
+    def test_parallel_compare_builds_no_backend_in_the_parent(self, monkeypatch):
+        built = []
+
+        def recording_build(spec, seed):
+            built.append(seed)  # a worker process appends to its own copy
+            return build_backend(spec, seed)
+
+        monkeypatch.setattr(experiments, "_BACKENDS", {})
+        monkeypatch.setattr(experiments, "build_backend", recording_build)
+        rows = run_compare(ExperimentConfig.from_dict(SMALL_CONFIG), jobs=2)
+        assert [row["strategy"] for row in rows] == ["vanilla", "selfspec", "hierarchical"]
+        assert built == []
+
     def test_ablation_empty_range(self):
         config = ExperimentConfig.from_dict(SMALL_CONFIG)
         assert run_ablation(config, "N_i", []) == []
@@ -359,6 +421,8 @@ class TestCli:
         monkeypatch.delenv("SPECDEC_JOBS", raising=False)
         if jobs_env is not None:
             monkeypatch.setenv("SPECDEC_JOBS", jobs_env)
+        monkeypatch.chdir(tmp_path)  # a text_path names a file relative to the working directory
+        (tmp_path / "prompts.txt").write_text("one prompt\nanother\n", encoding="utf-8")
         config_path = write_config(tmp_path, dict(SMALL_CONFIG, **overrides))
         argv = command + ["--config", str(config_path), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
@@ -440,22 +504,23 @@ class TestCli:
         assert lines[0] == lines[1]
         assert "over 2 prompts at 2 grid points; max discrepancy 0.000e+00" in lines[0]
 
-    @pytest.mark.parametrize("command", ["compare", "check"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compare"],
+            ["check"],
+            ["sweep", "--matrix"],
+            ["ablate", "--parameter", "N_i", "--values", "2,4"],
+            ["wall"],
+        ],
+        ids=["compare", "check", "sweep-matrix", "ablate", "wall"],
+    )
     def test_console_entry_point(self, tmp_path, command):
         config_path = write_config(tmp_path, SMALL_CONFIG)
+        config = [] if command == ["wall"] else ["--config", str(config_path), "--jobs", "2"]
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-W",
-                "error",
-                "-m",
-                "specdec.cli",
-                command,
-                "--config",
-                str(config_path),
-                "--out",
-                str(tmp_path / "out"),
-            ],
+            [sys.executable, "-W", "error", "-m", "specdec.cli", *command, *config]
+            + ["--out", str(tmp_path / "out")],
             capture_output=True,
             text=True,
         )
