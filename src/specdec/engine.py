@@ -1,7 +1,7 @@
 """Decoding strategies over early exits: vanilla decoding and speculation
 through any number of verifying exits.
 
-A `DecodeSession` owns one decode's layered state, cost ledger and trace.
+A `DecodeSession` owns one decode's layered state and trace.
 Its exits split the layer stack into levels; lower levels run ahead of
 higher ones, and verification prunes rejected positions before the next
 phase. Vanilla decoding emits greedy tokens at a single exit. Speculative
@@ -25,9 +25,9 @@ greedy top-1 policy speculative decoding is therefore lossless: the
 output matches vanilla decoding token for token. Top-k acceptance is
 available but lossy by construction.
 
-The trace is the record of a decode: `DecodeTrace.stats()` derives the
-acceptance and flush counts from its events, and `replay_ledger` rebuilds
-the cost ledger from it.
+The trace is the one record of a decode: `DecodeTrace.stats()` derives
+the acceptance and flush counts from its events, and `replay_ledger`
+derives the cost ledger from its processed spans; no cost is kept by hand.
 """
 from __future__ import annotations
 
@@ -219,7 +219,7 @@ class DecodeResult:
 
 
 class DecodeSession:
-    """One decode over one backend; strictly sequential, owns its state.
+    """One decode over one backend; strictly sequential, owns its state and trace.
 
     `exits` are the exit layers splitting the stack into levels, e.g.
     (draft, intermediate, full). Level i covers layers exits[i-1]+1 to
@@ -243,23 +243,21 @@ class DecodeSession:
         self.policy = policy
         self.eos_token = eos_token
         self.state = backend.new_state(buffered_layers=exits)
-        self.ledger = CostLedger()
         self.trace = DecodeTrace()
 
     # -- level plumbing ----------------------------------------------
 
-    def _advance(self, level: int, upto: int, phase: str) -> Span:
+    def _advance(self, level: int, upto: int) -> Span:
         hi = self.exits[level]
         start = self.state.filled(hi)
         if start >= upto:
             return (start, start)
         lo = 1 if level == 0 else self.exits[level - 1] + 1
         self.backend.forward_range(self.state, lo, hi, start, upto)
-        self.ledger.record_pass(phase, hi - lo + 1, upto - start)
         return (start, upto)
 
-    def _ensure_through(self, level: int, upto: int, phase: str) -> tuple[Span, ...]:
-        return tuple(self._advance(lvl, upto, phase) for lvl in range(level + 1))
+    def _ensure_through(self, level: int, upto: int) -> tuple[Span, ...]:
+        return tuple(self._advance(lvl, upto) for lvl in range(level + 1))
 
     def dist(self, level: int, position: int) -> TokenDistribution:
         return self.backend.exit_distribution(self.state, self.exits[level], position)
@@ -276,7 +274,6 @@ class DecodeSession:
             raise CapacityError("prompt exceeds max_seq_len")
         self.state.set_tokens(prompt)
         self.backend.forward_range(self.state, 1, self.exits[-1], 0, len(prompt))
-        self.ledger.record_pass("prefill", self.exits[-1], len(prompt))
         self.state.mark_committed(len(prompt))
 
     def generate_next(self, n: int) -> tuple[list[int], Span]:
@@ -295,14 +292,14 @@ class DecodeSession:
                 break
             pos = len(self.state.tokens) - 1
             if self.state.filled(hi) <= pos:
-                self._advance(0, pos + 1, "draft")
+                self._advance(0, pos + 1)
             token = self.dist(0, pos).argmax()
             self.state.append_token(token)
             emitted.append(token)
             if self.eos_token is not None and token == self.eos_token:
                 break
         if emitted and self.state.filled(hi) < len(self.state.tokens):
-            self._advance(0, len(self.state.tokens), "draft")
+            self._advance(0, len(self.state.tokens))
         return emitted, (start_fill, self.state.filled(hi))
 
     def leading_substring_verify(
@@ -317,11 +314,12 @@ class DecodeSession:
         verifier's own greedy token is returned as the bonus; on full
         acceptance below the top exit the bonus is the verifier's
         prediction for the position after the draft, and at the top exit
-        there is none.
+        there is none. `phase` names the verification for observers; the
+        engine does not read it.
         """
         upto = len(self.state.tokens)
         draft_start = upto - len(draft_tokens)
-        spans = self._ensure_through(level, upto, phase)
+        spans = self._ensure_through(level, upto)
         accepted: list[int] = []
         for j, token in enumerate(draft_tokens):
             dist = self.dist(level, draft_start + j - 1)
@@ -340,7 +338,7 @@ class DecodeSession:
         """Drop tentative work and bring every level up to the committed end."""
         final_len = self.state.committed_len
         self.state.prune_all(final_len)
-        spans = self._ensure_through(len(self.exits) - 1, final_len, "target_verify")
+        spans = self._ensure_through(len(self.exits) - 1, final_len)
         self.trace.finalize_processed = tuple(s for s in spans if s[1] > s[0])
 
 
@@ -373,7 +371,7 @@ def vanilla_decode(
     session.state.mark_committed(len(session.state.tokens))
     session.trace.events.append(DraftStep(start_pos=start, tokens=tuple(tokens), processed=span))
     session.trace.events.append(Commit(tokens=tuple(tokens)))
-    return _result(session)
+    return _result(session, len(prompt))
 
 
 def selfspec_decode(
@@ -482,7 +480,7 @@ def speculative_decode(
         if eos in kept:
             break
     session.finalize()
-    return _result(session)
+    return _result(session, len(prompt))
 
 
 def _fill(
@@ -542,12 +540,12 @@ def _fill(
     return gathered, "capacity"
 
 
-def _result(session: DecodeSession) -> DecodeResult:
+def _result(session: DecodeSession, prompt_len: int) -> DecodeResult:
     trace = session.trace
     return DecodeResult(
         tokens=trace.committed_tokens(),
         trace=trace,
-        ledger=session.ledger,
+        ledger=replay_ledger(trace, prompt_len, session.exits),
         stats=trace.stats(),
         state=session.state,
     )
@@ -558,10 +556,8 @@ def replay_ledger(
     prompt_len: int,
     exits: Sequence[int],
 ) -> CostLedger:
-    """Reconstruct the cost ledger from the trace alone.
-
-    The live ledger must equal this replay exactly; that property pins the
-    accounting to the recorded events rather than incidental code paths.
+    """The cost ledger of a decode, derived from its trace alone: the one
+    place a decode's costs are recorded.
     """
     exits = tuple(exits)
     ledger = CostLedger()

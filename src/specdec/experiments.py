@@ -266,7 +266,11 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
-    return ExperimentConfig.from_dict(raw, seed_override)
+    config = ExperimentConfig.from_dict(raw, seed_override)
+    spec = config.prompt_spec
+    if "text_path" in spec:  # a relative path names a file beside the config
+        spec = dict(spec, text_path=str(Path(path).parent / spec["text_path"]))
+    return replace(config, prompt_spec=spec)
 
 
 def build_backend(spec: ModelConfig | SyntheticModelSpec, seed: int):
@@ -284,6 +288,8 @@ def build_prompts(config: ExperimentConfig, vocab_size: int) -> list[list[int]]:
         return prompts_from_text(spec["text_path"], vocab_size, spec["max_len"])
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"prompts.text_path cannot be read: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"prompts.text_path: {exc}") from None
 
 
 def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:

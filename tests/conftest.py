@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specdec import ModelConfig, SyntheticBackend, SyntheticModelSpec, init_model
+from specdec.costs import PhaseCost
 from specdec.synthetic import uniform_profile
 
 
@@ -38,3 +39,37 @@ def all_agree_backend(n_layers=8, vocab_size=32, seed=3, max_seq_len=512):
 def random_prompt(rng: np.random.Generator, vocab_size: int, lo=2, hi=10) -> list[int]:
     length = int(rng.integers(lo, hi + 1))
     return [int(t) for t in rng.integers(0, vocab_size, size=length)]
+
+
+class CountingBackend:
+    """Forwards every attribute to `backend` and records each forward_range
+    call as (layers, positions): a count of the work done that does not
+    read the trace."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.passes: list[tuple[int, int]] = []
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def forward_range(self, state, start_layer, end_layer, start_pos, end_pos):
+        self.passes.append((end_layer - start_layer + 1, end_pos - start_pos))
+        return self.backend.forward_range(state, start_layer, end_layer, start_pos, end_pos)
+
+
+def counted(decode, backend, *args, **kwargs):
+    """Run `decode` on a counting wrapper of `backend`; return the result and
+    the passes it made."""
+    counter = CountingBackend(backend)
+    return decode(counter, *args, **kwargs), counter.passes
+
+
+def assert_ledger_counts_passes(ledger, passes):
+    """The ledger sums to the counted passes, and prefill is the first one."""
+    costs = ledger.phases.values()
+    assert sum(cost.pass_count for cost in costs) == len(passes)
+    assert sum(cost.sequential_depth_units for cost in costs) == sum(l for l, _ in passes)
+    assert sum(cost.position_layer_units for cost in costs) == sum(l * p for l, p in passes)
+    layers, positions = passes[0]
+    assert ledger.phases["prefill"] == PhaseCost(layers, layers * positions, 1)

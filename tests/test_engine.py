@@ -14,7 +14,6 @@ from specdec import (
     consistency_check,
     default_layer_placement,
     hierarchical_decode,
-    replay_ledger,
     selfspec_decode,
     speculative_decode,
     top_predictions,
@@ -23,7 +22,7 @@ from specdec import (
 from specdec.engine import Commit, DraftStep, IntermediateVerify, TargetVerify
 from specdec.synthetic import uniform_profile
 
-from conftest import all_agree_backend, random_prompt
+from conftest import all_agree_backend, assert_ledger_counts_passes, counted, random_prompt
 
 
 def profile_backend(profile, n_layers=8, vocab=32, seed=7, max_seq_len=512):
@@ -366,15 +365,13 @@ class TestHierarchical:
         assert verifies[-1].reason in ("eos", "window")
         assert verifies[-1].presented < config.accept_window or verifies[-1].reason == "window"
 
-    def test_replay_reproduces_ledger(self, oracle_backend):
+    def test_ledger_counts_every_forward_pass(self, oracle_backend):
         config = HierarchicalConfig(
             draft_layer=2, intermediate_layer=4, full_layer=8, max_new_tokens=20
         )
-        prompt = [4, 4, 4]
-        result = hierarchical_decode(oracle_backend, prompt, config)
-        replay = replay_ledger(result.trace, len(prompt), (2, 4, 8))
-        for phase, cost in result.ledger.phases.items():
-            assert cost == replay.phases[phase], phase
+        result, passes = counted(hierarchical_decode, oracle_backend, [4, 4, 4], config)
+        assert result.trace.finalize_processed
+        assert_ledger_counts_passes(result.ledger, passes)
 
     def test_wrong_full_layer_rejected(self, oracle_backend):
         config = HierarchicalConfig(

@@ -184,6 +184,9 @@ MALFORMED_INPUTS = {
     "missing-text-path-file": (
         {"prompts": {"text_path": "missing.txt"}}, ["compare"], None, "prompts.text_path"
     ),
+    "blank-text-path-file": (
+        {"prompts": {"text_path": "blank.txt"}}, ["compare"], None, "prompts.text_path"
+    ),
 }
 
 
@@ -384,6 +387,19 @@ class TestCli:
         assert (out_dir / "sweep.csv").exists()
         assert (out_dir / "matrix.txt").exists()
 
+    def test_relative_text_path_is_read_beside_the_config(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "cfg" / "p.txt").write_text("beside the config\nsecond\n", encoding="utf-8")
+        (tmp_path / "p.txt").write_text("in the working directory\n", encoding="utf-8")
+        reports = {}
+        for name, text_path in (("relative", "p.txt"), ("absolute", str(tmp_path / "cfg/p.txt"))):
+            raw = dict(SMALL_CONFIG, prompts={"text_path": text_path})
+            write_config(tmp_path / "cfg", raw, name)
+            assert main(["compare", "--config", f"cfg/{name}", "--out", name]) == 0
+            reports[name] = (tmp_path / name / "compare.csv").read_bytes()
+        assert reports["relative"] == reports["absolute"]
+
     def test_seed_override_changes_output(self, tmp_path):
         config_path = write_config(tmp_path, SMALL_CONFIG)
         out_a = tmp_path / "a"
@@ -421,8 +437,10 @@ class TestCli:
         monkeypatch.delenv("SPECDEC_JOBS", raising=False)
         if jobs_env is not None:
             monkeypatch.setenv("SPECDEC_JOBS", jobs_env)
-        monkeypatch.chdir(tmp_path)  # a text_path names a file relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        # A relative text_path names a file beside the config.
         (tmp_path / "prompts.txt").write_text("one prompt\nanother\n", encoding="utf-8")
+        (tmp_path / "blank.txt").write_text("\n  \n\t\n", encoding="utf-8")
         config_path = write_config(tmp_path, dict(SMALL_CONFIG, **overrides))
         argv = command + ["--config", str(config_path), "--out", str(tmp_path / "o")]
         assert main(argv) == 2

@@ -213,7 +213,7 @@ REPORT_CONFIGS = {
     "defaults": {"backend": {"type": "synthetic", "preset": "quarter-depth-69"}},
 }
 
-# The file the profile-text config's prompts name, relative to the working directory.
+# The file the profile-text config's prompts name, beside the config.
 PROMPT_TEXT = "the quick brown fox\njumps over\n\n  \nthe lazy dog\nspeculative decoding\n"
 
 COMMANDS = {

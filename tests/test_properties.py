@@ -4,13 +4,15 @@ Each synthetic example draws an agreement profile, prompt, exits, N_d,
 N_i, eos and budget, plus a fourth exit and its burst length when the
 model has a layer left for one. It then checks the invariants the engine
 promises for every input, on 2-, 3- and 4-exit sessions: greedy
-speculative output equals vanilla output, the live ledger equals its
-replay from the trace, every live (layer, position) entry was computed
-exactly once at every verification boundary and at the end, and the
-trace-derived acceptance counts never exceed what was checked. Each toy
-example draws a small random-weight transformer and checks, at every
-verification boundary of a hierarchical and a 4-exit decode, that a
-recompute from scratch matches the live state exactly.
+speculative output equals vanilla output, the ledger derived from the
+trace sums to the forward passes a counting backend saw, every live
+(layer, position) entry was computed exactly once at every verification
+boundary and at the end, and the trace-derived acceptance counts never
+exceed what was checked. Each toy example draws a small random-weight
+transformer and checks, at every verification boundary of a hierarchical
+and a 4-exit decode, that a recompute from scratch matches the live
+state exactly, and that the ledger of every decode, vanilla included,
+sums to its counted passes.
 """
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +25,12 @@ from specdec import (
     ToyTransformer,
     consistency_check,
     hierarchical_decode,
-    replay_ledger,
     selfspec_decode,
     speculative_decode,
     vanilla_decode,
 )
+
+from conftest import assert_ledger_counts_passes, counted
 
 
 def hierarchical_config(draw, n_layers, vocab, max_seq_len, prompt_len):
@@ -121,23 +124,21 @@ def test_speculative_decodes_keep_engine_invariants(case):
     def hook(session):
         boundaries_clean.append(live_counts_are_one(session.state))
 
-    decodes = {
-        (backend.n_layers,): vanilla_decode(backend, prompt, budget, eos_token=eos),
-        (config.draft_layer, backend.n_layers): selfspec_decode(
-            backend, prompt, config.draft_layer, config.draft_len, budget, eos_token=eos,
-            boundary_hook=hook,
+    decodes = [
+        counted(vanilla_decode, backend, prompt, budget, eos_token=eos),
+        counted(
+            selfspec_decode, backend, prompt, config.draft_layer, config.draft_len, budget,
+            eos_token=eos, boundary_hook=hook,
         ),
-        (config.draft_layer, config.intermediate_layer, backend.n_layers): hierarchical_decode(
-            backend, prompt, config, boundary_hook=hook
-        ),
-    }
+        counted(hierarchical_decode, backend, prompt, config, boundary_hook=hook),
+    ]
     if four_exits is not None:
-        decodes[four_exits[0]] = cascade_decode(backend, prompt, config, *four_exits, hook)
-    reference = decodes[(backend.n_layers,)].tokens
+        decodes.append(counted(cascade_decode, backend, prompt, config, *four_exits, hook))
+    reference = decodes[0][0].tokens
     assert all(boundaries_clean)
-    for exits, result in decodes.items():
+    for result, passes in decodes:
         assert result.tokens == reference
-        assert result.ledger == replay_ledger(result.trace, len(prompt), exits)
+        assert_ledger_counts_passes(result.ledger, passes)
         assert live_counts_are_one(result.state)
         stats = result.stats
         assert stats.accepted_intermediate <= stats.checked_intermediate
@@ -157,10 +158,14 @@ def test_toy_boundaries_recompute_exactly(case):
             (max(r.max_abs_discrepancy for r in reports), live_counts_are_one(state))
         )
 
-    results = [hierarchical_decode(backend, prompt, config, boundary_hook=hook)]
+    decodes = [counted(hierarchical_decode, backend, prompt, config, boundary_hook=hook)]
     if four_exits is not None:
-        results.append(cascade_decode(backend, prompt, config, *four_exits, hook))
-    assert len(boundaries) >= len(results)
+        decodes.append(counted(cascade_decode, backend, prompt, config, *four_exits, hook))
+    assert len(boundaries) >= len(decodes)
     assert all(worst == 0.0 and counts_ok for worst, counts_ok in boundaries)
-    vanilla = vanilla_decode(backend, prompt, config.max_new_tokens, eos_token=config.eos_token)
-    assert all(result.tokens == vanilla.tokens for result in results)
+    vanilla, vanilla_passes = counted(
+        vanilla_decode, backend, prompt, config.max_new_tokens, eos_token=config.eos_token
+    )
+    for result, passes in [(vanilla, vanilla_passes), *decodes]:
+        assert result.tokens == vanilla.tokens
+        assert_ledger_counts_passes(result.ledger, passes)
