@@ -127,13 +127,23 @@ _COMMANDS = {
 }
 
 
+def _check_out(out: str) -> None:
+    """`--out` must be a directory or a path that can become one."""
+    path = Path(out)
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"--out {out} cannot be a directory: {nearest} is a file")
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "check":  # check writes no report
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SpecdecError as exc:

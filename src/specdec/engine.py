@@ -4,9 +4,15 @@ through any number of verifying exits.
 A `DecodeSession` owns one decode's layered state and trace.
 Its exits split the layer stack into levels; lower levels run ahead of
 higher ones, and verification prunes rejected positions before the next
-phase. Vanilla decoding emits greedy tokens at a single exit. Speculative
-decoding over N >= 2 exits, the last at full depth, is one round loop,
-`speculative_decode`, with one burst length per level below the top:
+phase. Every decode takes the same four steps: `_start` checks the
+budget and the capacity and prefills the prompt, `_fill` drafts (and
+screens), `DecodeSession.commit` commits tokens, and `_finish` runs
+finalize and builds the result.
+
+Vanilla decoding drafts one burst as long as the budget at its one exit
+and commits it unverified. Speculative decoding over N >= 2 exits, the
+last at full depth, is one round loop, `speculative_decode`, with one
+burst length per level below the top:
 
 - level 0 drafts a burst of greedy tokens at the lowest exit;
 - each level k between the draft and the top screens bursts from level
@@ -76,6 +82,8 @@ DEFAULT_BURSTS = (2, 4)
 
 @dataclass(frozen=True)
 class HierarchicalConfig:
+    """The 3-exit decode's parameters; checked when it is decoded."""
+
     draft_layer: int
     intermediate_layer: int
     full_layer: int
@@ -84,18 +92,6 @@ class HierarchicalConfig:
     max_new_tokens: int = 64
     eos_token: int | None = None
     policy: AcceptancePolicy = GREEDY
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.draft_layer < self.intermediate_layer < self.full_layer:
-            raise ConfigError(
-                "layers must satisfy 1 <= draft_layer < intermediate_layer < full_layer"
-            )
-        if self.draft_len < 1:
-            raise ConfigError("draft_len must be >= 1")
-        if self.accept_window < 1:
-            raise ConfigError("accept_window must be >= 1")
-        if self.max_new_tokens < 1:
-            raise ConfigError("max_new_tokens must be >= 1")
 
 
 Span = tuple[int, int]
@@ -341,13 +337,32 @@ class DecodeSession:
         spans = self._ensure_through(len(self.exits) - 1, final_len)
         self.trace.finalize_processed = tuple(s for s in spans if s[1] > s[0])
 
+    def commit(self, tokens: Sequence[int]) -> None:
+        """Commit `tokens`, the context's tokens after the committed ones."""
+        self.state.mark_committed(self.state.committed_len + len(tokens))
+        self.trace.events.append(Commit(tokens=tuple(tokens)))
 
-def _check_capacity(backend: Backend, prompt: Sequence[int], max_new_tokens: int) -> None:
+
+def _start(
+    backend: Backend,
+    prompt: Sequence[int],
+    exits: Sequence[int],
+    max_new_tokens: int,
+    policy: AcceptancePolicy = GREEDY,
+    eos_token: int | None = None,
+) -> DecodeSession:
+    """A session at `exits` with `prompt` prefilled, once the budget and
+    the capacity are checked."""
+    session = DecodeSession(backend, exits, policy=policy, eos_token=eos_token)
+    if max_new_tokens < 1:
+        raise ConfigError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
     if len(prompt) + max_new_tokens > backend.max_seq_len:
         raise CapacityError(
             f"prompt of {len(prompt)} plus {max_new_tokens} new tokens exceeds "
             f"max_seq_len {backend.max_seq_len}"
         )
+    session.prefill(prompt)
+    return session
 
 
 def vanilla_decode(
@@ -362,16 +377,11 @@ def vanilla_decode(
     The full-depth instance defines reference output for the speculative
     strategies.
     """
-    _check_capacity(backend, prompt, max_new_tokens)
     exit_layer = backend.n_layers if layer is None else layer
-    session = DecodeSession(backend, exits=(exit_layer,), eos_token=eos_token)
-    session.prefill(prompt)
-    start = len(prompt)
-    tokens, span = session.generate_next(max_new_tokens)
-    session.state.mark_committed(len(session.state.tokens))
-    session.trace.events.append(DraftStep(start_pos=start, tokens=tuple(tokens), processed=span))
-    session.trace.events.append(Commit(tokens=tuple(tokens)))
-    return _result(session, len(prompt))
+    session = _start(backend, prompt, (exit_layer,), max_new_tokens, eos_token=eos_token)
+    tokens, _ = _fill(session, 0, (max_new_tokens,), max_new_tokens)
+    session.commit(tokens)
+    return _finish(session, len(prompt))
 
 
 def selfspec_decode(
@@ -438,14 +448,11 @@ def speculative_decode(
             f"bursts {bursts} must give one length >= 1 for each of the "
             f"{len(exits) - 1} levels below the top exit"
         )
-    session = DecodeSession(backend, exits, policy=policy, eos_token=eos_token)
-    _check_capacity(backend, prompt, max_new_tokens)
-    session.prefill(prompt)
+    session = _start(backend, prompt, exits, max_new_tokens, policy, eos_token)
     top = len(exits) - 1
     eos = eos_token
-    committed = 0
-    while committed < max_new_tokens:
-        room = max_new_tokens - committed
+    room = max_new_tokens
+    while room > 0:
         tentative, reason = _fill(session, top - 1, bursts, room)
         if not tentative:
             raise CapacityError("no room left to draft")
@@ -461,8 +468,7 @@ def speculative_decode(
             kept.append(bonus)
         else:
             bonus = None
-        session.state.mark_committed(session.state.committed_len + len(kept))
-        committed += len(kept)
+        room -= len(kept)
         session.trace.events.append(
             TargetVerify(
                 accepted=tuple(accepted),
@@ -474,13 +480,12 @@ def speculative_decode(
                 processed=spans,
             )
         )
-        session.trace.events.append(Commit(tokens=tuple(kept)))
+        session.commit(kept)
         if boundary_hook is not None:
             boundary_hook(session)
         if eos in kept:
             break
-    session.finalize()
-    return _result(session, len(prompt))
+    return _finish(session, len(prompt))
 
 
 def _fill(
@@ -540,7 +545,8 @@ def _fill(
     return gathered, "capacity"
 
 
-def _result(session: DecodeSession, prompt_len: int) -> DecodeResult:
+def _finish(session: DecodeSession, prompt_len: int) -> DecodeResult:
+    session.finalize()
     trace = session.trace
     return DecodeResult(
         tokens=trace.committed_tokens(),

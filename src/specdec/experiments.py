@@ -261,7 +261,10 @@ def _parse_strategy(entry: Any, where: str) -> dict:
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"--config {path} cannot be read: {exc}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -299,7 +302,9 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
     DEFAULT_BURSTS). For an exit layer, "all" spans every layer that the
     field can hold under 1 <= L_d < L_i < L_f; for a burst length it is
     the default. The skip reason is logged once per strategy and invalid
-    layer combination, however many burst lengths the grid pairs it with.
+    layer combination, however many burst lengths the grid pairs it with,
+    and only when no exit layer of the entry is "all": a combination drawn
+    from "all" was never asked for.
     """
     defaults = dict(zip(FIELD_COLUMNS, default_layer_placement(n_layers) + DEFAULT_BURSTS))
     points = set()
@@ -308,6 +313,7 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
         name = strategy["name"]
         fields = STRATEGY_FIELDS[name]
         depth = len(fields) // 2  # exit layers below the full depth
+        named = all(strategy.get(field) != "all" for field in fields[:depth])
         axes = []
         for k, field in enumerate(fields):
             values = strategy.get(field, (defaults[field],))
@@ -318,7 +324,7 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
             exits = (*combo[:depth], n_layers)
             if all(lo < hi for lo, hi in zip((0, *exits), exits)):
                 points.add(GridPoint(name, exits, combo[depth:]))
-            elif (name, exits) not in skipped:
+            elif named and (name, exits) not in skipped:
                 skipped.add((name, exits))
                 columns = [FIELD_COLUMNS[field] for field in fields[:depth]]
                 logger.warning(

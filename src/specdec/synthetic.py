@@ -16,7 +16,7 @@ results reproduce across implementations from the published constants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,7 +62,6 @@ class SyntheticModelSpec:
     agreement_profile: Mapping[int, float]
     context_window: int = 4
     max_seq_len: int = 4096
-    name: str = field(default="custom", compare=False)
 
     def __post_init__(self) -> None:
         if self.n_layers < 3:
@@ -159,7 +158,6 @@ def calibrate_preset(
         seed=seed,
         agreement_profile=profile,
         context_window=context_window,
-        name=name,
     )
 
 

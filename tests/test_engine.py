@@ -59,13 +59,32 @@ class TestDefaults:
         assert default_layer_placement(48) == (6, 12)
         assert default_layer_placement(80) == (10, 20)
 
-    def test_config_invariants(self):
-        with pytest.raises(ConfigError):
-            HierarchicalConfig(draft_layer=4, intermediate_layer=4, full_layer=8)
-        with pytest.raises(ConfigError):
-            HierarchicalConfig(draft_layer=0, intermediate_layer=2, full_layer=8)
-        with pytest.raises(ConfigError):
-            HierarchicalConfig(draft_layer=1, intermediate_layer=2, full_layer=8, draft_len=0)
+    def test_config_invariants(self, oracle_backend):
+        # A HierarchicalConfig is a plain record; decoding it checks it.
+        for config in (
+            HierarchicalConfig(draft_layer=4, intermediate_layer=4, full_layer=8),
+            HierarchicalConfig(draft_layer=0, intermediate_layer=2, full_layer=8),
+            HierarchicalConfig(draft_layer=1, intermediate_layer=2, full_layer=8, draft_len=0),
+        ):
+            with pytest.raises(ConfigError):
+                hierarchical_decode(oracle_backend, [1, 2, 3], config)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize(
+        "decode",
+        [
+            lambda b, p, n: vanilla_decode(b, p, n),
+            lambda b, p, n: selfspec_decode(b, p, draft_layer=2, draft_len=2, max_new_tokens=n),
+            lambda b, p, n: hierarchical_decode(
+                b, p, HierarchicalConfig(2, 4, 8, max_new_tokens=n)
+            ),
+            lambda b, p, n: speculative_decode(b, p, (2, 4, 6, 8), (1, 2, 3), n),
+        ],
+        ids=["vanilla", "selfspec", "hierarchical", "speculative"],
+    )
+    def test_budget_below_one_is_a_config_error(self, oracle_backend, decode, budget):
+        with pytest.raises(ConfigError, match="max_new_tokens"):
+            decode(oracle_backend, [1, 2, 3], budget)
 
     def test_defaults_match_paper_style_values(self):
         assert default_layer_placement(32) == (4, 8)

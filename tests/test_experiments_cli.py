@@ -245,6 +245,14 @@ class TestGridExpansion:
             "skip hierarchical point (L_d=5, L_i=3): needs 1 <= L_d < L_i < 32"
         ]
 
+    def test_no_skip_warning_for_layers_drawn_from_all(self, caplog):
+        raw = dict(SWEEP_CONFIG, backend=dict(SWEEP_CONFIG["backend"], n_layers=16))
+        config = ExperimentConfig.from_dict(raw)
+        with caplog.at_level("WARNING", logger="specdec"):
+            points = expand_grid(config, 16)
+        assert len([p for p in points if p.strategy == "hierarchical"]) == 105
+        assert caplog.records == []
+
 
 class TestRunAndEmit:
     def test_compare_rows_and_baseline_ratio(self, tmp_path):
@@ -454,8 +462,37 @@ class TestCli:
         monkeypatch.setenv("SPECDEC_JOBS", "2")
         assert resolve_jobs(1) == 2
 
-    def test_missing_config_exits_2(self, tmp_path):
+    def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["compare", "--config", str(tmp_path / "nope.json"), "--out", "o"]) == 2
+        assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["directory", "binary"])
+    def test_unreadable_config_exits_2_naming_the_flag(self, tmp_path, capsys, case):
+        path = tmp_path / case
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe\x00{")
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["compare"], ["sweep", "--matrix"], ["wall"]], ids=["compare", "sweep", "wall"]
+    )
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_through_a_file_exits_2_before_decoding(
+        self, tmp_path, monkeypatch, capsys, command, out
+    ):
+        def no_decode(*args, **kwargs):
+            raise AssertionError("a grid ran before --out was checked")
+
+        monkeypatch.setattr(experiments, "run_points", no_decode)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        argv = command + ["--out", str(tmp_path / out)]
+        if command[0] != "wall":
+            argv += ["--config", str(write_config(tmp_path, SMALL_CONFIG))]
+        assert main(argv) == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_capacity_problem_exits_3(self, tmp_path):
         raw = {

@@ -123,10 +123,13 @@ class TestConsistencyCheck:
         assert all(r.max_abs_discrepancy == 0.0 and r.worst_position is None for r in reports)
 
     def test_structural_backend_reports_zeros(self):
+        # A state without tensors has no arrays to compare, whatever the tokens.
         backend = all_agree_backend()
-        result = vanilla_decode(backend, [1, 2], 8)
-        reports = consistency_check(result.state, backend, result.state.tokens)
-        assert all(r.max_abs_discrepancy == 0.0 for r in reports)
+        state = vanilla_decode(backend, [1, 2], 8).state
+        assert state.kv_k == state.kv_v == [] and state.hidden == {}
+        for tokens in (state.tokens, [(t + 1) % backend.vocab_size for t in state.tokens]):
+            reports = consistency_check(state, backend, tokens)
+            assert all(r.max_abs_discrepancy == 0.0 and r.worst_position is None for r in reports)
 
 
 class TestNoLeak:
