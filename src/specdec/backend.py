@@ -33,8 +33,8 @@ class TokenDistribution:
     degenerate: bool = field(default=False)
 
     def argmax(self) -> int:
-        # np.argmax returns the first maximum: ties break to the lowest id.
-        return int(np.argmax(self.logits))
+        # The first maximum: ties break to the lowest id.
+        return int(self.logits.argmax())
 
     def top_ids(self, k: int) -> list[int]:
         order = np.argsort(-self.logits, kind="stable")

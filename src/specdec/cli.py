@@ -28,11 +28,13 @@ from .experiments import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_config: bool = True) -> None:
-    if needs_config:
-        parser.add_argument("--config", required=True, help="experiment config (JSON)")
-        parser.add_argument("--seed", type=int, default=None, help="override config seed")
-        parser.add_argument("--jobs", type=int, default=1, help="parallel grid points")
+def _add_config(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="experiment config (JSON)")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel grid points")
+
+
+def _add_report(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
@@ -42,24 +44,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="grid over strategy parameters")
-    _add_common(sweep)
+    _add_config(sweep)
+    _add_report(sweep)
     sweep.add_argument("--matrix", action="store_true", help="also emit an (L_d x L_i) matrix")
 
     ablate = sub.add_parser("ablate", help="vary N_d or N_i with defaults elsewhere")
-    _add_common(ablate)
+    _add_config(ablate)
+    _add_report(ablate)
     ablate.add_argument("--parameter", choices=("N_d", "N_i"), required=True)
     ablate.add_argument(
         "--values", default="", help="comma-separated values; empty emits an empty table"
     )
 
     compare = sub.add_parser("compare", help="vanilla vs selfspec vs hierarchical")
-    _add_common(compare)
+    _add_config(compare)
+    _add_report(compare)
 
     wall = sub.add_parser("wall", help="verification-wall ratio table")
-    _add_common(wall, needs_config=False)
+    _add_report(wall)
 
     check = sub.add_parser("check", help="recompute state at every boundary of each grid point")
-    _add_common(check)
+    _add_config(check)
     return parser
 
 
@@ -140,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command != "check":  # check writes no report
+        if "out" in args:
             _check_out(args.out)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

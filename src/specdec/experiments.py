@@ -303,8 +303,9 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
     field can hold under 1 <= L_d < L_i < L_f; for a burst length it is
     the default. The skip reason is logged once per strategy and invalid
     layer combination, however many burst lengths the grid pairs it with,
-    and only when no exit layer of the entry is "all": a combination drawn
-    from "all" was never asked for.
+    when no exit layer of the entry is "all". Otherwise a combination drawn
+    from "all" was never asked for, so the reason is logged once per named
+    exit-layer value that no combination can use.
     """
     defaults = dict(zip(FIELD_COLUMNS, default_layer_placement(n_layers) + DEFAULT_BURSTS))
     points = set()
@@ -313,6 +314,7 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
         name = strategy["name"]
         fields = STRATEGY_FIELDS[name]
         depth = len(fields) // 2  # exit layers below the full depth
+        columns = [FIELD_COLUMNS[field] for field in fields[:depth]]
         named = all(strategy.get(field) != "all" for field in fields[:depth])
         axes = []
         for k, field in enumerate(fields):
@@ -320,19 +322,32 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
             if values == "all":
                 values = range(1 + k, n_layers - depth + 1 + k) if k < depth else (defaults[field],)
             axes.append(values)
+        used = set()  # (exit index, layer) of every exit layer some point holds
         for combo in itertools.product(*axes):
             exits = (*combo[:depth], n_layers)
             if all(lo < hi for lo, hi in zip((0, *exits), exits)):
                 points.add(GridPoint(name, exits, combo[depth:]))
+                used.update(enumerate(exits[:depth]))
             elif named and (name, exits) not in skipped:
                 skipped.add((name, exits))
-                columns = [FIELD_COLUMNS[field] for field in fields[:depth]]
                 logger.warning(
                     "skip %s point (%s): needs 1 <= %s < %s",
                     name,
                     ", ".join(f"{column}={layer}" for column, layer in zip(columns, exits)),
                     " < ".join(columns),
                     n_layers,
+                )
+        if not named:
+            unused = {
+                (k, layer)
+                for k, field in enumerate(fields[:depth])
+                if strategy.get(field, "all") != "all"
+                for layer in strategy[field]
+            } - used
+            for k, layer in sorted(unused):
+                logger.warning(
+                    "skip %s %s=%s: no point satisfies 1 <= %s < %s",
+                    name, columns[k], layer, " < ".join(columns), n_layers,
                 )
     return sorted(points, key=GridPoint.sort_key)
 

@@ -16,6 +16,11 @@ protocol before they change anything:
 - `prune_all(keep_len)` drops every entry at positions >= keep_len, with
   the tokens there, and never a committed position.
 
+The fills are a plain list of Python ints. Because they never increase
+with depth, `advance` checks a range's contiguity on its first and last
+fill alone, and `prune_all` finds the layers filled past `keep_len`, a
+prefix of the fills, by bisection.
+
 Every tensor row and counter past a layer's fill is zero. That invariant
 lets `prune_all` clear one block of positions across all layers at once,
 and makes a pruned-then-recomputed state bit-identical to one that never
@@ -25,7 +30,9 @@ with it.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -91,7 +98,7 @@ class LayeredState:
                 raise ValueError(f"buffered layer {layer} outside [1, {n_layers}]")
         self.tokens: list[int] = []
         self.committed_len = 0
-        self._fill = np.zeros(n_layers, dtype=np.intp)
+        self._fill = [0] * n_layers
         self._compute_count = np.zeros((n_layers, max_seq_len), dtype=np.int32)
         layers = () if d_model is None else range(n_layers)
         buffered = () if d_model is None else self.buffered_layers
@@ -102,10 +109,10 @@ class LayeredState:
     # -- bookkeeping -------------------------------------------------
 
     def filled(self, layer: int) -> int:
-        return int(self._fill[layer - 1])
+        return self._fill[layer - 1]
 
     def fills(self) -> tuple[int, ...]:
-        return tuple(self._fill.tolist())
+        return tuple(self._fill)
 
     def compute_counts(self, layer: int) -> np.ndarray:
         return self._compute_count[layer - 1, : self._fill[layer - 1]]
@@ -138,7 +145,10 @@ class LayeredState:
 
         Raises before changing anything when the pass breaks the fill
         protocol; otherwise the span becomes live in every layer of the
-        range and each of its entries counts one more compute.
+        range and each of its entries counts one more compute. Fills never
+        increase with depth, so every layer of the range is filled to
+        `start_pos` exactly when its first and last layers are; the layers
+        between are read only to name the first one that is not.
         """
         check_layer_range(self.n_layers, start_layer, end_layer)
         if end_pos <= start_pos:
@@ -147,20 +157,19 @@ class LayeredState:
             raise AlignmentError(f"position {end_pos - 1} beyond max_seq_len")
         if end_pos > len(self.tokens):
             raise AlignmentError(f"no token recorded at position {end_pos - 1}")
-        fills = self._fill[start_layer - 1 : end_layer]
-        behind = fills != start_pos
-        if behind.any():
-            offset = int(behind.argmax())
+        fill = self._fill
+        if fill[start_layer - 1] != start_pos or fill[end_layer - 1] != start_pos:
+            layer = next(l for l in range(start_layer, end_layer + 1) if fill[l - 1] != start_pos)
             raise AlignmentError(
-                f"non-contiguous pass at layer {start_layer + offset}: "
-                f"filled to {fills[offset]}, expected {start_pos}"
+                f"non-contiguous pass at layer {layer}: "
+                f"filled to {fill[layer - 1]}, expected {start_pos}"
             )
-        if start_layer > 1 and self._fill[start_layer - 2] < end_pos:
+        if start_layer > 1 and fill[start_layer - 2] < end_pos:
             raise AlignmentError(
                 f"missing hidden state at (layer {start_layer - 1}, "
-                f"position {self._fill[start_layer - 2]})"
+                f"position {fill[start_layer - 2]})"
             )
-        fills[:] = end_pos
+        fill[start_layer - 1 : end_layer] = [end_pos] * (end_layer - start_layer + 1)
         self._compute_count[start_layer - 1 : end_layer, start_pos:end_pos] += 1
 
     def hidden_at(self, layer: int, position: int) -> np.ndarray:
@@ -184,9 +193,11 @@ class LayeredState:
                 f"prune to {keep_len} would discard committed positions "
                 f"(committed_len {self.committed_len})"
             )
-        top = int(self._fill[0])  # fills never increase with depth
+        top = self._fill[0]  # fills never increase with depth
         if top > keep_len:
-            np.minimum(self._fill, keep_len, out=self._fill)
+            # So the layers filled past keep_len are a prefix of the fills.
+            above = bisect.bisect_left(self._fill, -keep_len, key=operator.neg)
+            self._fill[:above] = [keep_len] * above
             # Entries past each layer's old fill are zero already, so clearing
             # positions [keep_len, top) everywhere clears exactly the pruned ones.
             self._compute_count[:, keep_len:top] = 0

@@ -253,6 +253,30 @@ class TestGridExpansion:
         assert len([p for p in points if p.strategy == "hierarchical"]) == 105
         assert caplog.records == []
 
+    @pytest.mark.parametrize(
+        "layers, expected, message",
+        [
+            ({"draft_layer": "all", "intermediate_layer": [1, 8]}, 7, "L_i=1"),
+            ({"draft_layer": [4, 15], "intermediate_layer": "all"}, 11, "L_d=15"),
+        ],
+        ids=["intermediate", "draft"],
+    )
+    def test_skip_warning_for_a_named_layer_that_yields_no_point(
+        self, caplog, layers, expected, message
+    ):
+        raw = dict(
+            SWEEP_CONFIG,
+            backend=dict(SWEEP_CONFIG["backend"], n_layers=16),
+            strategies=[{"name": "hierarchical", **layers}],
+        )
+        config = ExperimentConfig.from_dict(raw)
+        with caplog.at_level("WARNING", logger="specdec"):
+            points = expand_grid(config, 16)
+        assert len([p for p in points if p.strategy == "hierarchical"]) == expected
+        assert [rec.message for rec in caplog.records] == [
+            f"skip hierarchical {message}: no point satisfies 1 <= L_d < L_i < 16"
+        ]
+
 
 class TestRunAndEmit:
     def test_compare_rows_and_baseline_ratio(self, tmp_path):
@@ -450,7 +474,9 @@ class TestCli:
         (tmp_path / "prompts.txt").write_text("one prompt\nanother\n", encoding="utf-8")
         (tmp_path / "blank.txt").write_text("\n  \n\t\n", encoding="utf-8")
         config_path = write_config(tmp_path, dict(SMALL_CONFIG, **overrides))
-        argv = command + ["--config", str(config_path), "--out", str(tmp_path / "o")]
+        argv = command + ["--config", str(config_path)]
+        if command[0] != "check":  # check writes no report
+            argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert field in capsys.readouterr().err
 
@@ -475,6 +501,15 @@ class TestCli:
             path.write_bytes(b"\xff\xfe\x00{")
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--out", "o"], ["--format", "csv"]], ids=["out", "format"])
+    def test_check_rejects_report_flags(self, tmp_path, capsys, flag):
+        # check writes no report, so it has no report flag to ignore.
+        argv = ["check", "--config", str(write_config(tmp_path, SMALL_CONFIG)), *flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", [["compare"], ["sweep", "--matrix"], ["wall"]], ids=["compare", "sweep", "wall"]
@@ -526,7 +561,7 @@ class TestCli:
             "decode": {"max_new_tokens": 10},
         }
         config_path = write_config(tmp_path, raw)
-        assert main(["check", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+        assert main(["check", "--config", str(config_path)]) == 0
 
     def test_check_runs_the_configs_selfspec_points(self, tmp_path, capsys):
         raw = {
@@ -537,7 +572,7 @@ class TestCli:
             "strategies": [{"name": "selfspec", "draft_layer": [1, 2], "draft_len": [1, 3]}],
         }
         config_path = write_config(tmp_path, raw)
-        assert main(["check", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+        assert main(["check", "--config", str(config_path)]) == 0
         out = capsys.readouterr().out
         assert "over 2 prompts at 4 grid points; max discrepancy 0.000e+00" in out
 
@@ -553,7 +588,7 @@ class TestCli:
         config_path = write_config(tmp_path, raw)
         lines = []
         for jobs in ("1", "2"):
-            argv = ["check", "--config", str(config_path), "--out", str(tmp_path / "o")]
+            argv = ["check", "--config", str(config_path)]
             assert main(argv + ["--jobs", jobs]) == 0
             lines.append(capsys.readouterr().out)
         assert lines[0] == lines[1]
@@ -573,9 +608,9 @@ class TestCli:
     def test_console_entry_point(self, tmp_path, command):
         config_path = write_config(tmp_path, SMALL_CONFIG)
         config = [] if command == ["wall"] else ["--config", str(config_path), "--jobs", "2"]
+        out = [] if command == ["check"] else ["--out", str(tmp_path / "out")]
         proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "specdec.cli", *command, *config]
-            + ["--out", str(tmp_path / "out")],
+            [sys.executable, "-W", "error", "-m", "specdec.cli", *command, *config, *out],
             capture_output=True,
             text=True,
         )

@@ -12,12 +12,15 @@ exceed what was checked. Each toy example draws a small random-weight
 transformer and checks, at every verification boundary of a hierarchical
 and a 4-exit decode, that a recompute from scratch matches the live
 state exactly, and that the ledger of every decode, vanilla included,
-sums to its counted passes.
+sums to its counted passes. Each bookkeeping example drives a state of
+either backend, with 1 to 4 exits, through random passes and prunes, and
+checks every call against a layer-by-layer reference of the fill rules.
 """
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec import (
+    AlignmentError,
     HierarchicalConfig,
     ModelConfig,
     SyntheticBackend,
@@ -30,7 +33,7 @@ from specdec import (
     vanilla_decode,
 )
 
-from conftest import assert_ledger_counts_passes, counted
+from conftest import all_agree_backend, assert_ledger_counts_passes, counted
 
 
 def hierarchical_config(draw, n_layers, vocab, max_seq_len, prompt_len):
@@ -169,3 +172,103 @@ def test_toy_boundaries_recompute_exactly(case):
     for result, passes in [(vanilla, vanilla_passes), *decodes]:
         assert result.tokens == vanilla.tokens
         assert_ledger_counts_passes(result.ledger, passes)
+
+
+def advance_error(fills, n_tokens, max_seq_len, start_layer, end_layer, start_pos, end_pos):
+    """What `advance` must reject this pass for, read layer by layer with no
+    shortcut: the full message of a non-contiguous pass, the start of any
+    other, or None for a valid pass."""
+    if not 1 <= start_layer <= end_layer <= len(fills):
+        return "invalid layer range"
+    if end_pos <= start_pos:
+        return "empty position span"
+    if end_pos > max_seq_len:
+        return f"position {end_pos - 1} beyond max_seq_len"
+    if end_pos > n_tokens:
+        return f"no token recorded at position {end_pos - 1}"
+    for layer in range(start_layer, end_layer + 1):
+        if fills[layer - 1] != start_pos:
+            return (
+                f"non-contiguous pass at layer {layer}: "
+                f"filled to {fills[layer - 1]}, expected {start_pos}"
+            )
+    if start_layer > 1 and fills[start_layer - 2] < end_pos:
+        return f"missing hidden state at (layer {start_layer - 1}, position {fills[start_layer - 2]})"
+    return None
+
+
+@st.composite
+def bookkeeping_cases(draw):
+    """A backend of either kind, 1 to 4 exits and a list of operations.
+
+    A pass runs the layers from just above one exit (or from layer 1) up
+    through 1 to 3 exits (0 makes an empty range), so the toy backend
+    always has its input. It starts at its first layer's fill, nudged off
+    by one now and then, and covers 0 to 3 positions. A prune keeps a
+    drawn number of positions.
+    """
+    n_layers = draw(st.integers(3, 8))
+    max_seq_len = draw(st.integers(2, 16))
+    vocab = 8
+    if draw(st.booleans()):
+        backend = ToyTransformer(
+            ModelConfig(
+                n_layers=n_layers, d_model=4, n_heads=2, vocab_size=vocab,
+                max_seq_len=max_seq_len, seed=draw(st.integers(0, 2**32)),
+            )
+        )
+    else:
+        backend = all_agree_backend(n_layers, vocab, max_seq_len=max_seq_len)
+    below = draw(st.sets(st.integers(1, n_layers - 1), max_size=min(3, n_layers - 1)))
+    exits = (*sorted(below), n_layers)
+    levels = len(exits)
+    op = st.one_of(
+        st.tuples(
+            st.just("pass"),
+            st.integers(0, levels - 1),
+            st.sampled_from((1, 1, 1, 2, 3, 0)),
+            st.sampled_from((0, 0, -1, 1)),
+            st.sampled_from((1, 1, 2, 3, 0)),
+        ),
+        st.tuples(st.just("prune"), st.integers(0, max_seq_len)),
+    )
+    return backend, exits, draw(st.lists(op, min_size=5, max_size=30))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(bookkeeping_cases())
+def test_fills_stay_monotone_ints_and_rejected_passes_change_nothing(case):
+    backend, exits, ops = case
+    state = backend.new_state(buffered_layers=exits)
+    bounds = (0, *exits)
+    expected = [0] * state.n_layers  # the fills by the reference rules
+    for op in ops:
+        if op[0] == "prune":
+            keep = min(op[1], len(state.tokens))
+            state.prune_all(keep)
+            expected = [min(fill, keep) for fill in expected]
+        else:
+            _, lo, levels, nudge, length = op
+            start_layer, end_layer = bounds[lo] + 1, bounds[min(lo + levels, len(exits))]
+            start_pos = max(0, state.filled(start_layer) + nudge)
+            end_pos = start_pos + length
+            while len(state.tokens) < min(end_pos, state.max_seq_len):
+                state.append_token(len(state.tokens) % backend.vocab_size)
+            error = advance_error(
+                expected, len(state.tokens), state.max_seq_len,
+                start_layer, end_layer, start_pos, end_pos,
+            )
+            before = state.snapshot()
+            try:
+                backend.forward_range(state, start_layer, end_layer, start_pos, end_pos)
+            except (AlignmentError, ValueError) as exc:
+                assert error is not None and str(exc).startswith(error)
+                assert state.equals_snapshot(before)
+            else:
+                assert error is None
+                expected[start_layer - 1 : end_layer] = [end_pos] * (end_layer - start_layer + 1)
+        fills = state.fills()
+        assert fills == tuple(expected)
+        assert all(type(fill) is int for fill in fills)
+        assert all(upper >= lower for upper, lower in zip(fills, fills[1:]))
+        assert live_counts_are_one(state)

@@ -48,6 +48,29 @@ class TestExtend:
         with pytest.raises(AlignmentError, match="non-contiguous"):
             state.advance(1, 1, 2, 3)
 
+    @pytest.mark.parametrize(
+        "runs, span, layer, message",
+        [
+            # (end layer, fill) per run of layers, pass (start_layer, end_layer, start_pos, end_pos)
+            ([(3, 5), (6, 3)], (1, 6, 5, 6), 4, "filled to 3, expected 5"),
+            ([(2, 5), (4, 3), (6, 1)], (2, 5, 5, 6), 3, "filled to 3, expected 5"),
+            ([(1, 6), (3, 4), (6, 2)], (2, 5, 4, 5), 4, "filled to 2, expected 4"),
+        ],
+    )
+    def test_non_contiguous_message_names_the_first_layer_behind(self, runs, span, layer, message):
+        # Each offending layer lies inside the pass's range, past its first layer.
+        state = all_agree_backend(n_layers=6).new_state()
+        state.set_tokens(range(8))
+        start_layer = 1
+        for end_layer, fill in runs:
+            state.advance(start_layer, end_layer, 0, fill)
+            start_layer = end_layer + 1
+        before = state.snapshot()
+        with pytest.raises(AlignmentError) as exc:
+            state.advance(*span)
+        assert str(exc.value) == f"non-contiguous pass at layer {layer}: {message}"
+        assert state.equals_snapshot(before)
+
     def test_extend_then_prune_restores_snapshot_bitwise(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
         before = state.snapshot()
