@@ -2,9 +2,8 @@
 
 The draft, the intermediate verifier and the full model share one
 `LayeredState`. It records, per layer, how many positions have been
-computed (the layer's fill) and how often each (layer, position) entry
-was computed. Two methods change that record, and both check the fill
-protocol before they change anything:
+computed (the layer's fill). Two methods change that record, and both
+check the fill protocol before they change anything:
 
 - `advance(start_layer, end_layer, start_pos, end_pos)` records one
   forward pass over a layer range and a position span. The span must be
@@ -21,12 +20,12 @@ with depth, `advance` checks a range's contiguity on its first and last
 fill alone, and `prune_all` finds the layers filled past `keep_len`, a
 prefix of the fills, by bisection.
 
-Every tensor row and counter past a layer's fill is zero. That invariant
-lets `prune_all` clear one block of positions across all layers at once,
-and makes a pruned-then-recomputed state bit-identical to one that never
-speculated. While an entry is live it must be computed exactly once;
-pruning resets its counter because the position's occupant is discarded
-with it.
+Every tensor row past a layer's fill is zero. That invariant lets
+`prune_all` clear one block of positions across all layers at once, and
+makes a pruned-then-recomputed state bit-identical to one that never
+speculated. Each live entry is computed exactly once: `advance` rejects
+any pass that does not start at every layer's fill, and the tests assert
+it by counting backend passes (`conftest.CountingBackend`).
 """
 from __future__ import annotations
 
@@ -76,7 +75,7 @@ class LayeredState:
 
     Tensor storage is allocated only when `d_model` is given. The synthetic
     backend passes None: its state has no arrays (`kv_k == kv_v == []`,
-    `hidden == {}`) and uses the fill/counter bookkeeping alone.
+    `hidden == {}`) and uses the fill bookkeeping alone.
     Single-session: never share one instance across concurrent decodes.
     """
 
@@ -99,7 +98,6 @@ class LayeredState:
         self.tokens: list[int] = []
         self.committed_len = 0
         self._fill = [0] * n_layers
-        self._compute_count = np.zeros((n_layers, max_seq_len), dtype=np.int32)
         layers = () if d_model is None else range(n_layers)
         buffered = () if d_model is None else self.buffered_layers
         self.kv_k = [np.zeros((max_seq_len, d_model)) for _ in layers]
@@ -113,9 +111,6 @@ class LayeredState:
 
     def fills(self) -> tuple[int, ...]:
         return tuple(self._fill)
-
-    def compute_counts(self, layer: int) -> np.ndarray:
-        return self._compute_count[layer - 1, : self._fill[layer - 1]]
 
     def set_tokens(self, tokens: Sequence[int]) -> None:
         if len(tokens) > self.max_seq_len:
@@ -145,10 +140,11 @@ class LayeredState:
 
         Raises before changing anything when the pass breaks the fill
         protocol; otherwise the span becomes live in every layer of the
-        range and each of its entries counts one more compute. Fills never
-        increase with depth, so every layer of the range is filled to
-        `start_pos` exactly when its first and last layers are; the layers
-        between are read only to name the first one that is not.
+        range. A pass must start at every layer's fill, so it neither
+        recomputes a live entry nor leaves a gap. Fills never increase with
+        depth, so every layer of the range is filled to `start_pos` exactly
+        when its first and last layers are; the layers between are read
+        only to name the first one that is not.
         """
         check_layer_range(self.n_layers, start_layer, end_layer)
         if end_pos <= start_pos:
@@ -170,13 +166,12 @@ class LayeredState:
                 f"position {fill[start_layer - 2]})"
             )
         fill[start_layer - 1 : end_layer] = [end_pos] * (end_layer - start_layer + 1)
-        self._compute_count[start_layer - 1 : end_layer, start_pos:end_pos] += 1
 
     def hidden_at(self, layer: int, position: int) -> np.ndarray:
         """The hidden row buffered at (layer, position)."""
         if layer not in self.hidden:
             raise AlignmentError(f"no hidden buffer at layer {layer}")
-        if position >= self._fill[layer - 1]:
+        if not 0 <= position < self._fill[layer - 1]:
             raise AlignmentError(f"missing hidden state at (layer {layer}, position {position})")
         return self.hidden[layer][position]
 
@@ -187,7 +182,12 @@ class LayeredState:
     # -- prune -------------------------------------------------------
 
     def prune_all(self, keep_len: int) -> None:
-        """Drop every entry and token at positions >= keep_len, in all layers."""
+        """Drop every entry and token at positions >= keep_len, in all layers.
+
+        Later passes recompute the dropped positions from the lowered fills.
+        """
+        if keep_len < 0:
+            raise ProtocolError(f"keep_len must be >= 0, got {keep_len}")
         if keep_len < self.committed_len:
             raise ProtocolError(
                 f"prune to {keep_len} would discard committed positions "
@@ -198,9 +198,8 @@ class LayeredState:
             # So the layers filled past keep_len are a prefix of the fills.
             above = bisect.bisect_left(self._fill, -keep_len, key=operator.neg)
             self._fill[:above] = [keep_len] * above
-            # Entries past each layer's old fill are zero already, so clearing
+            # Rows past each layer's old fill are zero already, so clearing
             # positions [keep_len, top) everywhere clears exactly the pruned ones.
-            self._compute_count[:, keep_len:top] = 0
             for _, rows in self.arrays():
                 rows[keep_len:top] = 0.0
         del self.tokens[keep_len:]
@@ -212,7 +211,6 @@ class LayeredState:
             "tokens": list(self.tokens),
             "fill": self.fills(),
             "committed": self.committed_len,
-            "counts": self._compute_count.copy(),
             "arrays": [rows.copy() for _, rows in self.arrays()],
         }
 

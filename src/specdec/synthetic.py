@@ -164,9 +164,9 @@ def calibrate_preset(
 class SyntheticBackend:
     """Backend over a SyntheticModelSpec; pure and freely shareable.
 
-    KV plumbing is simulated: layer ranges advance fill counters and
-    compute counts so the cache protocol is exercised structurally, but
-    no tensors are stored. Predictions read the recorded token sequence.
+    KV plumbing is simulated: layer ranges advance the state's fills so
+    the cache protocol is exercised structurally, but no tensors are
+    stored. Predictions read the recorded token sequence.
     """
 
     def __init__(self, spec: SyntheticModelSpec) -> None:
@@ -229,7 +229,7 @@ class SyntheticBackend:
         state.advance(start_layer, end_layer, start_pos, end_pos)
 
     def exit_distribution(self, state: LayeredState, layer: int, position: int) -> TokenDistribution:
-        if state.filled(layer) <= position:
+        if not 0 <= position < state.filled(layer):
             raise AlignmentError(f"missing hidden state at (layer {layer}, position {position})")
         lo = max(0, position + 1 - self.spec.context_window)
         token = self._predict(layer, tuple(state.tokens[lo : position + 1]))

@@ -44,25 +44,48 @@ def random_prompt(rng: np.random.Generator, vocab_size: int, lo=2, hi=10) -> lis
 class CountingBackend:
     """Forwards every attribute to `backend` and records each forward_range
     call as (layers, positions): a count of the work done that does not
-    read the trace."""
+    read the trace.
+
+    It also counts how often each (state, layer, position) entry was
+    computed, without reading anything the state keeps but its fills:
+    before each pass, the entries at or past a layer's fill were pruned
+    and are dropped; after a pass that succeeded, each entry it covered
+    counts one more compute. `live_counts_are_one` reads the result."""
 
     def __init__(self, backend):
         self.backend = backend
         self.passes: list[tuple[int, int]] = []
+        # state -> per layer, the compute count of each position from 0
+        self.computes: dict[object, list[list[int]]] = {}
 
     def __getattr__(self, name):
         return getattr(self.backend, name)
 
     def forward_range(self, state, start_layer, end_layer, start_pos, end_pos):
         self.passes.append((end_layer - start_layer + 1, end_pos - start_pos))
-        return self.backend.forward_range(state, start_layer, end_layer, start_pos, end_pos)
+        per_layer = self.computes.setdefault(state, [[] for _ in range(state.n_layers)])
+        for counts, fill in zip(per_layer, state.fills()):
+            del counts[fill:]
+        result = self.backend.forward_range(state, start_layer, end_layer, start_pos, end_pos)
+        for counts in per_layer[start_layer - 1 : end_layer]:
+            counts.extend([0] * (end_pos - len(counts)))
+            for position in range(start_pos, end_pos):
+                counts[position] += 1
+        return result
+
+
+def live_counts_are_one(counter, state):
+    """Every live (layer, position) of `state` was computed exactly once by
+    `counter`'s passes: none twice, none missing."""
+    per_layer = counter.computes.get(state, [[] for _ in range(state.n_layers)])
+    return all(counts[:fill] == [1] * fill for counts, fill in zip(per_layer, state.fills()))
 
 
 def counted(decode, backend, *args, **kwargs):
     """Run `decode` on a counting wrapper of `backend`; return the result and
-    the passes it made."""
+    the wrapper, which holds the passes it made."""
     counter = CountingBackend(backend)
-    return decode(counter, *args, **kwargs), counter.passes
+    return decode(counter, *args, **kwargs), counter
 
 
 def assert_ledger_counts_passes(ledger, passes):

@@ -388,9 +388,9 @@ class TestHierarchical:
         config = HierarchicalConfig(
             draft_layer=2, intermediate_layer=4, full_layer=8, max_new_tokens=20
         )
-        result, passes = counted(hierarchical_decode, oracle_backend, [4, 4, 4], config)
+        result, counter = counted(hierarchical_decode, oracle_backend, [4, 4, 4], config)
         assert result.trace.finalize_processed
-        assert_ledger_counts_passes(result.ledger, passes)
+        assert_ledger_counts_passes(result.ledger, counter.passes)
 
     def test_wrong_full_layer_rejected(self, oracle_backend):
         config = HierarchicalConfig(

@@ -102,6 +102,13 @@ class TestForwardRange:
         with pytest.raises(AlignmentError, match="expected"):
             backend.forward_range(state, 1, 2, 3, len(PROMPT))
 
+    def test_negative_exit_position_is_alignment_error(self):
+        # Row -1 of a hidden buffer is its last, zero row: never a valid read.
+        backend = init_model(make_config())
+        _, state = full_forward(backend, PROMPT)
+        with pytest.raises(AlignmentError, match="position -1"):
+            backend.exit_distribution(state, backend.n_layers, -1)
+
 
 class TestExitLogits:
     def test_zero_hidden_gives_uniform_logits_and_tiebreak(self):

@@ -33,7 +33,13 @@ from specdec import (
     vanilla_decode,
 )
 
-from conftest import all_agree_backend, assert_ledger_counts_passes, counted
+from conftest import (
+    CountingBackend,
+    all_agree_backend,
+    assert_ledger_counts_passes,
+    counted,
+    live_counts_are_one,
+)
 
 
 def hierarchical_config(draw, n_layers, vocab, max_seq_len, prompt_len):
@@ -113,10 +119,6 @@ def toy_cases(draw):
     return backend, prompt, config, cascade(draw, config)
 
 
-def live_counts_are_one(state):
-    return all((state.compute_counts(layer) == 1).all() for layer in range(1, state.n_layers + 1))
-
-
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(decode_cases())
 def test_speculative_decodes_keep_engine_invariants(case):
@@ -125,7 +127,8 @@ def test_speculative_decodes_keep_engine_invariants(case):
     boundaries_clean = []
 
     def hook(session):
-        boundaries_clean.append(live_counts_are_one(session.state))
+        # The session decodes on the counting wrapper that `counted` made.
+        boundaries_clean.append(live_counts_are_one(session.backend, session.state))
 
     decodes = [
         counted(vanilla_decode, backend, prompt, budget, eos_token=eos),
@@ -139,10 +142,10 @@ def test_speculative_decodes_keep_engine_invariants(case):
         decodes.append(counted(cascade_decode, backend, prompt, config, *four_exits, hook))
     reference = decodes[0][0].tokens
     assert all(boundaries_clean)
-    for result, passes in decodes:
+    for result, counter in decodes:
         assert result.tokens == reference
-        assert_ledger_counts_passes(result.ledger, passes)
-        assert live_counts_are_one(result.state)
+        assert_ledger_counts_passes(result.ledger, counter.passes)
+        assert live_counts_are_one(counter, result.state)
         stats = result.stats
         assert stats.accepted_intermediate <= stats.checked_intermediate
         assert stats.accepted_target <= stats.checked_target
@@ -158,7 +161,10 @@ def test_toy_boundaries_recompute_exactly(case):
         state = session.state
         reports = consistency_check(state, backend, state.tokens)
         boundaries.append(
-            (max(r.max_abs_discrepancy for r in reports), live_counts_are_one(state))
+            (
+                max(r.max_abs_discrepancy for r in reports),
+                live_counts_are_one(session.backend, state),
+            )
         )
 
     decodes = [counted(hierarchical_decode, backend, prompt, config, boundary_hook=hook)]
@@ -166,12 +172,12 @@ def test_toy_boundaries_recompute_exactly(case):
         decodes.append(counted(cascade_decode, backend, prompt, config, *four_exits, hook))
     assert len(boundaries) >= len(decodes)
     assert all(worst == 0.0 and counts_ok for worst, counts_ok in boundaries)
-    vanilla, vanilla_passes = counted(
+    vanilla, vanilla_counter = counted(
         vanilla_decode, backend, prompt, config.max_new_tokens, eos_token=config.eos_token
     )
-    for result, passes in [(vanilla, vanilla_passes), *decodes]:
+    for result, counter in [(vanilla, vanilla_counter), *decodes]:
         assert result.tokens == vanilla.tokens
-        assert_ledger_counts_passes(result.ledger, passes)
+        assert_ledger_counts_passes(result.ledger, counter.passes)
 
 
 def advance_error(fills, n_tokens, max_seq_len, start_layer, end_layer, start_pos, end_pos):
@@ -239,6 +245,7 @@ def bookkeeping_cases(draw):
 @given(bookkeeping_cases())
 def test_fills_stay_monotone_ints_and_rejected_passes_change_nothing(case):
     backend, exits, ops = case
+    counter = CountingBackend(backend)
     state = backend.new_state(buffered_layers=exits)
     bounds = (0, *exits)
     expected = [0] * state.n_layers  # the fills by the reference rules
@@ -260,7 +267,7 @@ def test_fills_stay_monotone_ints_and_rejected_passes_change_nothing(case):
             )
             before = state.snapshot()
             try:
-                backend.forward_range(state, start_layer, end_layer, start_pos, end_pos)
+                counter.forward_range(state, start_layer, end_layer, start_pos, end_pos)
             except (AlignmentError, ValueError) as exc:
                 assert error is not None and str(exc).startswith(error)
                 assert state.equals_snapshot(before)
@@ -271,4 +278,4 @@ def test_fills_stay_monotone_ints_and_rejected_passes_change_nothing(case):
         assert fills == tuple(expected)
         assert all(type(fill) is int for fill in fills)
         assert all(upper >= lower for upper, lower in zip(fills, fills[1:]))
-        assert live_counts_are_one(state)
+        assert live_counts_are_one(counter, state)

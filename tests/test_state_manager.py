@@ -10,7 +10,7 @@ from specdec import (
     vanilla_decode,
 )
 
-from conftest import all_agree_backend
+from conftest import CountingBackend, all_agree_backend, live_counts_are_one
 
 
 def prepared_state(backend, tokens, upto_layer=None):
@@ -88,6 +88,13 @@ class TestPrune:
         state.prune_all(3)
         assert state.equals_snapshot(before)
 
+    def test_negative_keep_len_is_named(self, toy_backend):
+        state = prepared_state(toy_backend, [1, 2, 3])
+        before = state.snapshot()
+        with pytest.raises(ProtocolError, match=r"keep_len must be >= 0, got -1"):
+            state.prune_all(-1)
+        assert state.equals_snapshot(before)
+
     def test_cannot_prune_below_committed(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
         state.mark_committed(3)
@@ -112,14 +119,15 @@ class TestPrune:
             assert np.array_equal(state.kv_v[layer - 1], clean.kv_v[layer - 1])
 
     def test_prune_resets_compute_counter(self, toy_backend):
-        state = prepared_state(toy_backend, [1, 2, 3])
+        # A pruned position is computed afresh, so the recompute counts once.
+        counter = CountingBackend(toy_backend)
+        state = prepared_state(counter, [1, 2, 3])
         state.tokens.extend([4])
-        toy_backend.forward_range(state, 1, 6, 3, 4)
+        counter.forward_range(state, 1, 6, 3, 4)
         state.prune_all(3)
         state.tokens.extend([5])
-        toy_backend.forward_range(state, 1, 6, 3, 4)
-        for layer in range(1, 7):
-            assert (state.compute_counts(layer) == 1).all()
+        counter.forward_range(state, 1, 6, 3, 4)
+        assert live_counts_are_one(counter, state)
 
 
 class TestConsistencyCheck:

@@ -1,7 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from specdec import ConfigError, SyntheticBackend, SyntheticModelSpec, calibrate_preset
+from specdec import (
+    AlignmentError,
+    ConfigError,
+    SyntheticBackend,
+    SyntheticModelSpec,
+    calibrate_preset,
+)
 from specdec.synthetic import interpolated_profile, mix64, uniform_profile
 
 
@@ -85,6 +93,15 @@ class TestPredictions:
         via_state = backend.exit_distribution(state, 3, 3)
         assert direct == via_state.argmax()
 
+    def test_negative_exit_position_is_alignment_error(self):
+        # Position -1 would predict from an empty context window.
+        backend = make_backend()
+        state = backend.new_state()
+        state.set_tokens([4, 5, 6, 7])
+        backend.forward_range(state, 1, 8, 0, 4)
+        with pytest.raises(AlignmentError, match="position -1"):
+            backend.exit_distribution(state, 3, -1)
+
 
 class TestPresets:
     def test_quarter_depth_anchor(self):
@@ -99,6 +116,20 @@ class TestPresets:
         assert spec.alpha(10) == 0.397
         assert spec.alpha(20) == 0.581
         assert spec.alpha(80) == 1.0
+
+    def test_tensorless_state_does_not_grow_with_max_seq_len(self):
+        # A state of the 80-layer, 4096-position preset keeps its fills and
+        # nothing per position: an (n_layers, max_seq_len) array would be 1.3 MB.
+        backend = SyntheticBackend(calibrate_preset("llama70b-sharegpt"))
+        assert backend.max_seq_len == 4096
+        tracemalloc.start()
+        try:
+            state = backend.new_state(buffered_layers=(10, 20, 80))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.n_layers == 80
+        assert peak < 64 * 1024
 
     def test_unknown_preset_lists_available(self):
         with pytest.raises(ConfigError, match="quarter-depth-69.*llama70b-sharegpt"):
