@@ -6,10 +6,13 @@ implementations exist: the toy transformer (real tensors) and the
 synthetic layered oracle (closed form, bookkeeping only). Both are
 immutable after construction and safe to share across decode sessions;
 all per-session mutation lives in the LayeredState.
+
+The toy transformer's distributions carry real logits. The synthetic
+oracle's are one-hot (`TokenDistribution.one_hot`): they hold only the
+token, and their logits array is made only when read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -17,7 +20,6 @@ import numpy as np
 from .state import LayeredState
 
 
-@dataclass(frozen=True)
 class TokenDistribution:
     """Next-token logits produced at an exit layer.
 
@@ -25,16 +27,67 @@ class TokenDistribution:
     the logits, i.e. the distribution predicts the token at position + 1.
     `degenerate` marks one-hot oracle distributions whose top-k semantics
     collapse to top-1.
+
+    A distribution made by `one_hot` holds only its token: `argmax`
+    returns it, and the full-vocab `logits` array is built on first read,
+    so a greedy decode that only takes argmaxes never allocates one.
+    The fields are read-only.
     """
 
-    logits: np.ndarray
-    position: int
-    source_layer: int
-    degenerate: bool = field(default=False)
+    __slots__ = ("_logits", "_token", "_vocab_size", "_position", "_source_layer", "_degenerate")
+
+    def __init__(
+        self, logits: np.ndarray, position: int, source_layer: int, degenerate: bool = False
+    ) -> None:
+        self._logits = logits
+        self._token = None
+        self._vocab_size = len(logits)
+        self._position = position
+        self._source_layer = source_layer
+        self._degenerate = degenerate
+
+    @classmethod
+    def one_hot(
+        cls, token: int, vocab_size: int, position: int, source_layer: int
+    ) -> TokenDistribution:
+        """The degenerate distribution with logit 1.0 at `token` and 0.0 elsewhere.
+
+        `token` must lie in [0, vocab_size).
+        """
+        dist = cls.__new__(cls)
+        dist._logits = None
+        dist._token = token
+        dist._vocab_size = vocab_size
+        dist._position = position
+        dist._source_layer = source_layer
+        dist._degenerate = True
+        return dist
+
+    @property
+    def logits(self) -> np.ndarray:
+        if self._logits is None:
+            logits = np.zeros(self._vocab_size)
+            logits[self._token] = 1.0
+            self._logits = logits
+        return self._logits
+
+    @property
+    def position(self) -> int:
+        return self._position
+
+    @property
+    def source_layer(self) -> int:
+        return self._source_layer
+
+    @property
+    def degenerate(self) -> bool:
+        return self._degenerate
 
     def argmax(self) -> int:
+        if self._token is not None:
+            return self._token
         # The first maximum: ties break to the lowest id.
-        return int(self.logits.argmax())
+        return int(self._logits.argmax())
 
     def top_ids(self, k: int) -> list[int]:
         order = np.argsort(-self.logits, kind="stable")

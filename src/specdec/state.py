@@ -204,20 +204,6 @@ class LayeredState:
                 rows[keep_len:top] = 0.0
         del self.tokens[keep_len:]
 
-    # -- snapshots (test support) -------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "tokens": list(self.tokens),
-            "fill": self.fills(),
-            "committed": self.committed_len,
-            "arrays": [rows.copy() for _, rows in self.arrays()],
-        }
-
-    def equals_snapshot(self, snap: dict) -> bool:
-        mine = self.snapshot()
-        return all(np.array_equal(mine[key], snap[key]) for key in mine)
-
 
 def consistency_check(
     state: LayeredState, backend: "Backend", token_sequence: Sequence[int]

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .backend import TokenDistribution
 from .errors import AlignmentError, ConfigError
 from .state import LayeredState, check_layer_range, fill_runs
@@ -166,7 +164,9 @@ class SyntheticBackend:
 
     KV plumbing is simulated: layer ranges advance the state's fills so
     the cache protocol is exercised structurally, but no tensors are
-    stored. Predictions read the recorded token sequence.
+    stored. Predictions read the recorded token sequence. Exit
+    distributions are one-hot (`TokenDistribution.one_hot`), so their
+    full-vocab logits array is made only when read.
     """
 
     def __init__(self, spec: SyntheticModelSpec) -> None:
@@ -229,15 +229,13 @@ class SyntheticBackend:
         state.advance(start_layer, end_layer, start_pos, end_pos)
 
     def exit_distribution(self, state: LayeredState, layer: int, position: int) -> TokenDistribution:
+        if not 1 <= layer <= self.n_layers:
+            raise AlignmentError(f"no exit at layer {layer}: layers are 1..{self.n_layers}")
         if not 0 <= position < state.filled(layer):
             raise AlignmentError(f"missing hidden state at (layer {layer}, position {position})")
         lo = max(0, position + 1 - self.spec.context_window)
         token = self._predict(layer, tuple(state.tokens[lo : position + 1]))
-        logits = np.zeros(self.vocab_size)
-        logits[token] = 1.0
-        return TokenDistribution(
-            logits=logits, position=position, source_layer=layer, degenerate=True
-        )
+        return TokenDistribution.one_hot(token, self.vocab_size, position, layer)
 
     def reference_state(
         self,

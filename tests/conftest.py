@@ -96,3 +96,24 @@ def assert_ledger_counts_passes(ledger, passes):
     assert sum(cost.position_layer_units for cost in costs) == sum(l * p for l, p in passes)
     layers, positions = passes[0]
     assert ledger.phases["prefill"] == PhaseCost(layers, layers * positions, 1)
+
+
+def snapshot(state):
+    """A copy of what a LayeredState holds: tokens, fills, committed length
+    and every K, V and hidden array."""
+    return (
+        list(state.tokens),
+        state.fills(),
+        state.committed_len,
+        [rows.copy() for _, rows in state.arrays()],
+    )
+
+
+def equals_snapshot(state, snap):
+    """`state` holds exactly what `snap` recorded, bit for bit."""
+    tokens, fills, committed_len, arrays = snapshot(state)
+    return (
+        (tokens, fills, committed_len) == snap[:3]
+        and len(arrays) == len(snap[3])
+        and all(map(np.array_equal, arrays, snap[3]))
+    )

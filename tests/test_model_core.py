@@ -109,6 +109,13 @@ class TestForwardRange:
         with pytest.raises(AlignmentError, match="position -1"):
             backend.exit_distribution(state, backend.n_layers, -1)
 
+    @pytest.mark.parametrize("layer", [0, -1, 9])
+    def test_exit_layer_outside_the_stack_is_named(self, layer):
+        backend = init_model(make_config())
+        _, state = full_forward(backend, PROMPT)
+        with pytest.raises(AlignmentError, match=f"no hidden buffer at layer {layer}$"):
+            backend.exit_distribution(state, layer, 2)
+
 
 class TestExitLogits:
     def test_zero_hidden_gives_uniform_logits_and_tiebreak(self):

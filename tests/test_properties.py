@@ -38,7 +38,9 @@ from conftest import (
     all_agree_backend,
     assert_ledger_counts_passes,
     counted,
+    equals_snapshot,
     live_counts_are_one,
+    snapshot,
 )
 
 
@@ -265,12 +267,12 @@ def test_fills_stay_monotone_ints_and_rejected_passes_change_nothing(case):
                 expected, len(state.tokens), state.max_seq_len,
                 start_layer, end_layer, start_pos, end_pos,
             )
-            before = state.snapshot()
+            before = snapshot(state)
             try:
                 counter.forward_range(state, start_layer, end_layer, start_pos, end_pos)
             except (AlignmentError, ValueError) as exc:
                 assert error is not None and str(exc).startswith(error)
-                assert state.equals_snapshot(before)
+                assert equals_snapshot(state, before)
             else:
                 assert error is None
                 expected[start_layer - 1 : end_layer] = [end_pos] * (end_layer - start_layer + 1)

@@ -10,7 +10,13 @@ from specdec import (
     vanilla_decode,
 )
 
-from conftest import CountingBackend, all_agree_backend, live_counts_are_one
+from conftest import (
+    CountingBackend,
+    all_agree_backend,
+    equals_snapshot,
+    live_counts_are_one,
+    snapshot,
+)
 
 
 def prepared_state(backend, tokens, upto_layer=None):
@@ -37,10 +43,10 @@ class TestExtend:
     def test_rejected_token_leaves_state_untouched(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
         state.tokens.extend([4, toy_backend.vocab_size])
-        before = state.snapshot()
+        before = snapshot(state)
         with pytest.raises(AlignmentError, match="outside vocabulary"):
             toy_backend.forward_range(state, 1, 6, 3, 5)
-        assert state.equals_snapshot(before)
+        assert equals_snapshot(state, before)
 
     def test_bookkeeping_extend_contiguity(self, toy_backend):
         state = toy_backend.new_state()
@@ -65,35 +71,35 @@ class TestExtend:
         for end_layer, fill in runs:
             state.advance(start_layer, end_layer, 0, fill)
             start_layer = end_layer + 1
-        before = state.snapshot()
+        before = snapshot(state)
         with pytest.raises(AlignmentError) as exc:
             state.advance(*span)
         assert str(exc.value) == f"non-contiguous pass at layer {layer}: {message}"
-        assert state.equals_snapshot(before)
+        assert equals_snapshot(state, before)
 
     def test_extend_then_prune_restores_snapshot_bitwise(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
-        before = state.snapshot()
+        before = snapshot(state)
         state.tokens.extend([4, 5])
         toy_backend.forward_range(state, 1, 4, 3, 5)
-        assert not state.equals_snapshot(before)
+        assert not equals_snapshot(state, before)
         state.prune_all(3)
-        assert state.equals_snapshot(before)
+        assert equals_snapshot(state, before)
 
 
 class TestPrune:
     def test_prune_to_fill_is_noop(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
-        before = state.snapshot()
+        before = snapshot(state)
         state.prune_all(3)
-        assert state.equals_snapshot(before)
+        assert equals_snapshot(state, before)
 
     def test_negative_keep_len_is_named(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
-        before = state.snapshot()
+        before = snapshot(state)
         with pytest.raises(ProtocolError, match=r"keep_len must be >= 0, got -1"):
             state.prune_all(-1)
-        assert state.equals_snapshot(before)
+        assert equals_snapshot(state, before)
 
     def test_cannot_prune_below_committed(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])

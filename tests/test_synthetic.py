@@ -8,7 +8,10 @@ from specdec import (
     ConfigError,
     SyntheticBackend,
     SyntheticModelSpec,
+    TokenDistribution,
     calibrate_preset,
+    speculative_decode,
+    vanilla_decode,
 )
 from specdec.synthetic import interpolated_profile, mix64, uniform_profile
 
@@ -101,6 +104,90 @@ class TestPredictions:
         backend.forward_range(state, 1, 8, 0, 4)
         with pytest.raises(AlignmentError, match="position -1"):
             backend.exit_distribution(state, 3, -1)
+
+    @pytest.mark.parametrize("layer", [0, -1, 9])
+    def test_exit_layer_outside_the_stack_is_named(self, layer):
+        # Layer 0 or -1 would read the fill of the last layer.
+        backend = make_backend()
+        state = backend.new_state()
+        state.set_tokens([4, 5, 6, 7])
+        backend.forward_range(state, 1, 8, 0, 4)
+        with pytest.raises(AlignmentError, match=rf"no exit at layer {layer}: layers are 1\.\.8"):
+            backend.exit_distribution(state, layer, 3)
+
+
+class FlipFullDepthToken:
+    """Backend proxy that rebuilds every full-depth exit distribution as an
+    array from its logits, and at one position puts another token on top."""
+
+    def __init__(self, backend, position):
+        self._backend = backend
+        self._position = position
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+    def exit_distribution(self, state, layer, position):
+        dist = self._backend.exit_distribution(state, layer, position)
+        if layer != self._backend.n_layers:
+            return dist
+        logits = dist.logits.copy()
+        if position == self._position:
+            logits[(dist.argmax() + 1) % len(logits)] = logits.max() + 1.0
+        return TokenDistribution(logits, dist.position, dist.source_layer, dist.degenerate)
+
+
+class TestOneHotDistribution:
+    @pytest.mark.parametrize("token, vocab_size", [(0, 4), (3, 4), (17, 256), (255, 256)])
+    def test_matches_the_array_form(self, token, vocab_size):
+        logits = np.zeros(vocab_size)
+        logits[token] = 1.0
+        lazy = TokenDistribution.one_hot(token, vocab_size, 5, 2)
+        eager = TokenDistribution(logits, 5, 2, degenerate=True)
+        assert lazy.argmax() == eager.argmax() == token
+        assert type(lazy.argmax()) is int
+        assert lazy.logits.dtype == eager.logits.dtype
+        assert lazy.logits.shape == eager.logits.shape
+        assert lazy.logits.tobytes() == eager.logits.tobytes()
+        for k in (1, 3, vocab_size):
+            assert lazy.top_ids(k) == eager.top_ids(k)
+        assert lazy.degenerate is eager.degenerate is True
+        assert (lazy.position, lazy.source_layer) == (eager.position, eager.source_layer)
+
+    def test_argmax_builds_no_logits_array(self):
+        # An eager one-hot over 2**20 entries would allocate 8 MiB.
+        tracemalloc.start()
+        try:
+            dist = TokenDistribution.one_hot(7, 1 << 20, 0, 1)
+            token = dist.argmax()
+            _, before_read = tracemalloc.get_traced_memory()
+            assert dist.logits[7] == 1.0
+            _, after_read = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert token == 7
+        assert before_read < 64 * 1024 <= 8 * (1 << 20) <= after_read
+
+    def test_fields_are_read_only(self):
+        dist = TokenDistribution.one_hot(1, 4, 0, 1)
+        for name, value in [("logits", np.zeros(4)), ("position", 1), ("degenerate", False)]:
+            with pytest.raises(AttributeError):
+                setattr(dist, name, value)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_logits_rewriting_proxy_sees_the_one_hot(self, oracle_backend, flip):
+        # The proxy reads .logits of the synthetic one-hots at full depth;
+        # unflipped it must change nothing, flipped the decode must differ.
+        prompt = [3, 1, 4, 1, 5]
+        vanilla = vanilla_decode(oracle_backend, prompt, 12).tokens
+        proxy = FlipFullDepthToken(oracle_backend, len(prompt) if flip else None)
+        result = speculative_decode(proxy, prompt, (2, 4, 8), (2, 2), 12).tokens
+        assert speculative_decode(oracle_backend, prompt, (2, 4, 8), (2, 2), 12).tokens == vanilla
+        assert (result != vanilla) is flip
+        if flip:
+            # Position len(prompt) predicts the second generated token.
+            assert result[0] == vanilla[0]
+            assert result[1] == (vanilla[1] + 1) % oracle_backend.vocab_size
 
 
 class TestPresets:
