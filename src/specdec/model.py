@@ -9,22 +9,37 @@ Determinism contract: all math is float64 and every position gets the
 same bits however work is batched into forward calls. Splitting a layer
 range or re-running a prefix therefore reproduces results bit for bit,
 which is what makes the recompute-based consistency oracle meaningful.
-A layer processes a span of positions as one (n, d) array and keeps the
-contract with two kernels:
+A layer processes a span of positions as one (n, d) array:
 
 - Projections are stacks of vector-matrix products,
   `np.matmul(X[:, None, :], W)`. Each row takes the path a single
   `x @ W` takes. A plain 2-D `X @ W` does not: its matrix-matrix kernel
   sums in another order, so a row's bits would depend on the batch.
-- Attention runs per position, because prefix lengths differ. Within a
-  position all heads go through one batched `np.matmul`, which makes the
-  same products and sums as a loop over heads (`np.einsum` does not).
+- Attention (`_attend_span`) runs once per span. Three steps stay per
+  position, because their bits depend on the length they run over: the
+  scores product over the position's own prefix, the sum of its softmax
+  weights over that prefix, and the value product over that prefix.
+  Each is one batched `np.matmul` or reduce over all heads, which makes
+  the same products and sums as a loop over heads (`np.einsum` does
+  not). The scores go into one (n, heads, span end) buffer that is -inf
+  past each prefix; the scale, the max, the subtraction, the `exp` and
+  the division then run once over the whole buffer. They are exact per
+  element, and -inf becomes a weight of exactly 0.
+- Batching the three per-position steps further is not bit-exact. On
+  OpenBLAS 0.3.31 with numpy 2.4.6 (4 heads of 16, every prefix <=
+  length <= 128), the scores product over the span's full length gave a
+  prefix's rows other bits in 5,909 of 8,256 (prefix, length) cases,
+  because a gemv row's bits depend on the call's row count; and a value
+  product over weights zero-padded to the full length differed in 2,016
+  of them. A sum over the padded row moves the prefix's tail into
+  numpy's pairwise blocks and changes its bits too.
 
-Norms and softmax sums reduce along contiguous rows, so numpy's pairwise
+Norms and softmax sums reduce along unit-stride rows, so numpy's pairwise
 summation adds the same operands in the same order at any batch size.
-Both kernels are properties of numpy and the installed BLAS, not
-guarantees; `tests/test_batching.py` checks them and names this contract
-when a platform breaks them.
+These are properties of numpy and the installed BLAS, not guarantees;
+`tests/test_batching.py` checks them (with prefixes that cross the
+pairwise sum's blocks of 8 and 128) and names this contract when a
+platform breaks them.
 """
 from __future__ import annotations
 
@@ -75,18 +90,34 @@ def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], w)[:, 0, :]
 
 
-def _attend_heads(keys: np.ndarray, values: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Softmax attention of one position, all heads in one batched product.
+def _attend_span(
+    keys: np.ndarray, values: np.ndarray, q: np.ndarray, start_pos: int
+) -> np.ndarray:
+    """Causal softmax attention of a span of positions, all heads at once.
 
-    `keys` and `values` are (heads, prefix, d_head) and `q` is
-    (heads, d_head, 1); returns (heads, 1, d_head). Each head's products
-    and sums are the ones a per-head loop would make, bit for bit.
+    `keys` and `values` are (heads, rows, d_head) with rows >= the span's
+    end, and `q` is (n, heads, d_head, 1) for the positions start_pos ..
+    start_pos + n - 1; returns (n, heads, 1, d_head). Each position attends
+    over its own prefix and gets the bits a per-head loop at that prefix
+    would give (see the determinism contract).
     """
-    scores = np.matmul(keys, q)[:, :, 0] * (1.0 / math.sqrt(keys.shape[-1]))
-    scores -= scores.max(axis=1, keepdims=True)
-    w = np.exp(scores)
-    w /= np.add.reduce(w, axis=1, keepdims=True)
-    return np.matmul(w[:, None, :], values)
+    n, n_heads = q.shape[:2]
+    ends = range(start_pos + 1, start_pos + n + 1)
+    # Row i holds position i's scores over its prefix and -inf past it.
+    scores = np.full((n, n_heads, start_pos + n), -np.inf)
+    for i, end in enumerate(ends):
+        np.matmul(keys[:, :end], q[i], out=scores[i, :, :end, None])
+    scores *= 1.0 / math.sqrt(keys.shape[-1])
+    scores -= np.maximum.reduce(scores, axis=2, keepdims=True, initial=-np.inf)
+    w = np.exp(scores, out=scores)
+    sums = np.empty((n, n_heads, 1))
+    for i, end in enumerate(ends):
+        np.add.reduce(w[i, :, :end], axis=1, keepdims=True, out=sums[i])
+    w /= sums
+    attended = np.empty((n, n_heads, 1, keys.shape[-1]))
+    for i, end in enumerate(ends):
+        np.matmul(w[i, :, None, :end], values[:, :end], out=attended[i])
+    return attended
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -147,7 +178,7 @@ class ToyTransformer:
 
         The state must already have advanced over the span. Its K/V rows
         are written first; each position then attends causally over its own
-        prefix, all heads in one batched product.
+        prefix, the whole span in one `_attend_span`.
         """
         weights = self.layers[layer - 1]
         d, n_heads, d_head = self.d_model, self.config.n_heads, self._d_head
@@ -158,10 +189,7 @@ class ToyTransformer:
         keys = state.kv_k[layer - 1].reshape(-1, n_heads, d_head).transpose(1, 0, 2)
         values = state.kv_v[layer - 1].reshape(-1, n_heads, d_head).transpose(1, 0, 2)
         q_heads = qkv[:, :d].reshape(-1, n_heads, d_head, 1)
-        attended = np.empty((len(x), n_heads, 1, d_head))
-        for i, q in enumerate(q_heads):
-            end = start_pos + i + 1
-            attended[i] = _attend_heads(keys[:, :end], values[:, :end], q)
+        attended = _attend_span(keys, values, q_heads, start_pos)
         x = x + _rows_matmul(attended.reshape(len(x), d), weights["w_o"])
         x = x + _rows_matmul(_silu(_rows_matmul(_rms_norm(x), weights["w_up"])), weights["w_down"])
         if layer in state.hidden:

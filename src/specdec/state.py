@@ -52,7 +52,7 @@ class LayerReport:
 
 def check_layer_range(n_layers: int, start_layer: int, end_layer: int) -> None:
     if not (1 <= start_layer <= end_layer <= n_layers):
-        raise ValueError(
+        raise AlignmentError(
             f"invalid layer range [{start_layer}, {end_layer}] for {n_layers} layers"
         )
 
@@ -107,7 +107,9 @@ class LayeredState:
     # -- bookkeeping -------------------------------------------------
 
     def filled(self, layer: int) -> int:
-        return self._fill[layer - 1]
+        if 0 < layer <= self.n_layers:
+            return self._fill[layer - 1]
+        raise AlignmentError(f"no layer {layer}: layers are 1..{self.n_layers}")
 
     def fills(self) -> tuple[int, ...]:
         return tuple(self._fill)

@@ -6,7 +6,8 @@ position-major or layer-major order, and requires outputs and every
 KV/hidden buffer to be bit-identical to a single call over the whole
 span. The kernel guards check the two numpy/BLAS facts that make this
 hold: a stacked vector-matrix product equals `x @ W` row by row, and the
-head-batched attention equals a loop over heads.
+span attention gives each position the bits of a loop over heads at that
+position's own prefix.
 """
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec import ModelConfig, init_model
-from specdec.model import _attend_heads, _rows_matmul
+from specdec.model import _attend_span, _rows_matmul
 
 N_LAYERS = 5
 MAX_SEQ_LEN = 20
@@ -100,27 +101,40 @@ def test_stacked_matmul_equals_per_row_products(d):
             )
 
 
+def _per_head_loop(keys, values, q, prefix):
+    """Softmax attention of one query at one prefix, one head at a time."""
+    n_heads, d_head = q.shape[:2]
+    out = np.empty((n_heads, d_head))
+    for h in range(n_heads):
+        scores = (keys[:prefix, h, :] @ q[h, :, 0]) * (1.0 / np.sqrt(d_head))
+        scores -= scores.max()
+        w = np.exp(scores)
+        w /= w.sum()
+        out[h] = w @ values[:prefix, h, :]
+    return out
+
+
 @pytest.mark.parametrize("n_heads, d_head", [(1, 16), (2, 8), (4, 4), (4, 16), (8, 8)])
 def test_head_batched_attention_equals_head_loop(n_heads, d_head):
     rng = np.random.default_rng(n_heads * d_head)
     d = n_heads * d_head
     # Caches laid out as in LayeredState: one (max_seq_len, d_model) array per layer.
-    kv_k, kv_v = rng.normal(size=(2, 128, d))
+    kv_k, kv_v = rng.normal(size=(2, 160, d))
     keys = kv_k.reshape(-1, n_heads, d_head)
     values = kv_v.reshape(-1, n_heads, d_head)
-    for prefix in (1, 2, 5, 33, 100):
-        # A row of the fused QKV product, viewed per head as in the model.
-        q = rng.normal(size=(1, 3 * d))[:, :d].reshape(-1, n_heads, d_head, 1)[0]
-        loop = np.empty((n_heads, d_head))
-        for h in range(n_heads):
-            scores = (keys[:prefix, h, :] @ q[h, :, 0]) * (1.0 / np.sqrt(d_head))
-            scores -= scores.max()
-            w = np.exp(scores)
-            w /= w.sum()
-            loop[h] = w @ values[:prefix, h, :]
-        batched = _attend_heads(
-            keys.transpose(1, 0, 2)[:, :prefix], values.transpose(1, 0, 2)[:, :prefix], q
-        )
-        assert np.array_equal(batched[:, 0, :], loop), CONTRACT.format(
-            what=f"head-batched attention and the per-head loop ({n_heads} heads, prefix {prefix})"
-        )
+    # Prefixes cross 8 and 128, where numpy's pairwise sum changes its blocking.
+    for n in (0, 1, 3, 16):
+        for start_pos in (0, 6, 30, 120, 127, 140):
+            # Rows of the fused QKV product, viewed per head as in the model.
+            q = rng.normal(size=(n, 3 * d))[:, :d].reshape(-1, n_heads, d_head, 1)
+            span = _attend_span(
+                keys.transpose(1, 0, 2), values.transpose(1, 0, 2), q, start_pos
+            )
+            assert span.shape == (n, n_heads, 1, d_head)
+            for i in range(n):
+                prefix = start_pos + i + 1
+                loop = _per_head_loop(keys, values, q[i], prefix)
+                assert np.array_equal(span[i, :, 0, :], loop), CONTRACT.format(
+                    what=f"span attention and the per-head loop ({n_heads} heads, "
+                    f"{n} positions from {start_pos}, prefix {prefix})"
+                )

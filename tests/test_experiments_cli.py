@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 from specdec import experiments
 from specdec.cli import main
-from specdec.errors import ConfigError
+from specdec.errors import AlignmentError, ConfigError
 from specdec.experiments import (
     ExperimentConfig,
     build_backend,
@@ -21,6 +22,8 @@ from specdec.experiments import (
     run_sweep,
     run_wall,
 )
+
+from conftest import all_agree_backend
 
 SWEEP_CONFIG = {
     "seed": 3,
@@ -538,6 +541,33 @@ class TestCli:
         }
         config_path = write_config(tmp_path, raw)
         assert main(["compare", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("call", ["advance", "predict_token", "exit_distribution", "filled"])
+    def test_layer_outside_the_stack_exits_3(self, tmp_path, monkeypatch, capsys, call):
+        # Every entry point rejects layer 0 with the same SpecdecError, so the
+        # CLI reports it as a runtime error instead of a traceback.
+        backend = all_agree_backend()
+        state = backend.new_state()
+        state.set_tokens([4, 5, 6, 7])
+        backend.forward_range(state, 1, 8, 0, 3)
+        calls = {
+            "advance": lambda: state.advance(0, 8, 3, 4),
+            "predict_token": lambda: backend.predict_token(0, [4, 5]),
+            "exit_distribution": lambda: backend.exit_distribution(state, 0, 2),
+            "filled": lambda: state.filled(0),
+        }
+        message = {
+            "advance": r"invalid layer range \[0, 8\] for 8 layers",
+            "predict_token": r"invalid layer range \[0, 0\] for 8 layers",
+            "exit_distribution": r"no exit at layer 0: layers are 1\.\.8",
+            "filled": r"no layer 0: layers are 1\.\.8",
+        }[call]
+        with pytest.raises(AlignmentError, match=message):
+            calls[call]()
+        monkeypatch.setattr(experiments, "run_points", lambda *args, **kwargs: calls[call]())
+        argv = ["compare", "--config", str(write_config(tmp_path, SMALL_CONFIG))]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+        assert re.fullmatch(f"runtime error: {message}\n", capsys.readouterr().err)
 
     def test_wall_subcommand(self, tmp_path):
         out_dir = tmp_path / "out"

@@ -87,6 +87,16 @@ class TestExtend:
         assert equals_snapshot(state, before)
 
 
+class TestLayerRange:
+    @pytest.mark.parametrize("layer", [0, -1, 7, 100])
+    def test_filled_outside_the_stack_is_named(self, toy_backend, layer):
+        # Layer 0 or -1 would read a deep layer's fill through negative indexing.
+        state = prepared_state(toy_backend, [1, 2, 3], upto_layer=2)
+        with pytest.raises(AlignmentError, match=rf"^no layer {layer}: layers are 1\.\.6$"):
+            state.filled(layer)
+        assert [state.filled(inside) for inside in range(1, 7)] == [3, 3, 0, 0, 0, 0]
+
+
 class TestPrune:
     def test_prune_to_fill_is_noop(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
