@@ -20,8 +20,25 @@ with depth, `advance` checks a range's contiguity on its first and last
 fill alone, and `prune_all` finds the layers filled past `keep_len`, a
 prefix of the fills, by bisection.
 
+A state with tensors keeps them all in one private anonymous `mmap` of
+shape (2·n_layers + len(buffered_layers), max_seq_len, d_model), float64:
+`kv_k`, `kv_v` and the `hidden` buffers are views into it, each a
+C-contiguous (max_seq_len, d_model) array. The kernel hands out zeroed
+pages only when first touched, so a state costs one mapping and pays
+memory only for the rows it writes; most states (every consistency
+reference, every short decode) touch a small prefix of `max_seq_len`.
+Separate `np.zeros` arrays cost one allocation each, and the allocator
+may clear reused heap for them in full. One `np.zeros` block is no
+better: numpy asks for huge pages on an array of 4 MB or more, and a
+huge page is made resident whole, the likely reason such a block raised
+peak memory. The mapping is therefore madvised `MADV_NOHUGEPAGE` where
+`mmap` offers it. Because the views alias the mapping, a state must not
+be copied or pickled: a copy of one array would no longer be part of it.
+
 Every tensor row past a layer's fill is zero. That invariant lets
-`prune_all` clear one block of positions across all layers at once, and
+`prune_all` clear positions [keep_len, old top) of the whole mapping in
+one assignment: in every layer filled past `keep_len` these are exactly
+the pruned rows, and everywhere else they are zero already. It also
 makes a pruned-then-recomputed state bit-identical to one that never
 speculated. Each live entry is computed exactly once: `advance` rejects
 any pass that does not start at every layer's fill, and the tests assert
@@ -31,13 +48,15 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
+import mmap
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ProtocolError
+from .errors import AlignmentError, ConfigError, ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backend import Backend
@@ -70,12 +89,26 @@ def fill_runs(fills: Sequence[int]) -> Iterator[tuple[int, int, int]]:
         start_layer = end_layer + 1
 
 
+def zeroed_block(shape: tuple[int, int, int]) -> np.ndarray:
+    """A writable float64 array of `shape` over a fresh private anonymous mapping.
+
+    Its pages read as zeros and take memory only once written.
+    """
+    buffer = mmap.mmap(-1, math.prod(shape) * 8, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buffer, dtype=np.float64).reshape(shape)
+
+
 class LayeredState:
     """Per-layer KV cache plus hidden-state buffers at selected exit layers.
 
-    Tensor storage is allocated only when `d_model` is given. The synthetic
-    backend passes None: its state has no arrays (`kv_k == kv_v == []`,
-    `hidden == {}`) and uses the fill bookkeeping alone.
+    Tensor storage is allocated only when `d_model` is given, as one
+    zero-filled mapping (`zeroed_block`) that `kv_k`, `kv_v` and `hidden`
+    view; the module docstring says why. The views alias the mapping, so
+    never copy or pickle a state. The synthetic backend passes None: its
+    state has no arrays (`kv_k == kv_v == []`, `hidden == {}`), allocates
+    and clears nothing, and uses the fill bookkeeping alone.
     Single-session: never share one instance across concurrent decodes.
     """
 
@@ -86,23 +119,31 @@ class LayeredState:
         d_model: int | None = None,
         buffered_layers: Sequence[int] = (),
     ) -> None:
-        if n_layers < 1 or max_seq_len < 1:
-            raise ValueError("n_layers and max_seq_len must be positive")
+        sizes = {"n_layers": n_layers, "max_seq_len": max_seq_len, "d_model": d_model}
+        for field, value in sizes.items():
+            if value is not None and value < 1:
+                raise ConfigError(f"{field} must be >= 1, got {value}")
         self.n_layers = n_layers
         self.max_seq_len = max_seq_len
         self.d_model = d_model
         self.buffered_layers = tuple(sorted(set(int(l) for l in buffered_layers)))
         for layer in self.buffered_layers:
             if not 1 <= layer <= n_layers:
-                raise ValueError(f"buffered layer {layer} outside [1, {n_layers}]")
+                raise AlignmentError(f"buffered layer {layer} outside 1..{n_layers}")
         self.tokens: list[int] = []
         self.committed_len = 0
         self._fill = [0] * n_layers
-        layers = () if d_model is None else range(n_layers)
-        buffered = () if d_model is None else self.buffered_layers
-        self.kv_k = [np.zeros((max_seq_len, d_model)) for _ in layers]
-        self.kv_v = [np.zeros((max_seq_len, d_model)) for _ in layers]
-        self.hidden = {layer: np.zeros((max_seq_len, d_model)) for layer in buffered}
+        if d_model is None:
+            self._block = None
+            self.kv_k: list[np.ndarray] = []
+            self.kv_v: list[np.ndarray] = []
+            self.hidden: dict[int, np.ndarray] = {}
+        else:
+            n_arrays = 2 * n_layers + len(self.buffered_layers)
+            self._block = zeroed_block((n_arrays, max_seq_len, d_model))
+            self.kv_k = list(self._block[:n_layers])
+            self.kv_v = list(self._block[n_layers : 2 * n_layers])
+            self.hidden = dict(zip(self.buffered_layers, self._block[2 * n_layers :]))
 
     # -- bookkeeping -------------------------------------------------
 
@@ -202,8 +243,8 @@ class LayeredState:
             self._fill[:above] = [keep_len] * above
             # Rows past each layer's old fill are zero already, so clearing
             # positions [keep_len, top) everywhere clears exactly the pruned ones.
-            for _, rows in self.arrays():
-                rows[keep_len:top] = 0.0
+            if self._block is not None:
+                self._block[:, keep_len:top] = 0.0
         del self.tokens[keep_len:]
 
 
@@ -216,8 +257,9 @@ def consistency_check(
     the same per-layer fill extents, and each of the state's arrays is
     compared with the reference's over its layer's fill. In deterministic
     math the report must be all zeros; any nonzero cell pinpoints a
-    corrupted (layer, position). A state without tensors has no arrays and
-    reports zeros for any token sequence.
+    corrupted (layer, position). A NaN difference reads as infinity at its
+    first position, so it fails the check too. A state without tensors has
+    no arrays and reports zeros for any token sequence.
     """
     fills = state.fills()
     reference = backend.reference_state(token_sequence, fills, state.buffered_layers)
@@ -227,6 +269,10 @@ def consistency_check(
         if fill == 0:
             continue
         per_pos = np.abs(mine[:fill] - theirs[:fill]).max(axis=1)
-        if per_pos.max() > worst[layer - 1][0]:
-            worst[layer - 1] = (float(per_pos.max()), int(per_pos.argmax()))
+        position = int(per_pos.argmax())  # the first NaN, if there is one
+        gap = float(per_pos[position])
+        if math.isnan(gap):
+            gap = math.inf
+        if gap > worst[layer - 1][0]:
+            worst[layer - 1] = (gap, position)
     return [LayerReport(layer, *pair) for layer, pair in enumerate(worst, 1)]

@@ -1,9 +1,14 @@
+import math
+import mmap
+
 import numpy as np
 import pytest
 
 from specdec import (
     AlignmentError,
+    ConfigError,
     HierarchicalConfig,
+    LayeredState,
     ProtocolError,
     consistency_check,
     hierarchical_decode,
@@ -87,6 +92,62 @@ class TestExtend:
         assert equals_snapshot(state, before)
 
 
+def mapping_of(rows):
+    """The object that owns an array's memory, at the root of its chain of views."""
+    while isinstance(rows.base, np.ndarray):
+        rows = rows.base
+    return rows.base.obj  # np.frombuffer's base is a memoryview of the buffer
+
+
+class TestMapping:
+    def test_every_array_is_a_disjoint_part_of_one_mapping(self, toy_backend):
+        state = toy_backend.new_state(buffered_layers=(2, 6))
+        arrays = [rows for _, rows in state.arrays()]
+        assert len(arrays) == 2 * 6 + 2
+        buffer = mapping_of(arrays[0])
+        assert isinstance(buffer, mmap.mmap)
+        whole = np.frombuffer(buffer, dtype=np.float64)
+        assert whole.size == sum(rows.size for rows in arrays)
+        assert all(np.shares_memory(rows, whole) for rows in arrays)
+        for i, rows in enumerate(arrays):
+            assert not any(np.shares_memory(rows, other) for other in arrays[i + 1 :])
+
+    def test_arrays_are_writable_contiguous_float64_zeros(self, toy_backend):
+        state = toy_backend.new_state(buffered_layers=(3,))
+        for _, rows in state.arrays():
+            assert rows.shape == (128, 32) and rows.dtype == np.float64
+            assert rows.flags.writeable and rows.flags.c_contiguous
+            assert not rows.any()
+
+    def test_prune_clears_exactly_the_pruned_rows(self, toy_backend):
+        state = toy_backend.new_state(buffered_layers=(2, 4, 6))
+        state.set_tokens(range(12))
+        for end_layer, start_pos, end_pos in ((6, 0, 5), (4, 5, 7), (2, 7, 12)):
+            toy_backend.forward_range(state, 1, end_layer, start_pos, end_pos)
+        assert state.fills() == (12, 12, 7, 7, 5, 5)
+        before = [rows.copy() for _, rows in state.arrays()]
+        state.prune_all(6)
+        assert state.fills() == (6, 6, 6, 6, 5, 5)
+        for (_, rows), old in zip(state.arrays(), before, strict=True):
+            assert not rows[6:12].any()
+            assert np.array_equal(rows[:6], old[:6]) and np.array_equal(rows[12:], old[12:])
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("field", ["n_layers", "max_seq_len", "d_model"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_size_below_one_is_named(self, field, value):
+        sizes = {"n_layers": 4, "max_seq_len": 16, "d_model": 8, field: value}
+        with pytest.raises(ConfigError, match=rf"^{field} must be >= 1, got {value}$"):
+            LayeredState(**sizes)
+
+    @pytest.mark.parametrize("layer", [0, -2, 5])
+    @pytest.mark.parametrize("d_model", [None, 8])
+    def test_buffered_layer_outside_the_stack_is_named(self, layer, d_model):
+        with pytest.raises(AlignmentError, match=rf"^buffered layer {layer} outside 1\.\.4$"):
+            LayeredState(n_layers=4, max_seq_len=16, d_model=d_model, buffered_layers=(2, layer))
+
+
 class TestLayerRange:
     @pytest.mark.parametrize("layer", [0, -1, 7, 100])
     def test_filled_outside_the_stack_is_named(self, toy_backend, layer):
@@ -163,6 +224,26 @@ class TestConsistencyCheck:
         assert len(flagged) == 1
         assert flagged[0].layer == 3
         assert flagged[0].worst_position == 3
+
+    @pytest.mark.parametrize(
+        "rows_of, layer",
+        [
+            (lambda state: state.kv_k[2], 3),
+            (lambda state: state.kv_v[1], 2),
+            (lambda state: state.hidden[6], 6),
+        ],
+        ids=["kv_k", "kv_v", "hidden"],
+    )
+    def test_nan_entry_is_infinite_at_its_first_position(self, toy_backend, rows_of, layer):
+        # A NaN difference compares false with everything, so it must not read as 0.0.
+        state = prepared_state(toy_backend, [1, 2, 3, 4, 5])
+        rows = rows_of(state)
+        rows[3, 5] = rows[4, 0] = math.nan
+        reports = consistency_check(state, toy_backend, state.tokens)
+        flagged = [r for r in reports if r.max_abs_discrepancy != 0.0]
+        assert [(r.layer, r.max_abs_discrepancy, r.worst_position) for r in flagged] == [
+            (layer, math.inf, 3)
+        ]
 
     def test_empty_state_empty_report(self, toy_backend):
         state = toy_backend.new_state()
