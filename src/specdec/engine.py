@@ -255,9 +255,6 @@ class DecodeSession:
     def _ensure_through(self, level: int, upto: int) -> tuple[Span, ...]:
         return tuple(self._advance(lvl, upto) for lvl in range(level + 1))
 
-    def dist(self, level: int, position: int) -> TokenDistribution:
-        return self.backend.exit_distribution(self.state, self.exits[level], position)
-
     # -- operations ----------------------------------------------------
 
     def prefill(self, prompt: Sequence[int]) -> None:
@@ -280,23 +277,24 @@ class DecodeSession:
         the produced token is processed too, so a following verification
         pass can cover every emitted position in one batch.
         """
-        hi = self.exits[0]
-        start_fill = self.state.filled(hi)
+        state, hi = self.state, self.exits[0]
+        exit_distribution = self.backend.exit_distribution
+        start_fill = state.filled(hi)
         emitted: list[int] = []
         for _ in range(n):
-            if len(self.state.tokens) >= self.backend.max_seq_len:
+            if len(state.tokens) >= self.backend.max_seq_len:
                 break
-            pos = len(self.state.tokens) - 1
-            if self.state.filled(hi) <= pos:
+            pos = len(state.tokens) - 1
+            if state.filled(hi) <= pos:
                 self._advance(0, pos + 1)
-            token = self.dist(0, pos).argmax()
-            self.state.append_token(token)
+            token = exit_distribution(state, hi, pos).argmax()
+            state.append_token(token)
             emitted.append(token)
             if self.eos_token is not None and token == self.eos_token:
                 break
-        if emitted and self.state.filled(hi) < len(self.state.tokens):
-            self._advance(0, len(self.state.tokens))
-        return emitted, (start_fill, self.state.filled(hi))
+        if emitted and state.filled(hi) < len(state.tokens):
+            self._advance(0, len(state.tokens))
+        return emitted, (start_fill, state.filled(hi))
 
     def leading_substring_verify(
         self, draft_tokens: Sequence[int], level: int, phase: str
@@ -313,21 +311,25 @@ class DecodeSession:
         there is none. `phase` names the verification for observers; the
         engine does not read it.
         """
-        upto = len(self.state.tokens)
+        state, exit_layer = self.state, self.exits[level]
+        exit_distribution = self.backend.exit_distribution
+        greedy, k = self.policy.mode == "greedy", self.policy.k
+        upto = len(state.tokens)
         draft_start = upto - len(draft_tokens)
         spans = self._ensure_through(level, upto)
         accepted: list[int] = []
         for j, token in enumerate(draft_tokens):
-            dist = self.dist(level, draft_start + j - 1)
-            if token in top_predictions(dist, self.policy):
+            dist = exit_distribution(state, exit_layer, draft_start + j - 1)
+            top = dist.argmax()
+            # As top_predictions, without building its tuple on the greedy path.
+            if token == top if greedy or dist.degenerate else token in dist.top_ids(k):
                 accepted.append(token)
                 continue
-            bonus = dist.argmax()
-            self.state.prune_all(draft_start + j)
-            return accepted, bonus, True, spans
+            state.prune_all(draft_start + j)
+            return accepted, top, True, spans
         bonus = None
         if level < len(self.exits) - 1:
-            bonus = self.dist(level, upto - 1).argmax()
+            bonus = exit_distribution(state, exit_layer, upto - 1).argmax()
         return accepted, bonus, False, spans
 
     def finalize(self) -> None:
@@ -564,25 +566,40 @@ def replay_ledger(
 ) -> CostLedger:
     """The cost ledger of a decode, derived from its trace alone: the one
     place a decode's costs are recorded.
+
+    A draft span is one pass per position; a verify span is one pass over
+    its positions at its level. Passes and positions are tallied per
+    (phase, level), and each tally is priced once at the level's width.
     """
     exits = tuple(exits)
     ledger = CostLedger()
     ledger.record_pass("prefill", exits[-1], prompt_len)
     level_widths = [exits[0]] + [exits[i] - exits[i - 1] for i in range(1, len(exits))]
+    # phase -> per level, [passes, positions]
+    phases = ("draft", "intermediate_verify", "target_verify")
+    tally = {phase: [[0, 0] for _ in exits] for phase in phases}
+    draft = tally["draft"][0]
 
-    def record_spans(phase: str, spans: Sequence[Span]) -> None:
+    def count_spans(counts: list[list[int]], spans: Sequence[Span]) -> None:
         for level, (a, b) in enumerate(spans):
             if b > a:
-                ledger.record_pass(phase, level_widths[level], b - a)
+                counts[level][0] += 1
+                counts[level][1] += b - a
 
     for event in trace.events:
         if isinstance(event, DraftStep):
             a, b = event.processed
-            for _ in range(b - a):
-                ledger.record_pass("draft", level_widths[0], 1)
+            draft[0] += b - a
+            draft[1] += b - a
         elif isinstance(event, IntermediateVerify):
-            record_spans("intermediate_verify", event.processed)
+            count_spans(tally["intermediate_verify"], event.processed)
         elif isinstance(event, TargetVerify):
-            record_spans("target_verify", event.processed)
-    record_spans("target_verify", trace.finalize_processed)
+            count_spans(tally["target_verify"], event.processed)
+    count_spans(tally["target_verify"], trace.finalize_processed)
+    for phase, counts in tally.items():
+        cost = ledger.phases[phase]
+        for width, (passes, positions) in zip(level_widths, counts):
+            cost.sequential_depth_units += width * passes
+            cost.position_layer_units += width * positions
+            cost.pass_count += passes
     return ledger

@@ -3,25 +3,28 @@
 Every layer's argmax prediction is a pure function of (seed, layer,
 trailing context window). The final layer defines the ground-truth token;
 layer `l` reproduces it with probability alpha(l) and otherwise emits a
-deterministic decoy. One uniform draw per context is shared by all
-layers (layer `l` is right when the draw falls below alpha(l)), so with a
-monotone profile the layers' correct sets are nested: whatever an early
-exit gets right, every deeper exit gets right too. That correlation
+deterministic decoy. One uniform draw in [0, 1] per context is shared by
+all layers (layer `l` is right when the draw falls below alpha(l)), so
+with a monotone profile the layers' correct sets are nested: whatever an
+early exit gets right, every deeper exit gets right too. That correlation
 mirrors how early-exit checkpoints behave and is what makes an
 intermediate verifier raise the acceptance rate seen by the full model to
 alpha(intermediate) rather than the product of independent agreements.
+A layer whose alpha is 1.0, the final layer among them, always emits the
+truth, even for a draw that rounds to exactly 1.0.
 
 The mixer is the 64-bit finalizer from MurmurHash3 (fmix64), chosen so
 results reproduce across implementations from the published constants.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .backend import TokenDistribution
 from .errors import AlignmentError, ConfigError
-from .state import LayeredState, check_layer_range, fill_runs
+from .state import LayeredState, fill_runs
 
 _MASK64 = (1 << 64) - 1
 _MIX_A = 0xFF51AFD7ED558CCD
@@ -43,13 +46,6 @@ def mix64(x: int) -> int:
     x = (x * _MIX_B) & _MASK64
     x ^= x >> 33
     return x
-
-
-def _window_hash(seed: int, window: Sequence[int]) -> int:
-    h = mix64(seed ^ _GOLDEN)
-    for token in window:
-        h = mix64(h ^ ((token + _GOLDEN) & _MASK64))
-    return h
 
 
 @dataclass(frozen=True)
@@ -167,6 +163,13 @@ class SyntheticBackend:
     stored. Predictions read the recorded token sequence. Exit
     distributions are one-hot (`TokenDistribution.one_hot`), so their
     full-vocab logits array is made only when read.
+
+    The per-layer alpha table and the seed's hash are built once here. A
+    layer with alpha 1.0 is stored as infinity, so that it agrees with
+    the truth at every draw. An exit query is then one lookup of its
+    context window's (truth, draw, decoy) and one comparison of the draw
+    with the layer's entry. A window missing from the cache, which keeps
+    up to a million windows, is hashed on the spot.
     """
 
     def __init__(self, spec: SyntheticModelSpec) -> None:
@@ -174,6 +177,13 @@ class SyntheticBackend:
         self.n_layers = spec.n_layers
         self.vocab_size = spec.vocab_size
         self.max_seq_len = spec.max_seq_len
+        # Indexed by layer; entry 0 is never read.
+        self._alpha = [0.0] + [
+            math.inf if spec.alpha(layer) == 1.0 else spec.alpha(layer)
+            for layer in range(1, spec.n_layers + 1)
+        ]
+        self._seed_hash = mix64(spec.seed ^ _GOLDEN)
+        self._context_window = spec.context_window
         # Window hashes recur heavily across levels and verification passes;
         # caching them is safe because predictions are pure.
         self._window_cache: dict[tuple[int, ...], tuple[int, float, int]] = {}
@@ -185,36 +195,6 @@ class SyntheticBackend:
             d_model=None,
             buffered_layers=buffered_layers,
         )
-
-    # -- closed-form predictions ----------------------------------------
-
-    def _window_draw(self, window: tuple[int, ...]) -> tuple[int, float, int]:
-        cached = self._window_cache.get(window)
-        if cached is None:
-            h = _window_hash(self.spec.seed, window)
-            truth = mix64(h ^ _TAG_TRUTH) % self.vocab_size
-            # Single draw shared by all layers: nested correctness sets.
-            agree_draw = mix64(h ^ _TAG_AGREE) / float(1 << 64)
-            decoy_step = mix64(h ^ _TAG_DECOY) % (self.vocab_size - 1)
-            decoy = (truth + 1 + decoy_step) % self.vocab_size
-            cached = (truth, agree_draw, decoy)
-            if len(self._window_cache) < 1_000_000:
-                self._window_cache[window] = cached
-        return cached
-
-    def _predict(self, layer: int, window: tuple[int, ...]) -> int:
-        """Truth when the window's shared draw falls below alpha(layer), else the decoy."""
-        truth, agree_draw, decoy = self._window_draw(window)
-        if layer == self.n_layers or agree_draw < self.spec.alpha(layer):
-            return truth
-        return decoy
-
-    def predict_token(self, layer: int, context: Sequence[int]) -> int:
-        """Argmax token layer `layer` emits after `context`."""
-        check_layer_range(self.n_layers, layer, layer)
-        if len(context) == 0:
-            raise AlignmentError("context must be non-empty")
-        return self._predict(layer, tuple(context[-self.spec.context_window :]))
 
     # -- backend protocol ------------------------------------------------
 
@@ -229,12 +209,28 @@ class SyntheticBackend:
         state.advance(start_layer, end_layer, start_pos, end_pos)
 
     def exit_distribution(self, state: LayeredState, layer: int, position: int) -> TokenDistribution:
+        """The one-hot prediction of `layer` for the token after `position`,
+        from the trailing `context_window` tokens through `position`."""
         if not 1 <= layer <= self.n_layers:
             raise AlignmentError(f"no exit at layer {layer}: layers are 1..{self.n_layers}")
         if not 0 <= position < state.filled(layer):
             raise AlignmentError(f"missing hidden state at (layer {layer}, position {position})")
-        lo = max(0, position + 1 - self.spec.context_window)
-        token = self._predict(layer, tuple(state.tokens[lo : position + 1]))
+        lo = position + 1 - self._context_window
+        window = tuple(state.tokens[lo if lo > 0 else 0 : position + 1])
+        drawn = self._window_cache.get(window)
+        if drawn is None:
+            h = self._seed_hash
+            for token in window:
+                h = mix64(h ^ ((token + _GOLDEN) & _MASK64))
+            truth = mix64(h ^ _TAG_TRUTH) % self.vocab_size
+            # Single draw shared by all layers: nested correctness sets.
+            agree_draw = mix64(h ^ _TAG_AGREE) / float(1 << 64)
+            decoy_step = mix64(h ^ _TAG_DECOY) % (self.vocab_size - 1)
+            drawn = (truth, agree_draw, (truth + 1 + decoy_step) % self.vocab_size)
+            if len(self._window_cache) < 1_000_000:
+                self._window_cache[window] = drawn
+        truth, agree_draw, decoy = drawn
+        token = truth if agree_draw < self._alpha[layer] else decoy
         return TokenDistribution.one_hot(token, self.vocab_size, position, layer)
 
     def reference_state(

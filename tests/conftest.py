@@ -3,7 +3,15 @@ import pytest
 
 from specdec import ModelConfig, SyntheticBackend, SyntheticModelSpec, init_model
 from specdec.costs import PhaseCost
-from specdec.synthetic import uniform_profile
+from specdec.synthetic import (
+    _GOLDEN,
+    _MASK64,
+    _TAG_AGREE,
+    _TAG_DECOY,
+    _TAG_TRUTH,
+    mix64,
+    uniform_profile,
+)
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +42,23 @@ def all_agree_backend(n_layers=8, vocab_size=32, seed=3, max_seq_len=512):
         max_seq_len=max_seq_len,
     )
     return SyntheticBackend(spec)
+
+
+def predict_token(backend, layer, context):
+    """The token a SyntheticBackend's exit at `layer` predicts after
+    `context`, recomputed from the hash construction alone: the trailing
+    window's hash, its truth, shared draw and decoy, and alpha(layer), of
+    which 1.0 always agrees. It calls nothing of the backend, so it checks
+    `exit_distribution` rather than repeating it."""
+    spec = backend.spec
+    h = mix64(spec.seed ^ _GOLDEN)
+    for token in list(context)[-spec.context_window :]:
+        h = mix64(h ^ ((token + _GOLDEN) & _MASK64))
+    truth = mix64(h ^ _TAG_TRUTH) % spec.vocab_size
+    alpha = spec.agreement_profile[layer]
+    if alpha == 1.0 or mix64(h ^ _TAG_AGREE) / 2**64 < alpha:
+        return truth
+    return (truth + 1 + mix64(h ^ _TAG_DECOY) % (spec.vocab_size - 1)) % spec.vocab_size
 
 
 def random_prompt(rng: np.random.Generator, vocab_size: int, lo=2, hi=10) -> list[int]:

@@ -22,7 +22,13 @@ from specdec import (
 from specdec.engine import Commit, DraftStep, IntermediateVerify, TargetVerify
 from specdec.synthetic import uniform_profile
 
-from conftest import all_agree_backend, assert_ledger_counts_passes, counted, random_prompt
+from conftest import (
+    all_agree_backend,
+    assert_ledger_counts_passes,
+    counted,
+    predict_token,
+    random_prompt,
+)
 
 
 def profile_backend(profile, n_layers=8, vocab=32, seed=7, max_seq_len=512):
@@ -108,7 +114,7 @@ class TestGenerateNext:
         ctx = list(prompt)
         expected = []
         for _ in range(3):
-            token = oracle_backend.predict_token(2, ctx)
+            token = predict_token(oracle_backend, 2, ctx)
             expected.append(token)
             ctx.append(token)
         session = DecodeSession(oracle_backend, exits=(2, 4, 8))
@@ -133,7 +139,7 @@ class TestLeadingSubstringVerify:
             [], level=1, phase="intermediate_verify"
         )
         assert accepted == [] and not mismatch
-        assert bonus == oracle_backend.predict_token(4, prompt)
+        assert bonus == predict_token(oracle_backend, 4, prompt)
 
     def test_full_agreement_accepts_all_with_bonus(self):
         backend = all_agree_backend()
@@ -145,7 +151,7 @@ class TestLeadingSubstringVerify:
             drafted, level=1, phase="intermediate_verify"
         )
         assert accepted == drafted and not mismatch
-        assert bonus == backend.predict_token(4, prompt + drafted)
+        assert bonus == predict_token(backend, 4, prompt + drafted)
 
     def test_prefix_matches_bruteforce_oracle(self):
         # Draft at the bottom layer, verify at a 50% layer; expected prefix
@@ -161,11 +167,11 @@ class TestLeadingSubstringVerify:
         ctx = list(prompt)
         expected_prefix = []
         for token in drafted:
-            if backend.predict_token(4, ctx) != token:
+            if predict_token(backend, 4, ctx) != token:
                 break
             expected_prefix.append(token)
             ctx.append(token)
-        expected_bonus = backend.predict_token(4, ctx)
+        expected_bonus = predict_token(backend, 4, ctx)
 
         accepted, bonus, mismatch, _ = session.leading_substring_verify(
             drafted, level=1, phase="intermediate_verify"

@@ -542,7 +542,7 @@ class TestCli:
         config_path = write_config(tmp_path, raw)
         assert main(["compare", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize("call", ["advance", "predict_token", "exit_distribution", "filled"])
+    @pytest.mark.parametrize("call", ["advance", "exit_distribution", "filled"])
     def test_layer_outside_the_stack_exits_3(self, tmp_path, monkeypatch, capsys, call):
         # Every entry point rejects layer 0 with the same SpecdecError, so the
         # CLI reports it as a runtime error instead of a traceback.
@@ -552,13 +552,11 @@ class TestCli:
         backend.forward_range(state, 1, 8, 0, 3)
         calls = {
             "advance": lambda: state.advance(0, 8, 3, 4),
-            "predict_token": lambda: backend.predict_token(0, [4, 5]),
             "exit_distribution": lambda: backend.exit_distribution(state, 0, 2),
             "filled": lambda: state.filled(0),
         }
         message = {
             "advance": r"invalid layer range \[0, 8\] for 8 layers",
-            "predict_token": r"invalid layer range \[0, 0\] for 8 layers",
             "exit_distribution": r"no exit at layer 0: layers are 1\.\.8",
             "filled": r"no layer 0: layers are 1\.\.8",
         }[call]

@@ -7,8 +7,11 @@ promises for every input, on 2-, 3- and 4-exit sessions: greedy
 speculative output equals vanilla output, the ledger derived from the
 trace sums to the forward passes a counting backend saw, every live
 (layer, position) entry was computed exactly once at every verification
-boundary and at the end, and the trace-derived acceptance counts never
-exceed what was checked. Each toy example draws a small random-weight
+boundary and at the end, the trace-derived acceptance counts never
+exceed what was checked, and the tallied ledger equals a per-pass replay
+of the same trace, phase by phase. Each trace example draws events and
+finalize spans of a 2-, 3- or 4-exit session directly and checks that
+same equality. Each toy example draws a small random-weight
 transformer and checks, at every verification boundary of a hierarchical
 and a 4-exit decode, that a recompute from scratch matches the live
 state exactly, and that the ledger of every decode, vanilla included,
@@ -28,10 +31,13 @@ from specdec import (
     ToyTransformer,
     consistency_check,
     hierarchical_decode,
+    replay_ledger,
     selfspec_decode,
     speculative_decode,
     vanilla_decode,
 )
+from specdec.costs import PHASES, CostLedger
+from specdec.engine import Commit, DecodeTrace, DraftStep, IntermediateVerify, TargetVerify
 
 from conftest import (
     CountingBackend,
@@ -75,6 +81,36 @@ def cascade_decode(backend, prompt, config, exits, bursts, boundary_hook=None):
         backend, prompt, exits, bursts, config.max_new_tokens, config.eos_token,
         boundary_hook=boundary_hook,
     )
+
+
+def per_pass_replay(trace, prompt_len, exits):
+    """The ledger of `trace` priced one `record_pass` per pass, in trace
+    order: the reference for `replay_ledger`'s per-(phase, level) tally."""
+    ledger = CostLedger()
+    ledger.record_pass("prefill", exits[-1], prompt_len)
+    widths = [exits[0]] + [exits[i] - exits[i - 1] for i in range(1, len(exits))]
+
+    def record_spans(phase, spans):
+        for level, (a, b) in enumerate(spans):
+            if b > a:
+                ledger.record_pass(phase, widths[level], b - a)
+
+    for event in trace.events:
+        if isinstance(event, DraftStep):
+            a, b = event.processed
+            for _ in range(b - a):
+                ledger.record_pass("draft", widths[0], 1)
+        elif isinstance(event, IntermediateVerify):
+            record_spans("intermediate_verify", event.processed)
+        elif isinstance(event, TargetVerify):
+            record_spans("target_verify", event.processed)
+    record_spans("target_verify", trace.finalize_processed)
+    return ledger
+
+
+def assert_same_phases(ledger, reference):
+    for phase in PHASES:
+        assert ledger.phases[phase] == reference.phases[phase], phase
 
 
 @st.composite
@@ -140,13 +176,17 @@ def test_speculative_decodes_keep_engine_invariants(case):
         ),
         counted(hierarchical_decode, backend, prompt, config, boundary_hook=hook),
     ]
+    d, i, n = config.draft_layer, config.intermediate_layer, config.full_layer
+    exits = [(n,), (d, n), (d, i, n)]
     if four_exits is not None:
         decodes.append(counted(cascade_decode, backend, prompt, config, *four_exits, hook))
+        exits.append(four_exits[0])
     reference = decodes[0][0].tokens
     assert all(boundaries_clean)
-    for result, counter in decodes:
+    for (result, counter), session_exits in zip(decodes, exits):
         assert result.tokens == reference
         assert_ledger_counts_passes(result.ledger, counter.passes)
+        assert_same_phases(result.ledger, per_pass_replay(result.trace, len(prompt), session_exits))
         assert live_counts_are_one(counter, result.state)
         stats = result.stats
         assert stats.accepted_intermediate <= stats.checked_intermediate
@@ -180,6 +220,45 @@ def test_toy_boundaries_recompute_exactly(case):
     for result, counter in [(vanilla, vanilla_counter), *decodes]:
         assert result.tokens == vanilla.tokens
         assert_ledger_counts_passes(result.ledger, counter.passes)
+
+
+@st.composite
+def traces(draw):
+    """A trace of a 2-, 3- or 4-exit session: draft steps, verify events of
+    random levels, commits and 1 to N non-empty finalize spans, each span
+    at most 5 positions wide and some of them empty."""
+    n_layers = draw(st.integers(2, 12))
+    below = draw(st.sets(st.integers(1, n_layers - 1), min_size=1, max_size=min(3, n_layers - 1)))
+    exits = (*sorted(below), n_layers)
+    span = st.tuples(st.integers(0, 40), st.integers(0, 5)).map(lambda t: (t[0], t[0] + t[1]))
+
+    def spans(levels):
+        return st.lists(span, min_size=levels, max_size=levels).map(tuple)
+
+    event = st.one_of(
+        span.map(lambda processed: DraftStep(processed[0], (), processed)),
+        st.integers(2, len(exits)).flatmap(spans).map(
+            lambda processed: IntermediateVerify((), None, 0, processed)
+        ),
+        spans(len(exits)).map(
+            lambda processed: TargetVerify((), None, 0, 0, False, "round", processed)
+        ),
+        st.just(Commit(())),
+    )
+    finalize = st.lists(
+        span.filter(lambda s: s[1] > s[0]), min_size=1, max_size=len(exits)
+    ).map(tuple)
+    events = draw(st.lists(event, max_size=25))
+    trace = DecodeTrace(events=events, finalize_processed=draw(finalize))
+    return trace, draw(st.integers(1, 40)), exits
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(traces())
+def test_tallied_ledger_equals_a_per_pass_replay(case):
+    trace, prompt_len, exits = case
+    ledger = replay_ledger(trace, prompt_len, exits)
+    assert_same_phases(ledger, per_pass_replay(trace, prompt_len, exits))
 
 
 def advance_error(fills, n_tokens, max_seq_len, start_layer, end_layer, start_pos, end_pos):

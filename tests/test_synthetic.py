@@ -13,7 +13,9 @@ from specdec import (
     speculative_decode,
     vanilla_decode,
 )
-from specdec.synthetic import interpolated_profile, mix64, uniform_profile
+from specdec.synthetic import PRESET_NAMES, interpolated_profile, mix64, uniform_profile
+
+from conftest import predict_token
 
 
 def make_backend(n_layers=8, vocab=64, seed=7, profile=None):
@@ -37,21 +39,32 @@ class TestSpecValidation:
             SyntheticModelSpec(n_layers=8, vocab_size=16, seed=0, agreement_profile={8: 1.0})
 
 
+def exit_tokens(backend, context):
+    """What every exit of `backend` predicts after `context`, layer 1 first,
+    read through `exit_distribution` on a state filled over `context`."""
+    state = backend.new_state()
+    state.set_tokens(context)
+    backend.forward_range(state, 1, backend.n_layers, 0, len(context))
+    return [
+        backend.exit_distribution(state, layer, len(context) - 1).argmax()
+        for layer in range(1, backend.n_layers + 1)
+    ]
+
+
 class TestPredictions:
     def test_pure_function_across_instances(self):
         a = make_backend(seed=21)
         b = make_backend(seed=21)
         ctx = [5, 1, 2, 9, 9]
-        for layer in range(1, 9):
-            assert a.predict_token(layer, ctx) == b.predict_token(layer, ctx)
+        expected = [predict_token(a, layer, ctx) for layer in range(1, 9)]
+        assert exit_tokens(a, ctx) == exit_tokens(b, ctx) == expected
 
     def test_full_agreement_always_matches_truth(self):
         backend = make_backend(profile=uniform_profile(8, 1.0))
         rng = np.random.default_rng(0)
         for _ in range(200):
             ctx = [int(t) for t in rng.integers(0, 64, size=5)]
-            truth = backend.predict_token(8, ctx)
-            assert all(backend.predict_token(l, ctx) == truth for l in range(1, 8))
+            assert exit_tokens(backend, ctx) == [predict_token(backend, 8, ctx)] * 8
 
     def test_zero_agreement_never_matches_truth(self):
         profile = uniform_profile(8, 0.0)
@@ -59,8 +72,21 @@ class TestPredictions:
         rng = np.random.default_rng(1)
         for _ in range(200):
             ctx = [int(t) for t in rng.integers(0, 64, size=5)]
-            truth = backend.predict_token(8, ctx)
-            assert all(backend.predict_token(l, ctx) != truth for l in range(1, 8))
+            *tokens, truth = exit_tokens(backend, ctx)
+            assert truth == predict_token(backend, 8, ctx)
+            assert truth not in tokens
+
+    @pytest.mark.parametrize("alpha, n_layers", [(1.0, 4), (0.999, 4), (1.0, 8)])
+    def test_a_draw_of_one_agrees_only_where_alpha_is_one(self, alpha, n_layers):
+        # The shared draw is a 64-bit hash over 2**64, which rounds to exactly
+        # 1.0 for the top 1024 values; it must not turn an alpha of 1.0 into a decoy.
+        backend = make_backend(n_layers=n_layers, profile=uniform_profile(n_layers, alpha))
+        state = backend.new_state()
+        state.set_tokens([1, 2, 3])
+        backend.forward_range(state, 1, n_layers, 0, 3)
+        backend._window_cache[(1, 2, 3)] = (5, 1.0, 6)
+        tokens = [backend.exit_distribution(state, l, 2).argmax() for l in range(1, n_layers + 1)]
+        assert tokens == [5 if alpha == 1.0 else 6] * (n_layers - 1) + [5]
 
     def test_monte_carlo_agreement_tracks_profile(self):
         # alpha(l) = l / n_layers, 10k contexts, within +/-2% absolute.
@@ -69,12 +95,29 @@ class TestPredictions:
         backend = make_backend(seed=13, profile=profile)
         rng = np.random.default_rng(99)
         contexts = [[int(t) for t in rng.integers(0, 64, size=6)] for _ in range(10_000)]
-        truths = [backend.predict_token(n_layers, c) for c in contexts]
+        predictions = [exit_tokens(backend, c) for c in contexts]
         for layer in range(1, n_layers):
-            hits = sum(
-                1 for c, t in zip(contexts, truths) if backend.predict_token(layer, c) == t
-            )
+            hits = sum(1 for tokens in predictions if tokens[layer - 1] == tokens[-1])
             assert abs(hits / len(contexts) - profile[layer]) < 0.02
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_exit_queries_match_the_hash_construction(self, preset):
+        # Every layer and position of seeded contexts, the first positions'
+        # windows shorter than context_window; each window is asked twice, so
+        # both a cache miss and a cache hit are checked.
+        backend = SyntheticBackend(calibrate_preset(preset, seed=11))
+        rng = np.random.default_rng(2024)
+        for _ in range(6):
+            size = int(rng.integers(1, 9))
+            ctx = [int(t) for t in rng.integers(0, backend.vocab_size, size=size)]
+            state = backend.new_state()
+            state.set_tokens(ctx)
+            backend.forward_range(state, 1, backend.n_layers, 0, size)
+            for _ in range(2):
+                for layer in range(1, backend.n_layers + 1):
+                    got = [backend.exit_distribution(state, layer, p).argmax() for p in range(size)]
+                    want = [predict_token(backend, layer, ctx[: p + 1]) for p in range(size)]
+                    assert got == want
 
     def test_degenerate_distribution_forces_top1(self):
         from specdec import AcceptancePolicy, top_predictions
@@ -92,7 +135,7 @@ class TestPredictions:
         state = backend.new_state()
         state.set_tokens([4, 5, 6, 7])
         backend.forward_range(state, 1, 8, 0, 4)
-        direct = backend.predict_token(3, [4, 5, 6, 7])
+        direct = predict_token(backend, 3, [4, 5, 6, 7])
         via_state = backend.exit_distribution(state, 3, 3)
         assert direct == via_state.argmax()
 
