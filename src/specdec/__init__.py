@@ -1,7 +1,7 @@
 """Speculative decoding with early-exit drafting and hierarchical verification."""
 
 from .backend import Backend, TokenDistribution
-from .costs import CostLedger, relative_throughput, verification_wall_ratio
+from .costs import CostLedger, relative_throughput
 from .engine import (
     GREEDY,
     AcceptancePolicy,
@@ -14,7 +14,6 @@ from .engine import (
     replay_ledger,
     selfspec_decode,
     speculative_decode,
-    top_predictions,
     vanilla_decode,
 )
 from .errors import (
@@ -36,11 +35,6 @@ from .synthetic import (
     mix64,
     uniform_profile,
 )
-
-
-def init_model(config: ModelConfig) -> ToyTransformer:
-    """Build the toy transformer; weights are a pure function of config.seed."""
-    return ToyTransformer(config)
 
 
 __all__ = [
@@ -69,15 +63,12 @@ __all__ = [
     "consistency_check",
     "default_layer_placement",
     "hierarchical_decode",
-    "init_model",
     "interpolated_profile",
     "mix64",
     "relative_throughput",
     "replay_ledger",
     "selfspec_decode",
     "speculative_decode",
-    "top_predictions",
     "uniform_profile",
     "vanilla_decode",
-    "verification_wall_ratio",
 ]

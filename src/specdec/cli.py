@@ -1,4 +1,4 @@
-"""Command-line harness: sweep, ablate, compare, wall, and check subcommands.
+"""Command-line harness: sweep, ablate, compare and check subcommands.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime or capacity error.
 Identical config and seed produce byte-identical reports regardless of
@@ -13,8 +13,6 @@ from pathlib import Path
 
 from .errors import ConfigError, SpecdecError
 from .experiments import (
-    RESULT_COLUMNS,
-    WALL_COLUMNS,
     config_int,
     emit_matrix,
     emit_report,
@@ -24,7 +22,6 @@ from .experiments import (
     run_check,
     run_compare,
     run_sweep,
-    run_wall,
 )
 
 
@@ -60,24 +57,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(compare)
     _add_report(compare)
 
-    wall = sub.add_parser("wall", help="verification-wall ratio table")
-    _add_report(wall)
-
     check = sub.add_parser("check", help="recompute state at every boundary of each grid point")
     _add_config(check)
     return parser
 
 
-def _write(rows, args, name: str, columns) -> Path:
+def _write(rows, args, name: str) -> Path:
     out = Path(args.out) / f"{name}.{args.format}"
-    emit_report(rows, out, fmt=args.format, columns=columns)
+    emit_report(rows, out, fmt=args.format)
     return out
 
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config, args.seed)
     rows = run_sweep(config, jobs=resolve_jobs(args.jobs))
-    path = _write(rows, args, "sweep", RESULT_COLUMNS)
+    path = _write(rows, args, "sweep")
     print(f"wrote {len(rows)} rows to {path}")
     if args.matrix:
         matrix_path = Path(args.out) / "matrix.txt"
@@ -90,7 +84,7 @@ def _cmd_ablate(args) -> int:
     config = load_config(args.config, args.seed)
     values = [config_int(v, "--values", minimum=1) for v in args.values.split(",") if v.strip()]
     rows = run_ablation(config, args.parameter, values, jobs=resolve_jobs(args.jobs))
-    path = _write(rows, args, f"ablate_{args.parameter}", RESULT_COLUMNS)
+    path = _write(rows, args, f"ablate_{args.parameter}")
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 
@@ -98,14 +92,7 @@ def _cmd_ablate(args) -> int:
 def _cmd_compare(args) -> int:
     config = load_config(args.config, args.seed)
     rows = run_compare(config, jobs=resolve_jobs(args.jobs))
-    path = _write(rows, args, "compare", RESULT_COLUMNS)
-    print(f"wrote {len(rows)} rows to {path}")
-    return 0
-
-
-def _cmd_wall(args) -> int:
-    rows = run_wall()
-    path = _write(rows, args, "wall", WALL_COLUMNS)
+    path = _write(rows, args, "compare")
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 
@@ -127,7 +114,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "ablate": _cmd_ablate,
     "compare": _cmd_compare,
-    "wall": _cmd_wall,
     "check": _cmd_check,
 }
 

@@ -57,18 +57,6 @@ class CostLedger:
             mine.pass_count += cost.pass_count
 
 
-def verification_wall_ratio(draft_layers: int, target_layers: int) -> float:
-    """Sequential cost of one verify pass over the per-token draft cost.
-
-    Under the latency proxy a verify pass costs its layer count no matter
-    how many positions it covers. Structural proxy only, not a wall-clock
-    prediction.
-    """
-    if draft_layers <= 0 or target_layers <= 0:
-        raise ValueError("inputs must be positive")
-    return target_layers / draft_layers
-
-
 def relative_throughput(
     subject_tokens: int,
     subject_ledger: CostLedger,
@@ -84,18 +72,3 @@ def relative_throughput(
         raise UndefinedRatioError("zero-cost ledger has no defined throughput")
     return (subject_tokens / subject_units) / (baseline_tokens / baseline_units)
 
-
-# Draft/target depth pairs mirroring common public decoder checkpoints in
-# the 1B-405B range (OPT 1.3b/2.7b/6.7b against 66b; Llama 1B/3B/8B against
-# 70B and 405B). Used by the `wall` report.
-WALL_DEPTH_PAIRS: tuple[tuple[str, int, str, int], ...] = (
-    ("opt-1.3b", 24, "opt-66b", 64),
-    ("opt-2.7b", 32, "opt-66b", 64),
-    ("opt-6.7b", 32, "opt-66b", 64),
-    ("llama-1b", 16, "llama-70b", 80),
-    ("llama-3b", 28, "llama-70b", 80),
-    ("llama-8b", 32, "llama-70b", 80),
-    ("llama-1b", 16, "llama-405b", 126),
-    ("llama-3b", 28, "llama-405b", 126),
-    ("llama-8b", 32, "llama-405b", 126),
-)

@@ -1,18 +1,19 @@
-"""Decoding strategies over early exits: vanilla decoding and speculation
-through any number of verifying exits.
+"""Decoding over N >= 1 early exits of one model: vanilla decoding at one
+exit and speculation through any number of verifying exits.
 
 A `DecodeSession` owns one decode's layered state and trace.
 Its exits split the layer stack into levels; lower levels run ahead of
 higher ones, and verification prunes rejected positions before the next
-phase. Every decode takes the same four steps: `_start` checks the
-budget and the capacity and prefills the prompt, `_fill` drafts (and
-screens), `DecodeSession.commit` commits tokens, and `_finish` runs
-finalize and builds the result.
+phase.
 
-Vanilla decoding drafts one burst as long as the budget at its one exit
-and commits it unverified. Speculative decoding over N >= 2 exits, the
-last at full depth, is one round loop, `speculative_decode`, with one
-burst length per level below the top:
+Every strategy is `speculative_decode` over its exits, and every decode
+takes the same four steps: it checks the budget and the capacity and
+prefills the prompt, `_fill` drafts (and screens), `DecodeSession.commit`
+commits tokens, and `_finish` runs finalize and builds the result.
+Vanilla decoding is the N = 1 case: it drafts one burst as long as the
+budget at its one exit and commits it unverified. Over N >= 2 exits, the
+last at full depth, it is one round loop with one burst length per level
+below the top:
 
 - level 0 drafts a burst of greedy tokens at the lowest exit;
 - each level k between the draft and the top screens bursts from level
@@ -31,9 +32,9 @@ greedy top-1 policy speculative decoding is therefore lossless: the
 output matches vanilla decoding token for token. Top-k acceptance is
 available but lossy by construction.
 
-The trace is the one record of a decode: `DecodeTrace.stats()` derives
-the acceptance and flush counts from its events, and `replay_ledger`
-derives the cost ledger from its processed spans; no cost is kept by hand.
+The trace is the one record of a decode: one walk over its events yields
+the committed tokens, the acceptance and flush counts and the per-level
+pass tallies that `replay_ledger` prices; no cost is kept by hand.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ import math
 from dataclasses import astuple, dataclass, field
 from typing import Sequence
 
-from .backend import Backend, TokenDistribution
+from .backend import Backend
 from .costs import CostLedger
 from .errors import CapacityError, ConfigError, ProtocolError
 from .state import LayeredState
@@ -62,13 +63,6 @@ class AcceptancePolicy:
 
 
 GREEDY = AcceptancePolicy()
-
-
-def top_predictions(dist: TokenDistribution, policy: AcceptancePolicy) -> tuple[int, ...]:
-    """Token ids the verifier would accept at this position."""
-    if policy.mode == "greedy" or dist.degenerate:
-        return (dist.argmax(),)
-    return tuple(dist.top_ids(policy.k))
 
 
 def default_layer_placement(full_layer: int) -> tuple[int, int]:
@@ -133,53 +127,18 @@ class DecodeTrace:
     events: list = field(default_factory=list)
     finalize_processed: tuple[Span, ...] = ()
 
-    def committed_tokens(self) -> list[int]:
-        out: list[int] = []
-        for event in self.events:
-            if isinstance(event, Commit):
-                out.extend(event.tokens)
-        return out
-
-    def stats(self) -> DecodeStats:
-        """Acceptance and flush counts, derived from the events alone.
-
-        `drafted` counts the draft tokens shown to the first verifier, i.e.
-        each DraftStep directly followed by a verify event; a vanilla trace
-        has no verifier and counts zero everywhere. The intermediate counts
-        sum over every screening level between the draft and the top exit.
-        """
-        drafted = checked_i = accepted_i = presented = checked_t = accepted_t = flushed = 0
-        previous = None
-        for event in self.events:
-            if isinstance(previous, DraftStep) and isinstance(
-                event, (IntermediateVerify, TargetVerify)
-            ):
-                drafted += len(previous.tokens)
-            if isinstance(event, IntermediateVerify):
-                checked_i += len(event.accepted) + int(event.rejected > 0)
-                accepted_i += len(event.accepted)
-            elif isinstance(event, TargetVerify):
-                presented += event.presented
-                checked_t += len(event.accepted) + int(event.mismatch)
-                accepted_t += len(event.accepted)
-                flushed += event.flushed
-            previous = event
-        return DecodeStats(
-            drafted=drafted,
-            checked_intermediate=checked_i,
-            accepted_intermediate=accepted_i,
-            presented_target=presented,
-            checked_target=checked_t,
-            accepted_target=accepted_t,
-            flushed=flushed,
-        )
-
 
 @dataclass(frozen=True)
 class DecodeStats:
     """Acceptance rates count tokens actually compared against a verifier:
     the tail flushed after a mismatch was never checked and is excluded
-    from the rate denominators (it still counts as flushed work)."""
+    from the rate denominators (it still counts as flushed work).
+
+    `drafted` counts the draft tokens shown to the first verifier, i.e.
+    each DraftStep directly followed by a verify event; a vanilla trace
+    has no verifier and counts zero everywhere. The intermediate counts
+    sum over every screening level between the draft and the top exit.
+    """
 
     drafted: int = 0
     checked_intermediate: int = 0
@@ -321,7 +280,7 @@ class DecodeSession:
         for j, token in enumerate(draft_tokens):
             dist = exit_distribution(state, exit_layer, draft_start + j - 1)
             top = dist.argmax()
-            # As top_predictions, without building its tuple on the greedy path.
+            # A degenerate (one-hot) distribution accepts only its argmax.
             if token == top if greedy or dist.degenerate else token in dist.top_ids(k):
                 accepted.append(token)
                 continue
@@ -345,28 +304,6 @@ class DecodeSession:
         self.trace.events.append(Commit(tokens=tuple(tokens)))
 
 
-def _start(
-    backend: Backend,
-    prompt: Sequence[int],
-    exits: Sequence[int],
-    max_new_tokens: int,
-    policy: AcceptancePolicy = GREEDY,
-    eos_token: int | None = None,
-) -> DecodeSession:
-    """A session at `exits` with `prompt` prefilled, once the budget and
-    the capacity are checked."""
-    session = DecodeSession(backend, exits, policy=policy, eos_token=eos_token)
-    if max_new_tokens < 1:
-        raise ConfigError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
-    if len(prompt) + max_new_tokens > backend.max_seq_len:
-        raise CapacityError(
-            f"prompt of {len(prompt)} plus {max_new_tokens} new tokens exceeds "
-            f"max_seq_len {backend.max_seq_len}"
-        )
-    session.prefill(prompt)
-    return session
-
-
 def vanilla_decode(
     backend: Backend,
     prompt: Sequence[int],
@@ -374,16 +311,14 @@ def vanilla_decode(
     layer: int | None = None,
     eos_token: int | None = None,
 ) -> DecodeResult:
-    """Greedy autoregressive decoding at a single exit layer.
+    """Greedy autoregressive decoding at a single exit layer, full depth by
+    default: the 1-exit case of `speculative_decode`.
 
     The full-depth instance defines reference output for the speculative
     strategies.
     """
     exit_layer = backend.n_layers if layer is None else layer
-    session = _start(backend, prompt, (exit_layer,), max_new_tokens, eos_token=eos_token)
-    tokens, _ = _fill(session, 0, (max_new_tokens,), max_new_tokens)
-    session.commit(tokens)
-    return _finish(session, len(prompt))
+    return speculative_decode(backend, prompt, (exit_layer,), (), max_new_tokens, eos_token)
 
 
 def selfspec_decode(
@@ -430,27 +365,38 @@ def speculative_decode(
     policy: AcceptancePolicy = GREEDY,
     boundary_hook=None,
 ) -> DecodeResult:
-    """The speculative round loop over N >= 2 strictly increasing exits,
-    the last at full depth.
+    """Decoding over N >= 1 strictly increasing exits.
 
-    `bursts[k] >= 1` is the burst length of level k, one for each level
-    below the top exit. Each round fills the tentative buffer through
-    level N-2 (`_fill`), verifies it at the top exit, commits the
-    agreeing prefix capped at eos and the budget, and on a mismatch
-    commits the top exit's own token instead. `boundary_hook(session)`
-    runs after every top-exit verification.
+    One exit is vanilla decoding: it drafts one burst as long as the
+    budget and commits it unverified. Two or more exits, the last at full
+    depth, run the speculative round loop. `bursts[k] >= 1` is the burst
+    length of level k, one for each level below the top exit. Each round
+    fills the tentative buffer through level N-2 (`_fill`), verifies it
+    at the top exit, commits the agreeing prefix capped at eos and the
+    budget, and on a mismatch commits the top exit's own token instead.
+    `boundary_hook(session)` runs after every top-exit verification.
     """
     exits, bursts = tuple(exits), tuple(bursts)
-    if len(exits) < 2 or exits[-1] != backend.n_layers:
-        raise ConfigError(
-            f"exits {exits} must number two or more and end at the full_layer {backend.n_layers}"
-        )
-    if len(bursts) != len(exits) - 1 or min(bursts) < 1:
+    if len(exits) > 1 and exits[-1] != backend.n_layers:
+        raise ConfigError(f"exits {exits} must end at the full_layer {backend.n_layers}")
+    session = DecodeSession(backend, exits, policy=policy, eos_token=eos_token)
+    if len(bursts) != len(exits) - 1 or min(bursts, default=1) < 1:
         raise ConfigError(
             f"bursts {bursts} must give one length >= 1 for each of the "
             f"{len(exits) - 1} levels below the top exit"
         )
-    session = _start(backend, prompt, exits, max_new_tokens, policy, eos_token)
+    if max_new_tokens < 1:
+        raise ConfigError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
+    if len(prompt) + max_new_tokens > backend.max_seq_len:
+        raise CapacityError(
+            f"prompt of {len(prompt)} plus {max_new_tokens} new tokens exceeds "
+            f"max_seq_len {backend.max_seq_len}"
+        )
+    session.prefill(prompt)
+    if len(exits) == 1:  # vanilla: one burst as long as the budget, committed unverified
+        drafted, _ = _fill(session, 0, (max_new_tokens,), max_new_tokens)
+        session.commit(drafted)
+        return _finish(session, len(prompt))
     top = len(exits) - 1
     eos = eos_token
     room = max_new_tokens
@@ -550,11 +496,12 @@ def _fill(
 def _finish(session: DecodeSession, prompt_len: int) -> DecodeResult:
     session.finalize()
     trace = session.trace
+    tokens, stats, tally = _walk(trace, len(session.exits))
     return DecodeResult(
-        tokens=trace.committed_tokens(),
+        tokens=tokens,
         trace=trace,
-        ledger=replay_ledger(trace, prompt_len, session.exits),
-        stats=trace.stats(),
+        ledger=_price(tally, prompt_len, session.exits),
+        stats=stats,
         state=session.state,
     )
 
@@ -565,37 +512,72 @@ def replay_ledger(
     exits: Sequence[int],
 ) -> CostLedger:
     """The cost ledger of a decode, derived from its trace alone: the one
-    place a decode's costs are recorded.
-
-    A draft span is one pass per position; a verify span is one pass over
-    its positions at its level. Passes and positions are tallied per
-    (phase, level), and each tally is priced once at the level's width.
-    """
+    place a decode's costs are recorded."""
     exits = tuple(exits)
-    ledger = CostLedger()
-    ledger.record_pass("prefill", exits[-1], prompt_len)
-    level_widths = [exits[0]] + [exits[i] - exits[i - 1] for i in range(1, len(exits))]
-    # phase -> per level, [passes, positions]
-    phases = ("draft", "intermediate_verify", "target_verify")
-    tally = {phase: [[0, 0] for _ in exits] for phase in phases}
-    draft = tally["draft"][0]
+    return _price(_walk(trace, len(exits))[2], prompt_len, exits)
 
-    def count_spans(counts: list[list[int]], spans: Sequence[Span]) -> None:
-        for level, (a, b) in enumerate(spans):
-            if b > a:
-                counts[level][0] += 1
-                counts[level][1] += b - a
 
+def _walk(trace: DecodeTrace, n_levels: int) -> tuple[list[int], DecodeStats, dict]:
+    """The committed tokens, the `DecodeStats` and the pass tallies of a
+    trace, in one pass over its events.
+
+    The tallies map each phase to [passes, positions] per level: a draft
+    span is one pass per position, a verify or finalize span one pass
+    over its positions at its level.
+    """
+    tokens: list[int] = []
+    drafted = checked_i = accepted_i = presented = checked_t = accepted_t = flushed = 0
+    draft, intermediate, target = ([[0, 0] for _ in range(n_levels)] for _ in range(3))
+    shown = 0  # tokens of the DraftStep just before this event, else 0
     for event in trace.events:
         if isinstance(event, DraftStep):
             a, b = event.processed
-            draft[0] += b - a
-            draft[1] += b - a
-        elif isinstance(event, IntermediateVerify):
-            count_spans(tally["intermediate_verify"], event.processed)
-        elif isinstance(event, TargetVerify):
-            count_spans(tally["target_verify"], event.processed)
-    count_spans(tally["target_verify"], trace.finalize_processed)
+            draft[0][0] += b - a
+            draft[0][1] += b - a
+            shown = len(event.tokens)
+            continue
+        if isinstance(event, Commit):
+            tokens.extend(event.tokens)
+        else:
+            drafted += shown
+            if isinstance(event, IntermediateVerify):
+                checked_i += len(event.accepted) + (event.rejected > 0)
+                accepted_i += len(event.accepted)
+                _count_spans(intermediate, event.processed)
+            else:
+                presented += event.presented
+                checked_t += len(event.accepted) + event.mismatch
+                accepted_t += len(event.accepted)
+                flushed += event.flushed
+                _count_spans(target, event.processed)
+        shown = 0
+    _count_spans(target, trace.finalize_processed)
+    stats = DecodeStats(
+        drafted=drafted,
+        checked_intermediate=checked_i,
+        accepted_intermediate=accepted_i,
+        presented_target=presented,
+        checked_target=checked_t,
+        accepted_target=accepted_t,
+        flushed=flushed,
+    )
+    tally = {"draft": draft, "intermediate_verify": intermediate, "target_verify": target}
+    return tokens, stats, tally
+
+
+def _count_spans(counts: list[list[int]], spans: Sequence[Span]) -> None:
+    for level, (a, b) in enumerate(spans):
+        if b > a:
+            counts[level][0] += 1
+            counts[level][1] += b - a
+
+
+def _price(tally: dict, prompt_len: int, exits: Sequence[int]) -> CostLedger:
+    """The ledger of a prefill of `prompt_len` at full depth plus each
+    tally priced once at its level's width."""
+    ledger = CostLedger()
+    ledger.record_pass("prefill", exits[-1], prompt_len)
+    level_widths = [exits[0]] + [exits[i] - exits[i - 1] for i in range(1, len(exits))]
     for phase, counts in tally.items():
         cost = ledger.phases[phase]
         for width, (passes, positions) in zip(level_widths, counts):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
-from .costs import WALL_DEPTH_PAIRS, CostLedger, relative_throughput, verification_wall_ratio
+from .costs import CostLedger, relative_throughput
 from .engine import (
     DEFAULT_BURSTS,
     GREEDY,
@@ -33,7 +33,6 @@ from .engine import (
     DecodeStats,
     default_layer_placement,
     speculative_decode,
-    vanilla_decode,
 )
 from .errors import ConfigError, UndefinedRatioError
 from .model import ModelConfig, ToyTransformer
@@ -60,9 +59,7 @@ RESULT_COLUMNS = (
     "rel_throughput",
 )
 
-WALL_COLUMNS = ("draft_model", "draft_layers", "target_model", "target_layers", "wall_ratio")
-
-_FLOAT_COLUMNS = {"acc_rate_intermediate", "acc_rate_target", "rel_throughput", "wall_ratio"}
+_FLOAT_COLUMNS = {"acc_rate_intermediate", "acc_rate_target", "rel_throughput"}
 
 
 # The grid fields of each strategy: its exit layers below the full depth, shallowest
@@ -373,13 +370,10 @@ def run_point(
     backend = _backend_cache(backend_spec)
     aggregate = PointAggregate(point, 0, CostLedger(), DecodeStats())
     for prompt in prompts:
-        if point.strategy == "vanilla":
-            result = vanilla_decode(backend, prompt, max_new_tokens)
-        else:
-            result = speculative_decode(
-                backend, prompt, point.exits, point.bursts, max_new_tokens,
-                policy=policy, boundary_hook=boundary_hook,
-            )
+        result = speculative_decode(
+            backend, prompt, point.exits, point.bursts, max_new_tokens,
+            policy=policy, boundary_hook=boundary_hook,
+        )
         aggregate.tokens += len(result.tokens)
         aggregate.ledger.merge(result.ledger)
         aggregate.stats += result.stats
@@ -431,7 +425,8 @@ def _map_points(
         for point in points
     ]
     if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Under fork a pool starts all its workers at once: no more than there are points.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             return list(pool.map(worker, payloads, chunksize=1))
     return [worker(p) for p in payloads]
 
@@ -510,15 +505,6 @@ def run_compare(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     return run_sweep(replace(config, strategies=strategies), jobs)
 
 
-def run_wall() -> list[dict]:
-    """The verification-wall ratio of each reference (draft, target) depth pair."""
-    rows = [
-        dict(zip(WALL_COLUMNS, (*pair, verification_wall_ratio(pair[1], pair[3]))))
-        for pair in WALL_DEPTH_PAIRS
-    ]
-    return sorted(rows, key=lambda r: (r["target_layers"], r["draft_layers"], r["draft_model"]))
-
-
 # -- report emission ----------------------------------------------------
 
 
@@ -530,13 +516,9 @@ def _format_cell(column: str, value) -> str:
     return str(value)
 
 
-def emit_report(
-    rows: Sequence[dict],
-    out_path: str | Path,
-    fmt: str = "csv",
-    columns: Sequence[str] = RESULT_COLUMNS,
-) -> Path:
-    """Write rows as CSV or JSON lines with a stable column order."""
+def emit_report(rows: Sequence[dict], out_path: str | Path, fmt: str = "csv") -> Path:
+    """Write result rows as CSV or JSON lines in RESULT_COLUMNS order."""
+    columns = RESULT_COLUMNS
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":

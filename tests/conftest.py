@@ -1,7 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from specdec import ModelConfig, SyntheticBackend, SyntheticModelSpec, init_model
+from specdec import ModelConfig, SyntheticBackend, SyntheticModelSpec, ToyTransformer
 from specdec.costs import PhaseCost
 from specdec.synthetic import (
     _GOLDEN,
@@ -19,7 +22,7 @@ def toy_backend():
     config = ModelConfig(
         n_layers=6, d_model=32, n_heads=4, vocab_size=32, max_seq_len=128, seed=11
     )
-    return init_model(config)
+    return ToyTransformer(config)
 
 
 @pytest.fixture(scope="session")
@@ -142,3 +145,19 @@ def equals_snapshot(state, snap):
         and len(arrays) == len(snap[3])
         and all(map(np.array_equal, arrays, snap[3]))
     )
+
+
+def decode_record(result, boundaries=()) -> str:
+    """Everything a decode records, as canonical JSON: tokens, trace events,
+    finalize spans, the per-phase ledger, stats, the final per-layer fills
+    and the given verification `boundaries`."""
+    payload = {
+        "tokens": result.tokens,
+        "events": [[type(e).__name__, dataclasses.asdict(e)] for e in result.trace.events],
+        "finalize": result.trace.finalize_processed,
+        "ledger": {name: dataclasses.asdict(c) for name, c in result.ledger.phases.items()},
+        "stats": dataclasses.asdict(result.stats),
+        "fills": result.state.fills(),
+        "boundaries": list(boundaries),
+    }
+    return json.dumps(payload, sort_keys=True)

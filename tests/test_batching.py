@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdec import ModelConfig, init_model
+from specdec import ModelConfig, ToyTransformer
 from specdec.model import _attend_span, _rows_matmul
 
 N_LAYERS = 5
@@ -27,7 +27,7 @@ CONTRACT = (
 
 
 MODELS = [
-    init_model(
+    ToyTransformer(
         ModelConfig(
             n_layers=N_LAYERS, d_model=d_model, n_heads=n_heads,
             vocab_size=12, max_seq_len=MAX_SEQ_LEN, seed=d_model * n_heads,

@@ -8,9 +8,7 @@ from specdec import (
     relative_throughput,
     selfspec_decode,
     vanilla_decode,
-    verification_wall_ratio,
 )
-from specdec.costs import WALL_DEPTH_PAIRS
 from specdec.synthetic import uniform_profile
 
 from conftest import all_agree_backend
@@ -44,27 +42,6 @@ class TestRecordPass:
         ledger = CostLedger()
         with pytest.raises(ValueError):
             ledger.record_pass("draft", 0, 1)
-
-
-class TestWallRatio:
-    def test_depth_ratio(self):
-        assert verification_wall_ratio(4, 32) == 8.0
-
-    def test_equal_depths(self):
-        assert verification_wall_ratio(16, 16) == 1.0
-
-    def test_strictly_increasing_in_target_depth(self):
-        ratios = [verification_wall_ratio(8, t) for t in range(8, 129, 8)]
-        assert all(b > a for a, b in zip(ratios, ratios[1:]))
-
-    def test_reference_pairs_have_public_depths(self):
-        by_name = {}
-        for draft_name, draft_layers, target_name, target_layers in WALL_DEPTH_PAIRS:
-            by_name[draft_name] = draft_layers
-            by_name[target_name] = target_layers
-        assert by_name["opt-66b"] == 64
-        assert by_name["llama-405b"] == 126
-        assert by_name["llama-1b"] == 16
 
 
 class TestRelativeThroughput:

@@ -6,7 +6,6 @@ from specdec import (
     CapacityError,
     ConfigError,
     DecodeSession,
-    GREEDY,
     HierarchicalConfig,
     SyntheticBackend,
     SyntheticModelSpec,
@@ -16,7 +15,6 @@ from specdec import (
     hierarchical_decode,
     selfspec_decode,
     speculative_decode,
-    top_predictions,
     vanilla_decode,
 )
 from specdec.engine import Commit, DraftStep, IntermediateVerify, TargetVerify
@@ -44,19 +42,19 @@ def profile_backend(profile, n_layers=8, vocab=32, seed=7, max_seq_len=512):
 
 
 class TestTopPredictions:
+    """What a verifier accepts: `argmax()` under greedy, `top_ids(k)` under top-k."""
+
     def dist(self, logits):
         return TokenDistribution(logits=np.array(logits, dtype=float), position=0, source_layer=1)
 
     def test_greedy_tiebreak_lowest_id(self):
-        assert top_predictions(self.dist([0.1, 3.0, 3.0, -1.0]), GREEDY) == (1,)
+        assert self.dist([0.1, 3.0, 3.0, -1.0]).argmax() == 1
 
     def test_top2_includes_tied_pair(self):
-        got = top_predictions(self.dist([0.1, 3.0, 3.0, -1.0]), AcceptancePolicy("top_k", k=2))
-        assert set(got) == {1, 2}
+        assert set(self.dist([0.1, 3.0, 3.0, -1.0]).top_ids(2)) == {1, 2}
 
     def test_topk_full_vocab_accepts_anything(self):
-        got = top_predictions(self.dist([0.1, 3.0, 3.0, -1.0]), AcceptancePolicy("top_k", k=4))
-        assert set(got) == {0, 1, 2, 3}
+        assert set(self.dist([0.1, 3.0, 3.0, -1.0]).top_ids(4)) == {0, 1, 2, 3}
 
 
 class TestDefaults:
@@ -320,7 +318,8 @@ class TestHierarchical:
             draft_layer=2, intermediate_layer=4, full_layer=8, max_new_tokens=20
         )
         result = hierarchical_decode(oracle_backend, [7, 7, 1], config)
-        assert result.trace.committed_tokens() == result.tokens
+        commits = [e.tokens for e in result.trace.events if isinstance(e, Commit)]
+        assert [t for tokens in commits for t in tokens] == result.tokens
         # Every flushed or committed token must originate from a draft
         # acceptance or a bonus emission in a preceding event.
         sourced = []
@@ -463,12 +462,13 @@ class TestCascade:
             (8, (2, 4, 8), (2, 4, 1)),
             (8, (2, 4, 8), (2, -1)),
             (16, (2, 4, 8), (2, 4)),
-            (8, (8,), ()),
+            (8, (4, 6), (2,)),
+            (8, (8,), (2,)),
             (8, (4, 2, 8), (2, 4)),
         ],
         ids=[
             "zero-burst", "burst-short", "burst-extra", "negative-burst", "top-below-full",
-            "one-exit", "decreasing",
+            "two-exits-below-full", "one-exit-with-burst", "decreasing",
         ],
     )
     def test_malformed_shape_is_a_config_error(self, n_layers, exits, bursts):

@@ -20,7 +20,6 @@ from specdec.experiments import (
     run_ablation,
     run_compare,
     run_sweep,
-    run_wall,
 )
 
 from conftest import all_agree_backend
@@ -368,16 +367,34 @@ class TestRunAndEmit:
         assert [row["strategy"] for row in rows] == ["vanilla", "selfspec", "hierarchical"]
         assert built == []
 
+    @pytest.mark.parametrize("jobs", [2, 4096])
+    def test_pool_has_no_more_workers_than_points(self, monkeypatch, jobs):
+        # Under fork a pool starts all its workers at once, so the three
+        # points of compare get at most three, however many jobs are asked.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads, chunksize=1):
+                return map(fn, payloads)
+
+        config = ExperimentConfig.from_dict(SMALL_CONFIG)
+        want = run_compare(config, jobs=1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        assert run_compare(config, jobs=jobs) == want
+        assert sizes == [min(jobs, 3)]
+
     def test_ablation_empty_range(self):
         config = ExperimentConfig.from_dict(SMALL_CONFIG)
         assert run_ablation(config, "N_i", []) == []
-
-    def test_wall_rows_cover_reference_pairs(self):
-        rows = run_wall()
-        assert len(rows) == 9
-        ratios = [r["wall_ratio"] for r in rows]
-        assert min(ratios) == 2.0
-        assert max(ratios) == pytest.approx(126 / 16)
 
     def test_matrix_reshape_with_nan_for_invalid(self, tmp_path):
         rows = [
@@ -515,7 +532,7 @@ class TestCli:
         assert flag[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command", [["compare"], ["sweep", "--matrix"], ["wall"]], ids=["compare", "sweep", "wall"]
+        "command", [["compare"], ["sweep", "--matrix"]], ids=["compare", "sweep"]
     )
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_out_through_a_file_exits_2_before_decoding(
@@ -527,8 +544,7 @@ class TestCli:
         monkeypatch.setattr(experiments, "run_points", no_decode)
         (tmp_path / "file").write_text("", encoding="utf-8")
         argv = command + ["--out", str(tmp_path / out)]
-        if command[0] != "wall":
-            argv += ["--config", str(write_config(tmp_path, SMALL_CONFIG))]
+        argv += ["--config", str(write_config(tmp_path, SMALL_CONFIG))]
         assert main(argv) == 2
         assert "--out" in capsys.readouterr().err
 
@@ -567,12 +583,14 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 3
         assert re.fullmatch(f"runtime error: {message}\n", capsys.readouterr().err)
 
-    def test_wall_subcommand(self, tmp_path):
-        out_dir = tmp_path / "out"
-        assert main(["wall", "--out", str(out_dir)]) == 0
-        lines = (out_dir / "wall.csv").read_text().splitlines()
-        assert lines[0] == "draft_model,draft_layers,target_model,target_layers,wall_ratio"
-        assert len(lines) == 10
+    def test_wall_subcommand(self, tmp_path, capsys):
+        # The layer-quotient `wall` report is retired: argparse rejects it.
+        with pytest.raises(SystemExit) as exc:
+            main(["wall", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "wall" in err
+        assert not (tmp_path / "out").exists()
 
     def test_check_subcommand_reports_clean_state(self, tmp_path):
         raw = {
@@ -629,13 +647,12 @@ class TestCli:
             ["check"],
             ["sweep", "--matrix"],
             ["ablate", "--parameter", "N_i", "--values", "2,4"],
-            ["wall"],
         ],
-        ids=["compare", "check", "sweep-matrix", "ablate", "wall"],
+        ids=["compare", "check", "sweep-matrix", "ablate"],
     )
     def test_console_entry_point(self, tmp_path, command):
         config_path = write_config(tmp_path, SMALL_CONFIG)
-        config = [] if command == ["wall"] else ["--config", str(config_path), "--jobs", "2"]
+        config = ["--config", str(config_path), "--jobs", "2"]
         out = [] if command == ["check"] else ["--out", str(tmp_path / "out")]
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "specdec.cli", *command, *config, *out],

@@ -13,7 +13,6 @@ leaves every defaultable field unset.
 Update a digest only for a deliberate change of decode or report
 behaviour, and say so in the change log.
 """
-import dataclasses
 import hashlib
 import json
 import random
@@ -26,13 +25,16 @@ from specdec import (
     ModelConfig,
     SyntheticBackend,
     SyntheticModelSpec,
+    ToyTransformer,
     hierarchical_decode,
-    init_model,
     selfspec_decode,
+    speculative_decode,
     vanilla_decode,
 )
 from specdec.cli import main
 from specdec.synthetic import uniform_profile
+
+from conftest import decode_record
 
 N_LAYERS = 10
 MAX_SEQ_LEN = 40
@@ -59,7 +61,7 @@ def _random_profile(seed):
 
 def _backend(name):
     if name == "toy":
-        return init_model(
+        return ToyTransformer(
             ModelConfig(
                 n_layers=6, d_model=16, n_heads=2, vocab_size=16, max_seq_len=24, seed=5
             )
@@ -72,19 +74,6 @@ def _backend(name):
         "random": _random_profile(41),
     }
     return _synthetic(profiles[name], seed=sum(map(ord, name)))
-
-
-def _record(result, boundaries=()):
-    payload = {
-        "tokens": result.tokens,
-        "events": [[type(e).__name__, dataclasses.asdict(e)] for e in result.trace.events],
-        "finalize": result.trace.finalize_processed,
-        "ledger": {name: dataclasses.asdict(c) for name, c in result.ledger.phases.items()},
-        "stats": dataclasses.asdict(result.stats),
-        "fills": result.state.fills(),
-        "boundaries": list(boundaries),
-    }
-    return json.dumps(payload, sort_keys=True)
 
 
 def _cases(backend, seed, count):
@@ -114,10 +103,10 @@ def _group_records(name, policy, count):
             eos = reference.tokens[rng.randrange(len(reference.tokens))]
         elif eos_mode == "random":
             eos = rng.randrange(backend.vocab_size)
-        records.append(_record(vanilla_decode(backend, prompt, budget, eos_token=eos)))
-        records.append(_record(vanilla_decode(backend, prompt, budget, layer=draft)))
+        records.append(decode_record(vanilla_decode(backend, prompt, budget, eos_token=eos)))
+        records.append(decode_record(vanilla_decode(backend, prompt, budget, layer=draft)))
         records.append(
-            _record(
+            decode_record(
                 selfspec_decode(
                     backend, prompt, draft_layer=draft, draft_len=n_d,
                     max_new_tokens=budget, eos_token=eos, policy=policy,
@@ -135,7 +124,7 @@ def _group_records(name, policy, count):
             policy=policy,
         )
         result = hierarchical_decode(backend, prompt, config, boundary_hook=hook)
-        records.append(_record(result, boundaries))
+        records.append(decode_record(result, boundaries))
     return records
 
 
@@ -169,6 +158,21 @@ def test_decode_records_match_golden(backend_name, policy_name):
     count = 8 if backend_name == "toy" else 18
     digest = _digest(_group_records(backend_name, policy, count))
     assert digest == DECODE_GOLDEN[(backend_name, policy_name)]
+
+
+@pytest.mark.parametrize("backend_name", ["toy", "random"])
+def test_one_exit_speculative_decode_is_vanilla(backend_name):
+    # Vanilla decoding is the 1-exit case: one draft committed unverified,
+    # at full depth and at an early exit, with and without eos.
+    backend = _backend(backend_name)
+    for prompt, budget, draft, _, _, _, eos_mode, rng in _cases(backend, seed=5, count=6):
+        eos = None if eos_mode == "none" else rng.randrange(backend.vocab_size)
+        for layer in (backend.n_layers, draft):
+            got = speculative_decode(backend, prompt, (layer,), (), budget, eos)
+            want = vanilla_decode(backend, prompt, budget, layer=layer, eos_token=eos)
+            assert decode_record(got) == decode_record(want)
+            assert [type(e).__name__ for e in got.trace.events] == ["DraftStep", "Commit"]
+            assert got.trace.finalize_processed == ()
 
 
 REPORT_CONFIGS = {

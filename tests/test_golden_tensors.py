@@ -18,7 +18,7 @@ import random
 import numpy as np
 import pytest
 
-from specdec import ModelConfig, init_model
+from specdec import ModelConfig, ToyTransformer
 
 N_LAYERS = 6
 SPAN = 11
@@ -28,7 +28,7 @@ REFERENCE_FILLS = (SPAN, SPAN, SPAN - 3, 4, 0, 0)
 
 
 def _model(d_model, n_heads):
-    return init_model(
+    return ToyTransformer(
         ModelConfig(
             n_layers=N_LAYERS, d_model=d_model, n_heads=n_heads,
             vocab_size=16, max_seq_len=24, seed=d_model + n_heads,

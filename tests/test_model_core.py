@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specdec import AlignmentError, ConfigError, ModelConfig, init_model
+from specdec import AlignmentError, ConfigError, ModelConfig, ToyTransformer
 
 
 def make_config(**overrides):
@@ -36,15 +36,15 @@ class TestModelConfig:
 
 class TestDeterminism:
     def test_same_seed_same_logits(self):
-        a = init_model(make_config())
-        b = init_model(make_config())
+        a = ToyTransformer(make_config())
+        b = ToyTransformer(make_config())
         ha, _ = full_forward(a, PROMPT)
         hb, _ = full_forward(b, PROMPT)
         assert np.array_equal(ha, hb)
 
     def test_different_seed_differs(self):
-        a = init_model(make_config())
-        b = init_model(make_config(seed=2))
+        a = ToyTransformer(make_config())
+        b = ToyTransformer(make_config(seed=2))
         ha, _ = full_forward(a, PROMPT)
         hb, _ = full_forward(b, PROMPT)
         assert not np.array_equal(ha, hb)
@@ -52,7 +52,7 @@ class TestDeterminism:
 
 class TestForwardRange:
     def test_split_equals_monolithic_bitwise(self):
-        backend = init_model(make_config())
+        backend = ToyTransformer(make_config())
         whole, _ = full_forward(backend, PROMPT)
         for split in range(1, backend.n_layers):
             state = backend.new_state(buffered_layers=(split, backend.n_layers))
@@ -62,7 +62,7 @@ class TestForwardRange:
             assert np.array_equal(parts, whole), f"split at layer {split} diverged"
 
     def test_position_split_equals_monolithic_bitwise(self):
-        backend = init_model(make_config())
+        backend = ToyTransformer(make_config())
         every_layer = range(1, backend.n_layers + 1)
         states = []
         for cuts in ((0, len(PROMPT)), (0, 1, 3, len(PROMPT))):
@@ -83,20 +83,20 @@ class TestForwardRange:
             assert np.array_equal(state.hidden[layer], whole_state.hidden[layer])
 
     def test_causality_under_truncation(self):
-        backend = init_model(make_config())
+        backend = ToyTransformer(make_config())
         whole, _ = full_forward(backend, PROMPT)
         shorter, _ = full_forward(backend, PROMPT[:4])
         assert np.array_equal(whole[:4], shorter)
 
     def test_missing_resume_hidden_is_alignment_error(self):
-        backend = init_model(make_config())
+        backend = ToyTransformer(make_config())
         state = backend.new_state(buffered_layers=(backend.n_layers,))
         state.set_tokens(PROMPT)
         with pytest.raises(AlignmentError, match="layer 2"):
             backend.forward_range(state, 3, 5, 0, len(PROMPT))
 
     def test_non_contiguous_span_is_alignment_error(self):
-        backend = init_model(make_config())
+        backend = ToyTransformer(make_config())
         state = backend.new_state(buffered_layers=(backend.n_layers,))
         state.set_tokens(PROMPT)
         with pytest.raises(AlignmentError, match="expected"):
@@ -104,14 +104,14 @@ class TestForwardRange:
 
     def test_negative_exit_position_is_alignment_error(self):
         # Row -1 of a hidden buffer is its last, zero row: never a valid read.
-        backend = init_model(make_config())
+        backend = ToyTransformer(make_config())
         _, state = full_forward(backend, PROMPT)
         with pytest.raises(AlignmentError, match="position -1"):
             backend.exit_distribution(state, backend.n_layers, -1)
 
     @pytest.mark.parametrize("layer", [0, -1, 9])
     def test_exit_layer_outside_the_stack_is_named(self, layer):
-        backend = init_model(make_config())
+        backend = ToyTransformer(make_config())
         _, state = full_forward(backend, PROMPT)
         with pytest.raises(AlignmentError, match=f"no hidden buffer at layer {layer}$"):
             backend.exit_distribution(state, layer, 2)
@@ -119,13 +119,13 @@ class TestForwardRange:
 
 class TestExitLogits:
     def test_zero_hidden_gives_uniform_logits_and_tiebreak(self):
-        backend = init_model(make_config())
+        backend = ToyTransformer(make_config())
         dist = backend.exit_logits(np.zeros(32), position=0, source_layer=3)
         assert np.allclose(dist.logits, dist.logits[0])
         assert dist.argmax() == 0
 
     def test_head_is_shared_across_layers(self):
-        backend = init_model(make_config())
+        backend = ToyTransformer(make_config())
         hidden = np.linspace(-1.0, 1.0, 32)
         a = backend.exit_logits(hidden, position=0, source_layer=2)
         b = backend.exit_logits(hidden, position=0, source_layer=7)
@@ -133,12 +133,12 @@ class TestExitLogits:
 
     def test_golden_argmax_snapshot(self):
         # Frozen from a deterministic run of this exact configuration.
-        backend = init_model(make_config())
+        backend = ToyTransformer(make_config())
         hiddens, _ = full_forward(backend, PROMPT)
         dist = backend.exit_logits(hiddens[-1], position=len(PROMPT) - 1, source_layer=8)
         assert dist.argmax() == 1
 
     def test_wrong_width_rejected(self):
-        backend = init_model(make_config())
+        backend = ToyTransformer(make_config())
         with pytest.raises(AlignmentError):
             backend.exit_logits(np.zeros(31), position=0, source_layer=1)

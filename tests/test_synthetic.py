@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specdec import (
+    AcceptancePolicy,
     AlignmentError,
     ConfigError,
     SyntheticBackend,
@@ -15,7 +16,7 @@ from specdec import (
 )
 from specdec.synthetic import PRESET_NAMES, interpolated_profile, mix64, uniform_profile
 
-from conftest import predict_token
+from conftest import decode_record, predict_token
 
 
 def make_backend(n_layers=8, vocab=64, seed=7, profile=None):
@@ -120,15 +121,15 @@ class TestPredictions:
                     assert got == want
 
     def test_degenerate_distribution_forces_top1(self):
-        from specdec import AcceptancePolicy, top_predictions
-
-        backend = make_backend()
-        state = backend.new_state()
-        state.set_tokens([1, 2, 3])
-        backend.forward_range(state, 1, 3, 0, 3)
-        dist = backend.exit_distribution(state, 3, 2)
-        assert dist.degenerate
-        assert top_predictions(dist, AcceptancePolicy(mode="top_k", k=5)) == (dist.argmax(),)
+        # A synthetic exit is one-hot, so top-k acceptance reduces to greedy:
+        # a top-5 decode records exactly what the greedy decode records.
+        backend = make_backend(vocab=8)
+        top5 = AcceptancePolicy(mode="top_k", k=5)
+        for prompt in ([1, 2, 3], [7, 0], [4]):
+            for exits, bursts in (((2, 8), (3,)), ((2, 5, 8), (2, 4))):
+                got = speculative_decode(backend, prompt, exits, bursts, 24, policy=top5)
+                want = speculative_decode(backend, prompt, exits, bursts, 24)
+                assert decode_record(got) == decode_record(want)
 
     def test_exit_distribution_matches_predict_token(self):
         backend = make_backend()
