@@ -91,14 +91,16 @@ class HierarchicalConfig:
 Span = tuple[int, int]
 
 
-@dataclass(frozen=True)
+# The trace's events are frozen, slotted records: a boundary hook cannot
+# change them, and the engine builds them positionally, in field order.
+@dataclass(frozen=True, slots=True)
 class DraftStep:
     start_pos: int
     tokens: tuple[int, ...]
     processed: Span
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntermediateVerify:
     accepted: tuple[int, ...]
     bonus: int | None
@@ -106,7 +108,7 @@ class IntermediateVerify:
     processed: tuple[Span, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TargetVerify:
     accepted: tuple[int, ...]
     bonus: int | None
@@ -117,7 +119,7 @@ class TargetVerify:
     processed: tuple[Span, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Commit:
     tokens: tuple[int, ...]
 
@@ -236,24 +238,25 @@ class DecodeSession:
         the produced token is processed too, so a following verification
         pass can cover every emitted position in one batch.
         """
-        state, hi = self.state, self.exits[0]
+        state, hi, eos = self.state, self.exits[0], self.eos_token
+        tokens, max_seq_len = state.tokens, self.backend.max_seq_len
         exit_distribution = self.backend.exit_distribution
-        start_fill = state.filled(hi)
+        start_fill = fill = state.filled(hi)
         emitted: list[int] = []
         for _ in range(n):
-            if len(state.tokens) >= self.backend.max_seq_len:
+            if len(tokens) >= max_seq_len:
                 break
-            pos = len(state.tokens) - 1
-            if state.filled(hi) <= pos:
-                self._advance(0, pos + 1)
+            pos = len(tokens) - 1
+            if fill <= pos:
+                fill = self._advance(0, pos + 1)[1]
             token = exit_distribution(state, hi, pos).argmax()
             state.append_token(token)
             emitted.append(token)
-            if self.eos_token is not None and token == self.eos_token:
+            if token == eos:  # None never equals a token
                 break
-        if emitted and state.filled(hi) < len(state.tokens):
-            self._advance(0, len(state.tokens))
-        return emitted, (start_fill, state.filled(hi))
+        if emitted and fill < len(tokens):
+            fill = self._advance(0, len(tokens))[1]
+        return emitted, (start_fill, fill)
 
     def leading_substring_verify(
         self, draft_tokens: Sequence[int], level: int, phase: str
@@ -301,7 +304,7 @@ class DecodeSession:
     def commit(self, tokens: Sequence[int]) -> None:
         """Commit `tokens`, the context's tokens after the committed ones."""
         self.state.mark_committed(self.state.committed_len + len(tokens))
-        self.trace.events.append(Commit(tokens=tuple(tokens)))
+        self.trace.events.append(Commit(tuple(tokens)))
 
 
 def vanilla_decode(
@@ -418,15 +421,7 @@ def speculative_decode(
             bonus = None
         room -= len(kept)
         session.trace.events.append(
-            TargetVerify(
-                accepted=tuple(accepted),
-                bonus=bonus,
-                presented=len(tentative),
-                flushed=flushed,
-                mismatch=mismatch,
-                reason=reason,
-                processed=spans,
-            )
+            TargetVerify(tuple(accepted), bonus, len(tentative), flushed, mismatch, reason, spans)
         )
         session.commit(kept)
         if boundary_hook is not None:
@@ -452,9 +447,7 @@ def _fill(
         start = len(session.state.tokens)
         drafted, span = session.generate_next(bursts[0])
         if drafted:
-            session.trace.events.append(
-                DraftStep(start_pos=start, tokens=tuple(drafted), processed=span)
-            )
+            session.trace.events.append(DraftStep(start, tuple(drafted), span))
         return drafted, "round"
     eos = session.eos_token
     gathered: list[int] = []
@@ -472,12 +465,7 @@ def _fill(
         else:
             bonus = None
         session.trace.events.append(
-            IntermediateVerify(
-                accepted=tuple(accepted),
-                bonus=bonus,
-                rejected=len(offered) - len(accepted),
-                processed=spans,
-            )
+            IntermediateVerify(tuple(accepted), bonus, len(offered) - len(accepted), spans)
         )
         if len(gathered) > sum(bursts[: level + 1]):
             raise ProtocolError(

@@ -20,7 +20,6 @@ import itertools
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -425,6 +424,9 @@ def _map_points(
         for point in points
     ]
     if jobs > 1 and len(payloads) > 1:
+        # Imported here: its multiprocessing imports cost every import of specdec ~14 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         # Under fork a pool starts all its workers at once: no more than there are points.
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             return list(pool.map(worker, payloads, chunksize=1))

@@ -15,6 +15,10 @@ truth, even for a draw that rounds to exactly 1.0.
 
 The mixer is the 64-bit finalizer from MurmurHash3 (fmix64), chosen so
 results reproduce across implementations from the published constants.
+`mix64` is its reference definition: a window's hash folds it over the
+seed's hash and the window's tokens, and each tag mixes that hash once
+more. The tests' `predict_token` recomputes every prediction from `mix64`
+alone; `SyntheticBackend` computes the same values with fmix64 inline.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _TAG_TRUTH = 0x74727574  # "trut"
 _TAG_AGREE = 0x61677265  # "agre"
 _TAG_DECOY = 0x6465636F  # "deco"
+_CACHE_LIMIT = 1_000_000  # entries per backend cache
 
 PRESET_NAMES = ("quarter-depth-69", "llama70b-sharegpt")
 
@@ -169,7 +174,11 @@ class SyntheticBackend:
     the truth at every draw. An exit query is then one lookup of its
     context window's (truth, draw, decoy) and one comparison of the draw
     with the layer's entry. A window missing from the cache, which keeps
-    up to a million windows, is hashed on the spot.
+    up to a million windows, is hashed on the spot by `_draw`, one
+    straight-line function with fmix64 inline. Its first fold step
+    depends only on the window's first token; it comes from a second
+    cache keyed by that token, filled on first use and never at
+    construction, so a backend costs O(1) in `vocab_size`.
     """
 
     def __init__(self, spec: SyntheticModelSpec) -> None:
@@ -187,6 +196,8 @@ class SyntheticBackend:
         # Window hashes recur heavily across levels and verification passes;
         # caching them is safe because predictions are pure.
         self._window_cache: dict[tuple[int, ...], tuple[int, float, int]] = {}
+        # First fold step of a window by its first token, filled on first use.
+        self._first_fold: dict[int, int] = {}
 
     def new_state(self, buffered_layers: Sequence[int] = ()) -> LayeredState:
         return LayeredState(
@@ -219,19 +230,42 @@ class SyntheticBackend:
         window = tuple(state.tokens[lo if lo > 0 else 0 : position + 1])
         drawn = self._window_cache.get(window)
         if drawn is None:
-            h = self._seed_hash
-            for token in window:
-                h = mix64(h ^ ((token + _GOLDEN) & _MASK64))
-            truth = mix64(h ^ _TAG_TRUTH) % self.vocab_size
-            # Single draw shared by all layers: nested correctness sets.
-            agree_draw = mix64(h ^ _TAG_AGREE) / float(1 << 64)
-            decoy_step = mix64(h ^ _TAG_DECOY) % (self.vocab_size - 1)
-            drawn = (truth, agree_draw, (truth + 1 + decoy_step) % self.vocab_size)
-            if len(self._window_cache) < 1_000_000:
-                self._window_cache[window] = drawn
+            drawn = self._draw(window)
         truth, agree_draw, decoy = drawn
         token = truth if agree_draw < self._alpha[layer] else decoy
         return TokenDistribution.one_hot(token, self.vocab_size, position, layer)
+
+    def _draw(self, window: tuple[int, ...]) -> tuple[int, float, int]:
+        """Hash a window missing from the cache into its (truth, draw, decoy)
+        and cache it: `mix64`'s values, with fmix64 written out inline."""
+        mask, mul_a, mul_b, golden, vocab = _MASK64, _MIX_A, _MIX_B, _GOLDEN, self.vocab_size
+        h = self._first_fold.get(window[0])
+        if h is None:
+            h = mix64(self._seed_hash ^ ((window[0] + golden) & mask))
+            if len(self._first_fold) < _CACHE_LIMIT:
+                self._first_fold[window[0]] = h
+        # Each step below is fmix64 of an operand already below 2**64.
+        for token in window[1:]:
+            x = h ^ ((token + golden) & mask)
+            x = ((x ^ (x >> 33)) * mul_a) & mask
+            x = ((x ^ (x >> 33)) * mul_b) & mask
+            h = x ^ (x >> 33)
+        x = h ^ _TAG_TRUTH
+        x = ((x ^ (x >> 33)) * mul_a) & mask
+        x = ((x ^ (x >> 33)) * mul_b) & mask
+        truth = (x ^ (x >> 33)) % vocab
+        # Single draw shared by all layers: nested correctness sets.
+        x = h ^ _TAG_AGREE
+        x = ((x ^ (x >> 33)) * mul_a) & mask
+        x = ((x ^ (x >> 33)) * mul_b) & mask
+        agree_draw = (x ^ (x >> 33)) / 2.0**64
+        x = h ^ _TAG_DECOY
+        x = ((x ^ (x >> 33)) * mul_a) & mask
+        x = ((x ^ (x >> 33)) * mul_b) & mask
+        drawn = (truth, agree_draw, (truth + 1 + (x ^ (x >> 33)) % (vocab - 1)) % vocab)
+        if len(self._window_cache) < _CACHE_LIMIT:
+            self._window_cache[window] = drawn
+        return drawn
 
     def reference_state(
         self,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,41 @@ class TestDefaults:
         config = HierarchicalConfig(draft_layer=4, intermediate_layer=8, full_layer=32)
         assert config.draft_len == 2
         assert config.accept_window == 4
+
+
+class TestTraceEvents:
+    # One keyword construction per event type, fields in declaration order.
+    EVENTS = [
+        (DraftStep, {"start_pos": 3, "tokens": (5, 6), "processed": (3, 5)}),
+        (
+            IntermediateVerify,
+            {"accepted": (5,), "bonus": 7, "rejected": 1, "processed": ((3, 5), (2, 5))},
+        ),
+        (
+            TargetVerify,
+            {
+                "accepted": (5, 7),
+                "bonus": None,
+                "presented": 2,
+                "flushed": 0,
+                "mismatch": False,
+                "reason": "window",
+                "processed": ((5, 6), (5, 6), (1, 5)),
+            },
+        ),
+        (Commit, {"tokens": (5, 7)}),
+    ]
+
+    @pytest.mark.parametrize("cls, fields", EVENTS, ids=[cls.__name__ for cls, _ in EVENTS])
+    def test_frozen_slotted_and_positional(self, cls, fields):
+        event = cls(**fields)
+        assert [f.name for f in dataclasses.fields(cls)] == list(fields)
+        assert cls(*fields.values()) == event
+        assert dataclasses.asdict(event) == fields
+        assert not hasattr(event, "__dict__")
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(event, name, None)
 
 
 class TestGenerateNext:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import re
 import subprocess
@@ -388,7 +389,7 @@ class TestRunAndEmit:
 
         config = ExperimentConfig.from_dict(SMALL_CONFIG)
         want = run_compare(config, jobs=1)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         assert run_compare(config, jobs=jobs) == want
         assert sizes == [min(jobs, 3)]
 

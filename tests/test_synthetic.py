@@ -120,6 +120,28 @@ class TestPredictions:
                     want = [predict_token(backend, layer, ctx[: p + 1]) for p in range(size)]
                     assert got == want
 
+    @pytest.mark.parametrize("vocab", [4, 1000, 2**40])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_cold_exit_queries_match_the_hash_construction(self, vocab, seed):
+        # Every query goes to a fresh backend, so each is a first-time miss:
+        # at every layer, with alphas that give both truths and decoys, and
+        # at the first positions, whose windows are shorter than context_window.
+        profile = {l: l / 8 for l in range(1, 9)}
+        spec = SyntheticModelSpec(n_layers=8, vocab_size=vocab, seed=seed, agreement_profile=profile)
+        rng = np.random.default_rng(31)
+        for size in (1, 3, 6):
+            ctx = [int(t) for t in rng.integers(0, vocab, size=size)]
+            ctx[-1] = vocab - 1
+            state = SyntheticBackend(spec).new_state()
+            state.set_tokens(ctx)
+            state.advance(1, 8, 0, size)
+            for layer in range(1, 9):
+                for p in range(size):
+                    cold = SyntheticBackend(spec)
+                    got = cold.exit_distribution(state, layer, p).argmax()
+                    assert got == predict_token(cold, layer, ctx[: p + 1])
+                    assert len(cold._window_cache) == 1
+
     def test_degenerate_distribution_forces_top1(self):
         # A synthetic exit is one-hot, so top-k acceptance reduces to greedy:
         # a top-5 decode records exactly what the greedy decode records.
@@ -265,6 +287,31 @@ class TestPresets:
     def test_unknown_preset_lists_available(self):
         with pytest.raises(ConfigError, match="quarter-depth-69.*llama70b-sharegpt"):
             calibrate_preset("nope")
+
+
+class TestVocabularySize:
+    # A backend's cost must not depend on vocab_size: the first fold step is
+    # cached per first token on first use, never built per vocabulary entry.
+
+    def test_fresh_first_token_cache_is_empty(self):
+        assert make_backend(vocab=2**40)._first_fold == {}
+
+    def test_first_token_cache_holds_only_queried_first_tokens(self):
+        backend = make_backend(vocab=2**40)
+        state = backend.new_state()
+        state.set_tokens([9, 2**40 - 1, 9, 5, 7, 3])
+        backend.forward_range(state, 1, 8, 0, 6)
+        for position in (0, 1, 4):
+            backend.exit_distribution(state, 3, position)
+        # Windows (9,), (9, 2**40 - 1) and (2**40 - 1, 9, 5, 7).
+        assert set(backend._first_fold) == {9, 2**40 - 1}
+
+    def test_selfspec_decode_on_a_vocabulary_of_2_to_the_40(self):
+        backend = make_backend(vocab=2**40)
+        prompt = [2**40 - 1, 0, 12345678901]
+        result = speculative_decode(backend, prompt, (2, 8), (3,), 24)
+        assert result.tokens == vanilla_decode(backend, prompt, 24).tokens
+        assert len(result.tokens) == 24 and all(0 <= t < 2**40 for t in result.tokens)
 
 
 class TestProfiles:
