@@ -8,11 +8,8 @@ from .engine import (
     DecodeResult,
     DecodeSession,
     DecodeTrace,
-    HierarchicalConfig,
     default_layer_placement,
-    hierarchical_decode,
     replay_ledger,
-    selfspec_decode,
     speculative_decode,
     vanilla_decode,
 )
@@ -48,7 +45,6 @@ __all__ = [
     "DecodeSession",
     "DecodeTrace",
     "GREEDY",
-    "HierarchicalConfig",
     "LayeredState",
     "ModelConfig",
     "PRESET_NAMES",
@@ -62,12 +58,10 @@ __all__ = [
     "calibrate_preset",
     "consistency_check",
     "default_layer_placement",
-    "hierarchical_decode",
     "interpolated_profile",
     "mix64",
     "relative_throughput",
     "replay_ledger",
-    "selfspec_decode",
     "speculative_decode",
     "uniform_profile",
     "vanilla_decode",

@@ -1,8 +1,7 @@
 """Command-line harness: sweep, ablate, compare and check subcommands.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime or capacity error.
-Identical config and seed produce byte-identical reports regardless of
---jobs; the SPECDEC_JOBS environment variable overrides the flag.
+Identical config and seed produce byte-identical reports regardless of --jobs.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from .experiments import (
     emit_matrix,
     emit_report,
     load_config,
-    resolve_jobs,
     run_ablation,
     run_check,
     run_compare,
@@ -70,7 +68,7 @@ def _write(rows, args, name: str) -> Path:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config, args.seed)
-    rows = run_sweep(config, jobs=resolve_jobs(args.jobs))
+    rows = run_sweep(config, jobs=args.jobs)
     path = _write(rows, args, "sweep")
     print(f"wrote {len(rows)} rows to {path}")
     if args.matrix:
@@ -83,7 +81,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_ablate(args) -> int:
     config = load_config(args.config, args.seed)
     values = [config_int(v, "--values", minimum=1) for v in args.values.split(",") if v.strip()]
-    rows = run_ablation(config, args.parameter, values, jobs=resolve_jobs(args.jobs))
+    rows = run_ablation(config, args.parameter, values, jobs=args.jobs)
     path = _write(rows, args, f"ablate_{args.parameter}")
     print(f"wrote {len(rows)} rows to {path}")
     return 0
@@ -91,7 +89,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = load_config(args.config, args.seed)
-    rows = run_compare(config, jobs=resolve_jobs(args.jobs))
+    rows = run_compare(config, jobs=args.jobs)
     path = _write(rows, args, "compare")
     print(f"wrote {len(rows)} rows to {path}")
     return 0
@@ -99,7 +97,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_check(args) -> int:
     config = load_config(args.config, args.seed)
-    boundaries, prompts, points, worst = run_check(config, jobs=resolve_jobs(args.jobs))
+    boundaries, prompts, points, worst = run_check(config, jobs=args.jobs)
     print(
         f"checked {boundaries} verification boundaries over {prompts} prompts "
         f"at {points} grid points; max discrepancy {worst:.3e}"
@@ -133,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "out" in args:
             _check_out(args.out)
+        config_int(args.jobs, "--jobs", minimum=1)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -74,20 +74,6 @@ def default_layer_placement(full_layer: int) -> tuple[int, int]:
 DEFAULT_BURSTS = (2, 4)
 
 
-@dataclass(frozen=True)
-class HierarchicalConfig:
-    """The 3-exit decode's parameters; checked when it is decoded."""
-
-    draft_layer: int
-    intermediate_layer: int
-    full_layer: int
-    draft_len: int = DEFAULT_BURSTS[0]
-    accept_window: int = DEFAULT_BURSTS[1]
-    max_new_tokens: int = 64
-    eos_token: int | None = None
-    policy: AcceptancePolicy = GREEDY
-
-
 Span = tuple[int, int]
 
 
@@ -307,21 +293,15 @@ class DecodeSession:
         self.trace.events.append(Commit(tuple(tokens)))
 
 
-def vanilla_decode(
-    backend: Backend,
-    prompt: Sequence[int],
-    max_new_tokens: int,
-    layer: int | None = None,
-    eos_token: int | None = None,
-) -> DecodeResult:
-    """Greedy autoregressive decoding at a single exit layer, full depth by
-    default: the 1-exit case of `speculative_decode`.
-
-    The full-depth instance defines reference output for the speculative
-    strategies.
-    """
-    exit_layer = backend.n_layers if layer is None else layer
-    return speculative_decode(backend, prompt, (exit_layer,), (), max_new_tokens, eos_token)
+# Legacy wrappers over `speculative_decode`, cut to the exact call shapes of
+# the benchmark harness (perfbench/workloads.py); its tracer patches them by
+# name and reads `leading_substring_verify`'s `phase`. Once ROADMAP item 7
+# moves perfbench onto `speculative_decode`, they and `phase` can go; only
+# `vanilla_decode` may stay, as the documented full-depth reference.
+def vanilla_decode(backend: Backend, prompt: Sequence[int], max_new_tokens: int) -> DecodeResult:
+    """Greedy decoding at full depth, the reference output of every
+    strategy: the full-depth 1-exit case of `speculative_decode`."""
+    return speculative_decode(backend, prompt, (backend.n_layers,), (), max_new_tokens)
 
 
 def selfspec_decode(
@@ -330,15 +310,19 @@ def selfspec_decode(
     draft_layer: int,
     draft_len: int,
     max_new_tokens: int,
-    eos_token: int | None = None,
-    policy: AcceptancePolicy = GREEDY,
-    boundary_hook=None,
 ) -> DecodeResult:
-    """Single-layer self-speculation: draft at an early exit, verify at full depth."""
-    return speculative_decode(
-        backend, prompt, (draft_layer, backend.n_layers), (draft_len,), max_new_tokens,
-        eos_token, policy, boundary_hook,
-    )
+    exits = (draft_layer, backend.n_layers)
+    return speculative_decode(backend, prompt, exits, (draft_len,), max_new_tokens)
+
+
+@dataclass(frozen=True)
+class HierarchicalConfig:
+    draft_layer: int
+    intermediate_layer: int
+    full_layer: int
+    draft_len: int
+    accept_window: int
+    max_new_tokens: int
 
 
 def hierarchical_decode(
@@ -347,14 +331,10 @@ def hierarchical_decode(
     config: HierarchicalConfig,
     boundary_hook=None,
 ) -> DecodeResult:
-    """Draft -> intermediate verify -> full-model verify: the 3-exit round
-    loop, whose intermediate exit screens drafts until it holds
-    `accept_window` tokens."""
     exits = (config.draft_layer, config.intermediate_layer, config.full_layer)
     bursts = (config.draft_len, config.accept_window)
     return speculative_decode(
-        backend, prompt, exits, bursts, config.max_new_tokens, config.eos_token, config.policy,
-        boundary_hook,
+        backend, prompt, exits, bursts, config.max_new_tokens, boundary_hook=boundary_hook
     )
 
 

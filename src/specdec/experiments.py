@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -405,14 +404,6 @@ def _check_worker(payload: tuple) -> tuple[int, float]:
 
     run_point(*payload, boundary_hook=hook)
     return len(worst), max(worst, default=0.0)
-
-
-def resolve_jobs(requested: int) -> int:
-    """Worker count: SPECDEC_JOBS when set, else the --jobs value; at least 1."""
-    env = os.environ.get("SPECDEC_JOBS")
-    if env:
-        return config_int(env, "SPECDEC_JOBS", minimum=1)
-    return config_int(requested, "--jobs", minimum=1)
 
 
 def _map_points(

@@ -69,6 +69,8 @@ class SyntheticModelSpec:
             raise ConfigError("vocab_size must be >= 4")
         if self.context_window < 1:
             raise ConfigError("context_window must be positive")
+        if self.max_seq_len < 1:
+            raise ConfigError("max_seq_len must be positive")
         profile = dict(self.agreement_profile)
         if set(profile) != set(range(1, self.n_layers + 1)):
             raise ConfigError("agreement_profile must cover every layer 1..n_layers")
@@ -141,14 +143,11 @@ def calibrate_preset(
         eighth = -(-layers // 8)
         anchors = {1: 0.01, eighth: 0.55, quarter: 0.69, layers: 1.0}
         profile = interpolated_profile(layers, anchors)
-        profile[quarter] = 0.69
     elif name == "llama70b-sharegpt":
         layers = 80 if n_layers is None else n_layers
         if layers < 21:
             raise ConfigError("llama70b-sharegpt preset needs at least 21 layers")
         profile = interpolated_profile(layers, {10: 0.397, 20: 0.581, layers: 1.0})
-        profile[10] = 0.397
-        profile[20] = 0.581
     else:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     return SyntheticModelSpec(

@@ -2,13 +2,12 @@ import pytest
 
 from specdec import (
     CostLedger,
-    HierarchicalConfig,
     UndefinedRatioError,
-    hierarchical_decode,
     relative_throughput,
-    selfspec_decode,
+    speculative_decode,
     vanilla_decode,
 )
+from specdec.engine import DEFAULT_BURSTS
 from specdec.synthetic import uniform_profile
 
 from conftest import all_agree_backend
@@ -75,16 +74,13 @@ class TestRelativeThroughput:
 class TestConservation:
     def test_zero_flush_decode_costs_exactly_full_depth_per_token(self):
         backend = all_agree_backend(n_layers=16, max_seq_len=256)
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=16, max_new_tokens=30
-        )
-        result = hierarchical_decode(backend, [1, 2, 3], config)
+        result = speculative_decode(backend, [1, 2, 3], (2, 4, 16), DEFAULT_BURSTS, 30)
         assert result.stats.flushed == 0
         assert result.ledger.position_layer_units() == 16 * len(result.tokens)
 
     def test_selfspec_zero_flush_conservation(self):
         backend = all_agree_backend(n_layers=16, max_seq_len=256)
-        result = selfspec_decode(backend, [1, 2], draft_layer=4, draft_len=3, max_new_tokens=30)
+        result = speculative_decode(backend, [1, 2], (4, 16), (3,), 30)
         assert result.stats.flushed == 0
         assert result.ledger.position_layer_units() == 16 * len(result.tokens)
 
@@ -97,10 +93,7 @@ class TestConservation:
                 n_layers=16, vocab_size=32, seed=9, agreement_profile=profile, max_seq_len=512
             )
         )
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=16, max_new_tokens=30
-        )
-        result = hierarchical_decode(backend, [5, 5, 5], config)
+        result = speculative_decode(backend, [5, 5, 5], (2, 4, 16), DEFAULT_BURSTS, 30)
         assert result.stats.flushed > 0
         assert result.ledger.position_layer_units() > 16 * len(result.tokens)
 

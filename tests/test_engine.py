@@ -8,18 +8,15 @@ from specdec import (
     CapacityError,
     ConfigError,
     DecodeSession,
-    HierarchicalConfig,
     SyntheticBackend,
     SyntheticModelSpec,
     TokenDistribution,
     consistency_check,
     default_layer_placement,
-    hierarchical_decode,
-    selfspec_decode,
     speculative_decode,
     vanilla_decode,
 )
-from specdec.engine import Commit, DraftStep, IntermediateVerify, TargetVerify
+from specdec.engine import DEFAULT_BURSTS, Commit, DraftStep, IntermediateVerify, TargetVerify
 from specdec.synthetic import uniform_profile
 
 from conftest import (
@@ -66,24 +63,22 @@ class TestDefaults:
         assert default_layer_placement(80) == (10, 20)
 
     def test_config_invariants(self, oracle_backend):
-        # A HierarchicalConfig is a plain record; decoding it checks it.
-        for config in (
-            HierarchicalConfig(draft_layer=4, intermediate_layer=4, full_layer=8),
-            HierarchicalConfig(draft_layer=0, intermediate_layer=2, full_layer=8),
-            HierarchicalConfig(draft_layer=1, intermediate_layer=2, full_layer=8, draft_len=0),
+        # Exits and bursts are plain tuples; decoding them checks them.
+        for exits, bursts in (
+            ((4, 4, 8), DEFAULT_BURSTS),
+            ((0, 2, 8), DEFAULT_BURSTS),
+            ((1, 2, 8), (0, DEFAULT_BURSTS[1])),
         ):
             with pytest.raises(ConfigError):
-                hierarchical_decode(oracle_backend, [1, 2, 3], config)
+                speculative_decode(oracle_backend, [1, 2, 3], exits, bursts, 64)
 
     @pytest.mark.parametrize("budget", [0, -1])
     @pytest.mark.parametrize(
         "decode",
         [
             lambda b, p, n: vanilla_decode(b, p, n),
-            lambda b, p, n: selfspec_decode(b, p, draft_layer=2, draft_len=2, max_new_tokens=n),
-            lambda b, p, n: hierarchical_decode(
-                b, p, HierarchicalConfig(2, 4, 8, max_new_tokens=n)
-            ),
+            lambda b, p, n: speculative_decode(b, p, (2, 8), (2,), n),
+            lambda b, p, n: speculative_decode(b, p, (2, 4, 8), DEFAULT_BURSTS, n),
             lambda b, p, n: speculative_decode(b, p, (2, 4, 6, 8), (1, 2, 3), n),
         ],
         ids=["vanilla", "selfspec", "hierarchical", "speculative"],
@@ -94,9 +89,7 @@ class TestDefaults:
 
     def test_defaults_match_paper_style_values(self):
         assert default_layer_placement(32) == (4, 8)
-        config = HierarchicalConfig(draft_layer=4, intermediate_layer=8, full_layer=32)
-        assert config.draft_len == 2
-        assert config.accept_window == 4
+        assert DEFAULT_BURSTS == (2, 4)
 
 
 class TestTraceEvents:
@@ -247,7 +240,7 @@ class TestVanilla:
         profile[4] = 1.0
         backend = profile_backend(profile)
         full = vanilla_decode(backend, [1, 2, 3], 16)
-        early = vanilla_decode(backend, [1, 2, 3], 16, layer=4)
+        early = speculative_decode(backend, [1, 2, 3], (4,), (), 16)
         assert full.tokens == early.tokens
 
     def test_capacity_guard(self, toy_backend):
@@ -256,7 +249,7 @@ class TestVanilla:
 
     def test_exit_below_layer_one_is_a_config_error(self, oracle_backend):
         with pytest.raises(ConfigError, match="exits"):
-            vanilla_decode(oracle_backend, [1, 2], 4, layer=0)
+            speculative_decode(oracle_backend, [1, 2], (0,), (), 4)
         with pytest.raises(ConfigError, match="exits"):
             DecodeSession(oracle_backend, exits=(0, 8))
 
@@ -264,7 +257,7 @@ class TestVanilla:
         backend = all_agree_backend()
         free = vanilla_decode(backend, [1, 2], 16)
         eos = free.tokens[4]
-        stopped = vanilla_decode(backend, [1, 2], 16, eos_token=eos)
+        stopped = speculative_decode(backend, [1, 2], (8,), (), 16, eos)
         assert stopped.tokens == free.tokens[:5]
 
 
@@ -274,14 +267,11 @@ class TestSelfspec:
     )
     def test_invalid_draft_is_a_config_error(self, oracle_backend, draft_layer, draft_len):
         with pytest.raises(ConfigError):
-            selfspec_decode(
-                oracle_backend, [1, 2], draft_layer=draft_layer, draft_len=draft_len,
-                max_new_tokens=4,
-            )
+            speculative_decode(oracle_backend, [1, 2], (draft_layer, 8), (draft_len,), 4)
 
     def test_all_accept_round_cost(self):
         backend = all_agree_backend(n_layers=32, max_seq_len=256)
-        result = selfspec_decode(backend, [1, 2, 3], draft_layer=4, draft_len=2, max_new_tokens=24)
+        result = speculative_decode(backend, [1, 2, 3], (4, 32), (2,), 24)
         rounds = sum(1 for e in result.trace.events if isinstance(e, TargetVerify))
         assert result.stats.flushed == 0
         # Per round: N_d single-position draft passes + one (L_f - L_d) verify pass.
@@ -290,7 +280,7 @@ class TestSelfspec:
 
     def test_zero_agreement_commits_one_per_round(self):
         backend = profile_backend(uniform_profile(8, 0.0), seed=3)
-        result = selfspec_decode(backend, [1, 2], draft_layer=2, draft_len=3, max_new_tokens=12)
+        result = speculative_decode(backend, [1, 2], (2, 8), (3,), 12)
         verifies = [e for e in result.trace.events if isinstance(e, TargetVerify)]
         assert all(e.mismatch and len(e.accepted) == 0 for e in verifies)
         commits = [e for e in result.trace.events if isinstance(e, Commit)]
@@ -301,27 +291,22 @@ class TestSelfspec:
         for _ in range(60):
             prompt = random_prompt(rng, toy_backend.vocab_size)
             want = vanilla_decode(toy_backend, prompt, 16).tokens
-            got = selfspec_decode(
-                toy_backend, prompt, draft_layer=2, draft_len=2, max_new_tokens=16
-            ).tokens
+            got = speculative_decode(toy_backend, prompt, (2, 6), (2,), 16).tokens
             assert got == want
 
 
 class TestHierarchical:
     def test_all_accept_structure(self):
         backend = all_agree_backend(n_layers=32, max_seq_len=256)
-        config = HierarchicalConfig(
-            draft_layer=4, intermediate_layer=8, full_layer=32, draft_len=2,
-            accept_window=4, max_new_tokens=24,
-        )
-        result = hierarchical_decode(backend, [1, 2, 3], config)
+        draft_len = 2
+        result = speculative_decode(backend, [1, 2, 3], (4, 8, 32), (draft_len, 4), 24)
         assert result.tokens == vanilla_decode(backend, [1, 2, 3], 24).tokens
         assert result.stats.drafted == result.stats.accepted_intermediate
         assert result.stats.flushed == 0
         # Rounds add draft_len + 1 tokens; the window check fires once the
         # buffer holds >= accept_window, i.e. every two rounds here.
         verifies = [e for e in result.trace.events if isinstance(e, TargetVerify)]
-        per_cycle = 2 * (config.draft_len + 1)
+        per_cycle = 2 * (draft_len + 1)
         assert len(verifies) == -(-24 // per_cycle)
         assert all(e.reason in ("window", "budget") for e in verifies)
 
@@ -329,10 +314,7 @@ class TestHierarchical:
         profile = uniform_profile(8, 0.0)
         profile[4] = 1.0
         backend = profile_backend(profile)
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=8, max_new_tokens=16
-        )
-        result = hierarchical_decode(backend, [1, 2, 3], config)
+        result = speculative_decode(backend, [1, 2, 3], (2, 4, 8), DEFAULT_BURSTS, 16)
         # Every draft token is rejected at the intermediate level, every
         # intermediate token is accepted by the full model.
         assert result.stats.accepted_intermediate == 0
@@ -342,19 +324,14 @@ class TestHierarchical:
 
     def test_matches_vanilla_over_many_prompts(self, toy_backend):
         rng = np.random.default_rng(6)
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=6, max_new_tokens=16
-        )
         for _ in range(60):
             prompt = random_prompt(rng, toy_backend.vocab_size)
             want = vanilla_decode(toy_backend, prompt, 16).tokens
-            assert hierarchical_decode(toy_backend, prompt, config).tokens == want
+            got = speculative_decode(toy_backend, prompt, (2, 4, 6), DEFAULT_BURSTS, 16).tokens
+            assert got == want
 
     def test_trace_soundness(self, oracle_backend):
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=8, max_new_tokens=20
-        )
-        result = hierarchical_decode(oracle_backend, [7, 7, 1], config)
+        result = speculative_decode(oracle_backend, [7, 7, 1], (2, 4, 8), DEFAULT_BURSTS, 20)
         commits = [e.tokens for e in result.trace.events if isinstance(e, Commit)]
         assert [t for tokens in commits for t in tokens] == result.tokens
         # Every flushed or committed token must originate from a draft
@@ -372,15 +349,12 @@ class TestHierarchical:
         assert sourced == []
 
     def test_window_discipline(self, oracle_backend):
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=8,
-            accept_window=4, max_new_tokens=20,
-        )
-        result = hierarchical_decode(oracle_backend, [2, 4, 6], config)
+        accept_window = 4
+        result = speculative_decode(oracle_backend, [2, 4, 6], (2, 4, 8), (2, accept_window), 20)
         for event in result.trace.events:
             if isinstance(event, TargetVerify):
                 if event.reason == "window":
-                    assert event.presented >= config.accept_window
+                    assert event.presented >= accept_window
                 else:
                     assert event.reason in ("eos", "budget", "capacity")
 
@@ -388,10 +362,7 @@ class TestHierarchical:
         profile = uniform_profile(8, 0.4)
         profile[4] = 0.9  # intermediate often wrong vs target: forces flushes
         backend = profile_backend(profile, seed=17)
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=8, max_new_tokens=24
-        )
-        result = hierarchical_decode(backend, [3, 1, 2], config)
+        result = speculative_decode(backend, [3, 1, 2], (2, 4, 8), DEFAULT_BURSTS, 24)
         verifies = [e for e in result.trace.events if isinstance(e, TargetVerify)]
         mismatches = [e for e in verifies if e.mismatch]
         assert mismatches, "profile should force at least one target mismatch"
@@ -403,61 +374,49 @@ class TestHierarchical:
                 assert commit.tokens[-1] == event.bonus
 
     def test_buffer_never_exceeds_window_plus_draft(self, oracle_backend):
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=8,
-            draft_len=3, accept_window=5, max_new_tokens=24,
+        draft_len, accept_window = 3, 5
+        result = speculative_decode(
+            oracle_backend, [1, 5, 9], (2, 4, 8), (draft_len, accept_window), 24
         )
-        result = hierarchical_decode(oracle_backend, [1, 5, 9], config)
         for event in result.trace.events:
             if isinstance(event, TargetVerify):
-                assert event.presented <= config.accept_window + config.draft_len
+                assert event.presented <= accept_window + draft_len
 
     def test_tentative_eos_forces_verification(self):
         backend = all_agree_backend()
         free = vanilla_decode(backend, [1, 2], 20)
         eos = free.tokens[2]
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=8,
-            accept_window=6, max_new_tokens=20, eos_token=eos,
-        )
-        result = hierarchical_decode(backend, [1, 2], config)
+        accept_window = 6
+        result = speculative_decode(backend, [1, 2], (2, 4, 8), (2, accept_window), 20, eos)
         assert result.tokens == free.tokens[:3]
         verifies = [e for e in result.trace.events if isinstance(e, TargetVerify)]
         assert verifies[-1].reason in ("eos", "window")
-        assert verifies[-1].presented < config.accept_window or verifies[-1].reason == "window"
+        assert verifies[-1].presented < accept_window or verifies[-1].reason == "window"
 
     def test_ledger_counts_every_forward_pass(self, oracle_backend):
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=8, max_new_tokens=20
+        result, counter = counted(
+            speculative_decode, oracle_backend, [4, 4, 4], (2, 4, 8), DEFAULT_BURSTS, 20
         )
-        result, counter = counted(hierarchical_decode, oracle_backend, [4, 4, 4], config)
         assert result.trace.finalize_processed
         assert_ledger_counts_passes(result.ledger, counter.passes)
 
     def test_wrong_full_layer_rejected(self, oracle_backend):
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=16, max_new_tokens=4
-        )
         with pytest.raises(ConfigError, match="full_layer"):
-            hierarchical_decode(oracle_backend, [1], config)
+            speculative_decode(oracle_backend, [1], (2, 4, 16), DEFAULT_BURSTS, 4)
 
     def test_topk_policy_runs_but_is_lossy_by_contract(self, toy_backend):
         # Output equivalence is only claimed for greedy; top-k must still
         # produce a legal decode (right length, in-vocab tokens).
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=6,
-            max_new_tokens=12, policy=AcceptancePolicy("top_k", k=3),
+        policy = AcceptancePolicy("top_k", k=3)
+        result = speculative_decode(
+            toy_backend, [1, 2, 3], (2, 4, 6), DEFAULT_BURSTS, 12, policy=policy
         )
-        result = hierarchical_decode(toy_backend, [1, 2, 3], config)
         assert len(result.tokens) == 12
         assert all(0 <= t < toy_backend.vocab_size for t in result.tokens)
 
     def test_corrupted_kv_mid_decode_is_located(self, toy_backend):
         # Corrupt one K/V entry of the full model's level at the second
         # verification boundary; the recompute oracle must name it there.
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=6, max_new_tokens=12
-        )
         reports_per_boundary = []
         corrupted = []
 
@@ -469,7 +428,9 @@ class TestHierarchical:
                 corrupted.append((5, position))
             reports_per_boundary.append(consistency_check(state, toy_backend, state.tokens))
 
-        hierarchical_decode(toy_backend, [8, 1, 30, 4], config, boundary_hook=hook)
+        speculative_decode(
+            toy_backend, [8, 1, 30, 4], (2, 4, 6), DEFAULT_BURSTS, 12, boundary_hook=hook
+        )
         assert len(reports_per_boundary) > 2
         assert all(r.max_abs_discrepancy == 0.0 for r in reports_per_boundary[0])
         flagged = [r for r in reports_per_boundary[1] if r.max_abs_discrepancy > 0]

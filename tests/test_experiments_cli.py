@@ -17,7 +17,6 @@ from specdec.experiments import (
     emit_matrix,
     emit_report,
     load_config,
-    resolve_jobs,
     run_ablation,
     run_compare,
     run_sweep,
@@ -45,150 +44,147 @@ SMALL_CONFIG = {
 }
 
 
-# case -> (config overrides, command, SPECDEC_JOBS value, field the message names)
+# case -> (config overrides, command, field the message names)
 MALFORMED_INPUTS = {
     "synthetic-without-profile": (
-        {"backend": {"type": "synthetic", "n_layers": 8}}, ["compare"], None, "backend.profile"
+        {"backend": {"type": "synthetic", "n_layers": 8}}, ["compare"], "backend.profile"
     ),
     "non-integer-n-layers": (
-        {"backend": {"type": "toy", "n_layers": "x"}}, ["compare"], None, "backend.n_layers"
+        {"backend": {"type": "toy", "n_layers": "x"}}, ["compare"], "backend.n_layers"
     ),
     "non-integer-max-new-tokens": (
-        {"decode": {"max_new_tokens": "abc"}}, ["compare"], None, "decode.max_new_tokens"
+        {"decode": {"max_new_tokens": "abc"}}, ["compare"], "decode.max_new_tokens"
     ),
     "non-integer-ablate-value": (
-        {}, ["ablate", "--parameter", "N_d", "--values", "1,x"], None, "--values"
+        {}, ["ablate", "--parameter", "N_d", "--values", "1,x"], "--values"
     ),
-    "non-integer-jobs-env": ({}, ["compare"], "two", "SPECDEC_JOBS"),
     "fractional-d-model": (
-        {"backend": {"type": "toy", "n_layers": 4, "d_model": 16.5}}, ["compare"], None,
+        {"backend": {"type": "toy", "n_layers": 4, "d_model": 16.5}}, ["compare"],
         "backend.d_model",
     ),
     "bool-n-layers": (
-        {"backend": {"type": "toy", "n_layers": True}}, ["compare"], None, "backend.n_layers"
+        {"backend": {"type": "toy", "n_layers": True}}, ["compare"], "backend.n_layers"
     ),
-    "zero-jobs-flag": ({}, ["compare", "--jobs", "0"], None, "--jobs"),
-    "negative-jobs-flag": ({}, ["compare", "--jobs", "-3"], None, "--jobs"),
-    "zero-jobs-env": ({}, ["compare"], "0", "SPECDEC_JOBS"),
+    "zero-jobs-flag": ({}, ["compare", "--jobs", "0"], "--jobs"),
+    "negative-jobs-flag": ({}, ["compare", "--jobs", "-3"], "--jobs"),
     "non-integer-grid-value": (
-        {"strategies": [{"name": "hierarchical", "draft_layer": ["x"]}]}, ["sweep"], None,
+        {"strategies": [{"name": "hierarchical", "draft_layer": ["x"]}]}, ["sweep"],
         "strategies[0].draft_layer",
     ),
     "fractional-grid-value": (
-        {"strategies": [{"name": "selfspec", "draft_layer": 2.5}]}, ["sweep"], None,
+        {"strategies": [{"name": "selfspec", "draft_layer": 2.5}]}, ["sweep"],
         "strategies[0].draft_layer",
     ),
     "null-grid-value": (
-        {"strategies": [{"name": "selfspec", "draft_len": None}]}, ["sweep"], None,
+        {"strategies": [{"name": "selfspec", "draft_len": None}]}, ["sweep"],
         "strategies[0].draft_len",
     ),
-    "strategy-not-an-object": ({"strategies": ["hierarchical"]}, ["sweep"], None, "strategies[0]"),
-    "decode-not-an-object": ({"decode": 5}, ["compare"], None, "decode"),
-    "policy-not-an-object": ({"decode": {"policy": "greedy"}}, ["compare"], None, "decode.policy"),
-    "prompts-not-an-object": ({"prompts": [1, 2]}, ["compare"], None, "prompts"),
-    "non-string-text-path": ({"prompts": {"text_path": 5}}, ["compare"], None, "prompts.text_path"),
-    "negative-seed": ({"seed": -1}, ["compare"], None, "seed"),
+    "strategy-not-an-object": ({"strategies": ["hierarchical"]}, ["sweep"], "strategies[0]"),
+    "decode-not-an-object": ({"decode": 5}, ["compare"], "decode"),
+    "policy-not-an-object": ({"decode": {"policy": "greedy"}}, ["compare"], "decode.policy"),
+    "prompts-not-an-object": ({"prompts": [1, 2]}, ["compare"], "prompts"),
+    "non-string-text-path": ({"prompts": {"text_path": 5}}, ["compare"], "prompts.text_path"),
+    "negative-seed": ({"seed": -1}, ["compare"], "seed"),
     "unknown-strategy-compare": (
-        {"strategies": [{"name": "hierarchcal"}]}, ["compare"], None, "strategies[0].name"
+        {"strategies": [{"name": "hierarchcal"}]}, ["compare"], "strategies[0].name"
     ),
     "unknown-strategy-check": (
-        {"strategies": [{"name": "hierarchcal"}]}, ["check"], None, "strategies[0].name"
+        {"strategies": [{"name": "hierarchcal"}]}, ["check"], "strategies[0].name"
     ),
     "unknown-grid-key": (
-        {"strategies": [{"name": "hierarchical", "draft_layers": [1, 2]}]}, ["sweep"], None,
+        {"strategies": [{"name": "hierarchical", "draft_layers": [1, 2]}]}, ["sweep"],
         "strategies[0].draft_layers",
     ),
     "zero-grid-draft-len": (
-        {"strategies": [{"name": "hierarchical", "draft_len": [0, 2]}]}, ["sweep"], None,
+        {"strategies": [{"name": "hierarchical", "draft_len": [0, 2]}]}, ["sweep"],
         "strategies[0].draft_len",
     ),
     "zero-ablate-value": (
-        {}, ["ablate", "--parameter", "N_d", "--values", "0,2"], None, "--values"
+        {}, ["ablate", "--parameter", "N_d", "--values", "0,2"], "--values"
     ),
     "check-without-valid-point": (
         {
             "backend": {"type": "toy", "n_layers": 4, "d_model": 8, "n_heads": 2},
             "strategies": [{"name": "hierarchical"}],
         },
-        ["check"], None, "strategies",
+        ["check"], "strategies",
     ),
-    "check-vanilla-only": ({"strategies": [{"name": "vanilla"}]}, ["check"], None, "strategies"),
-    "check-zero-jobs-flag": ({}, ["check", "--jobs", "0"], None, "--jobs"),
-    "check-non-integer-jobs-env": ({}, ["check"], "abc", "SPECDEC_JOBS"),
-    "unknown-root-key": ({"prompt": {"count": 2}}, ["compare"], None, "prompt"),
+    "check-vanilla-only": ({"strategies": [{"name": "vanilla"}]}, ["check"], "strategies"),
+    "check-zero-jobs-flag": ({}, ["check", "--jobs", "0"], "--jobs"),
+    "unknown-root-key": ({"prompt": {"count": 2}}, ["compare"], "prompt"),
     "unknown-toy-backend-key": (
-        {"backend": {"type": "toy", "n_layers": 4, "d_modle": 16}}, ["compare"], None,
+        {"backend": {"type": "toy", "n_layers": 4, "d_modle": 16}}, ["compare"],
         "backend.d_modle",
     ),
     "preset-backend-max-seq-len": (
         {"backend": {"type": "synthetic", "preset": "quarter-depth-69", "max_seq_len": 8}},
-        ["compare"], None, "backend.max_seq_len",
+        ["compare"], "backend.max_seq_len",
     ),
     "unknown-profile-backend-key": (
         {"backend": {"type": "synthetic", "n_layers": 4, "profile": {"4": 1.0}, "seed": 1}},
-        ["compare"], None, "backend.seed",
+        ["compare"], "backend.seed",
     ),
-    "unknown-prompts-key": ({"prompts": {"cout": 3}}, ["compare"], None, "prompts.cout"),
+    "unknown-prompts-key": ({"prompts": {"cout": 3}}, ["compare"], "prompts.cout"),
     "text-prompts-with-count": (
-        {"prompts": {"text_path": "prompts.txt", "count": 3}}, ["compare"], None, "prompts.count"
+        {"prompts": {"text_path": "prompts.txt", "count": 3}}, ["compare"], "prompts.count"
     ),
     "unknown-decode-key": (
-        {"decode": {"max_new_token": 4}}, ["compare"], None, "decode.max_new_token"
+        {"decode": {"max_new_token": 4}}, ["compare"], "decode.max_new_token"
     ),
     "unknown-policy-key": (
-        {"decode": {"policy": {"mode": "top_k", "kk": 2}}}, ["compare"], None, "decode.policy.kk"
+        {"decode": {"policy": {"mode": "top_k", "kk": 2}}}, ["compare"], "decode.policy.kk"
     ),
-    "seed-beyond-64-bits": ({"seed": 2**64}, ["compare"], None, "seed"),
-    "seed-flag-beyond-64-bits": ({}, ["compare", "--seed", str(2**64)], None, "seed"),
+    "seed-beyond-64-bits": ({"seed": 2**64}, ["compare"], "seed"),
+    "seed-flag-beyond-64-bits": ({}, ["compare", "--seed", str(2**64)], "seed"),
     "empty-grid-list-sweep": (
-        {"strategies": [{"name": "hierarchical", "draft_layer": []}]}, ["sweep"], None,
+        {"strategies": [{"name": "hierarchical", "draft_layer": []}]}, ["sweep"],
         "strategies[0].draft_layer",
     ),
     "empty-grid-list-check": (
-        {"strategies": [{"name": "selfspec", "draft_len": []}]}, ["check"], None,
+        {"strategies": [{"name": "selfspec", "draft_len": []}]}, ["check"],
         "strategies[0].draft_len",
     ),
-    "empty-strategies": ({"strategies": []}, ["sweep"], None, "strategies"),
+    "empty-strategies": ({"strategies": []}, ["sweep"], "strategies"),
     "zero-prompt-count": (
-        {"prompts": {"count": 0, "min_len": 3, "max_len": 6}}, ["compare"], None, "prompts.count"
+        {"prompts": {"count": 0, "min_len": 3, "max_len": 6}}, ["compare"], "prompts.count"
     ),
     "min-len-above-max-len": (
-        {"prompts": {"count": 2, "min_len": 7, "max_len": 3}}, ["compare"], None,
+        {"prompts": {"count": 2, "min_len": 7, "max_len": 3}}, ["compare"],
         "prompts.min_len",
     ),
     "text-prompts-zero-max-len": (
-        {"prompts": {"text_path": "prompts.txt", "max_len": 0}}, ["compare"], None,
+        {"prompts": {"text_path": "prompts.txt", "max_len": 0}}, ["compare"],
         "prompts.max_len",
     ),
     "profile-missing-layers": (
         {"backend": {"type": "synthetic", "n_layers": 4, "profile": {"1": 0.5, "4": 1.0}}},
-        ["compare"], None, "backend.profile",
+        ["compare"], "backend.profile",
     ),
     "unknown-preset": (
-        {"backend": {"type": "synthetic", "preset": "llama-70b"}}, ["compare"], None,
+        {"backend": {"type": "synthetic", "preset": "llama-70b"}}, ["compare"],
         "backend.preset",
     ),
     "unknown-backend-type": (
-        {"backend": {"type": "warp-drive"}}, ["compare"], None, "backend.type"
+        {"backend": {"type": "warp-drive"}}, ["compare"], "backend.type"
     ),
     "unknown-policy-mode": (
-        {"decode": {"policy": {"mode": "topk"}}}, ["compare"], None, "decode.policy.mode"
+        {"decode": {"policy": {"mode": "topk"}}}, ["compare"], "decode.policy.mode"
     ),
     "zero-policy-k": (
-        {"decode": {"policy": {"mode": "top_k", "k": 0}}}, ["compare"], None, "decode.policy.k"
+        {"decode": {"policy": {"mode": "top_k", "k": 0}}}, ["compare"], "decode.policy.k"
     ),
     "two-layer-toy": (
-        {"backend": {"type": "toy", "n_layers": 2}}, ["compare"], None, "backend.n_layers"
+        {"backend": {"type": "toy", "n_layers": 2}}, ["compare"], "backend.n_layers"
     ),
     "zero-context-window": (
         {"backend": {"type": "synthetic", "preset": "quarter-depth-69", "context_window": 0}},
-        ["compare"], None, "backend.context_window",
+        ["compare"], "backend.context_window",
     ),
     "missing-text-path-file": (
-        {"prompts": {"text_path": "missing.txt"}}, ["compare"], None, "prompts.text_path"
+        {"prompts": {"text_path": "missing.txt"}}, ["compare"], "prompts.text_path"
     ),
     "blank-text-path-file": (
-        {"prompts": {"text_path": "blank.txt"}}, ["compare"], None, "prompts.text_path"
+        {"prompts": {"text_path": "blank.txt"}}, ["compare"], "prompts.text_path"
     ),
 }
 
@@ -486,10 +482,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_malformed_input_exits_2_naming_the_field(self, tmp_path, monkeypatch, capsys, case):
-        overrides, command, jobs_env, field = MALFORMED_INPUTS[case]
-        monkeypatch.delenv("SPECDEC_JOBS", raising=False)
-        if jobs_env is not None:
-            monkeypatch.setenv("SPECDEC_JOBS", jobs_env)
+        overrides, command, field = MALFORMED_INPUTS[case]
         monkeypatch.chdir(tmp_path)
         # A relative text_path names a file beside the config.
         (tmp_path / "prompts.txt").write_text("one prompt\nanother\n", encoding="utf-8")
@@ -504,10 +497,6 @@ class TestCli:
     @pytest.mark.parametrize("value, expected", [(3, 3), ("2", 2), (16.0, 16)])
     def test_integer_fields_accept_integer_values(self, value, expected):
         assert config_int(value, "field") == expected
-
-    def test_integer_jobs_env_overrides_flag(self, monkeypatch):
-        monkeypatch.setenv("SPECDEC_JOBS", "2")
-        assert resolve_jobs(1) == 2
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["compare", "--config", str(tmp_path / "nope.json"), "--out", "o"]) == 2
@@ -624,7 +613,6 @@ class TestCli:
         assert "over 2 prompts at 4 grid points; max discrepancy 0.000e+00" in out
 
     def test_check_line_is_the_same_across_jobs(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("SPECDEC_JOBS", raising=False)
         raw = {
             "seed": 1,
             "backend": {"type": "toy", "n_layers": 4, "d_model": 8, "n_heads": 2},

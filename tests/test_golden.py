@@ -21,13 +21,10 @@ import pytest
 
 from specdec import (
     AcceptancePolicy,
-    HierarchicalConfig,
     ModelConfig,
     SyntheticBackend,
     SyntheticModelSpec,
     ToyTransformer,
-    hierarchical_decode,
-    selfspec_decode,
     speculative_decode,
     vanilla_decode,
 )
@@ -93,6 +90,7 @@ def _cases(backend, seed, count):
 
 def _group_records(name, policy, count):
     backend = _backend(name)
+    n = backend.n_layers
     records = []
     for prompt, budget, draft, inter, n_d, n_i, eos_mode, rng in _cases(
         backend, seed=len(name) * 7 + policy.k, count=count
@@ -103,14 +101,11 @@ def _group_records(name, policy, count):
             eos = reference.tokens[rng.randrange(len(reference.tokens))]
         elif eos_mode == "random":
             eos = rng.randrange(backend.vocab_size)
-        records.append(decode_record(vanilla_decode(backend, prompt, budget, eos_token=eos)))
-        records.append(decode_record(vanilla_decode(backend, prompt, budget, layer=draft)))
+        records.append(decode_record(speculative_decode(backend, prompt, (n,), (), budget, eos)))
+        records.append(decode_record(speculative_decode(backend, prompt, (draft,), (), budget)))
         records.append(
             decode_record(
-                selfspec_decode(
-                    backend, prompt, draft_layer=draft, draft_len=n_d,
-                    max_new_tokens=budget, eos_token=eos, policy=policy,
-                )
+                speculative_decode(backend, prompt, (draft, n), (n_d,), budget, eos, policy)
             )
         )
         boundaries = []
@@ -118,12 +113,9 @@ def _group_records(name, policy, count):
         def hook(session):
             boundaries.append([session.state.fills(), session.state.committed_len])
 
-        config = HierarchicalConfig(
-            draft_layer=draft, intermediate_layer=inter, full_layer=backend.n_layers,
-            draft_len=n_d, accept_window=n_i, max_new_tokens=budget, eos_token=eos,
-            policy=policy,
+        result = speculative_decode(
+            backend, prompt, (draft, inter, n), (n_d, n_i), budget, eos, policy, hook
         )
-        result = hierarchical_decode(backend, prompt, config, boundary_hook=hook)
         records.append(decode_record(result, boundaries))
     return records
 
@@ -163,14 +155,18 @@ def test_decode_records_match_golden(backend_name, policy_name):
 @pytest.mark.parametrize("backend_name", ["toy", "random"])
 def test_one_exit_speculative_decode_is_vanilla(backend_name):
     # Vanilla decoding is the 1-exit case: one draft committed unverified,
-    # at full depth and at an early exit, with and without eos.
+    # at full depth and at an early exit, with and without eos. With eos it
+    # is the eos-free decode cut just after the first eos.
     backend = _backend(backend_name)
+    n = backend.n_layers
     for prompt, budget, draft, _, _, _, eos_mode, rng in _cases(backend, seed=5, count=6):
         eos = None if eos_mode == "none" else rng.randrange(backend.vocab_size)
-        for layer in (backend.n_layers, draft):
+        full = speculative_decode(backend, prompt, (n,), (), budget)
+        assert decode_record(full) == decode_record(vanilla_decode(backend, prompt, budget))
+        for layer in (n, draft):
+            free = speculative_decode(backend, prompt, (layer,), (), budget).tokens
             got = speculative_decode(backend, prompt, (layer,), (), budget, eos)
-            want = vanilla_decode(backend, prompt, budget, layer=layer, eos_token=eos)
-            assert decode_record(got) == decode_record(want)
+            assert got.tokens == (free[: free.index(eos) + 1] if eos in free else free)
             assert [type(e).__name__ for e in got.trace.events] == ["DraftStep", "Commit"]
             assert got.trace.finalize_processed == ()
 
@@ -256,7 +252,6 @@ REPORT_GOLDEN = {
 
 @pytest.mark.parametrize("config_name, command", sorted(REPORT_GOLDEN))
 def test_report_bytes_match_golden(tmp_path, monkeypatch, config_name, command):
-    monkeypatch.delenv("SPECDEC_JOBS", raising=False)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "prompts.txt").write_text(PROMPT_TEXT, encoding="utf-8")
     config_path = tmp_path / "config.json"

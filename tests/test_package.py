@@ -5,3 +5,11 @@ def test_every_export_resolves():
     assert len(specdec.__all__) == len(set(specdec.__all__))
     missing = [name for name in specdec.__all__ if not hasattr(specdec, name)]
     assert missing == []
+
+
+def test_retired_decode_wrappers_are_not_exported():
+    # Every caller decodes through speculative_decode; the wrappers left in
+    # specdec.engine serve only the benchmark harness.
+    for name in ("selfspec_decode", "hierarchical_decode", "HierarchicalConfig"):
+        assert name not in specdec.__all__
+        assert not hasattr(specdec, name)

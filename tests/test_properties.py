@@ -24,17 +24,13 @@ from hypothesis import strategies as st
 
 from specdec import (
     AlignmentError,
-    HierarchicalConfig,
     ModelConfig,
     SyntheticBackend,
     SyntheticModelSpec,
     ToyTransformer,
     consistency_check,
-    hierarchical_decode,
     replay_ledger,
-    selfspec_decode,
     speculative_decode,
-    vanilla_decode,
 )
 from specdec.costs import PHASES, CostLedger
 from specdec.engine import Commit, DecodeTrace, DraftStep, IntermediateVerify, TargetVerify
@@ -50,37 +46,26 @@ from conftest import (
 )
 
 
-def hierarchical_config(draw, n_layers, vocab, max_seq_len, prompt_len):
+def decode_shapes(draw, n_layers, vocab, max_seq_len, prompt_len):
+    """Budget, eos and the (exits, bursts) of an example's 1-, 2- and 3-exit
+    decodes, plus a 4-exit one, the 3-exit exits and one more below the full
+    depth, when a layer is free for it."""
     budget = draw(st.integers(1, max_seq_len - prompt_len))
     draft = draw(st.integers(1, n_layers - 2))
-    return HierarchicalConfig(
-        draft_layer=draft,
-        intermediate_layer=draw(st.integers(draft + 1, n_layers - 1)),
-        full_layer=n_layers,
-        draft_len=draw(st.integers(1, 5)),
-        accept_window=draw(st.integers(1, 8)),
-        max_new_tokens=budget,
-        eos_token=draw(st.none() | st.integers(0, vocab - 1)),
-    )
-
-
-def cascade(draw, config):
-    """Exits and burst lengths of a 4-exit session: the config's exits plus
-    one more below the full depth, or None when no layer is free."""
-    n_layers = config.full_layer
-    free = sorted(set(range(1, n_layers)) - {config.draft_layer, config.intermediate_layer})
-    if not free:
-        return None
-    extra = draw(st.sampled_from(free))
-    exits = tuple(sorted((config.draft_layer, config.intermediate_layer, extra, n_layers)))
-    return exits, (config.draft_len, config.accept_window, draw(st.integers(1, 8)))
-
-
-def cascade_decode(backend, prompt, config, exits, bursts, boundary_hook=None):
-    return speculative_decode(
-        backend, prompt, exits, bursts, config.max_new_tokens, config.eos_token,
-        boundary_hook=boundary_hook,
-    )
+    intermediate = draw(st.integers(draft + 1, n_layers - 1))
+    draft_len, accept_window = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    eos = draw(st.none() | st.integers(0, vocab - 1))
+    shapes = [
+        ((n_layers,), ()),
+        ((draft, n_layers), (draft_len,)),
+        ((draft, intermediate, n_layers), (draft_len, accept_window)),
+    ]
+    free = sorted(set(range(1, n_layers)) - {draft, intermediate})
+    if free:
+        extra = draw(st.sampled_from(free))
+        exits = tuple(sorted((draft, intermediate, extra, n_layers)))
+        shapes.append((exits, (draft_len, accept_window, draw(st.integers(1, 8)))))
+    return budget, eos, shapes
 
 
 def per_pass_replay(trace, prompt_len, exits):
@@ -132,8 +117,7 @@ def decode_cases(draw):
         )
     )
     prompt = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=min(8, max_seq_len - 1)))
-    config = hierarchical_config(draw, n_layers, vocab, max_seq_len, len(prompt))
-    return backend, prompt, config, cascade(draw, config)
+    return (backend, prompt, *decode_shapes(draw, n_layers, vocab, max_seq_len, len(prompt)))
 
 
 @st.composite
@@ -153,15 +137,13 @@ def toy_cases(draw):
         )
     )
     prompt = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=min(8, max_seq_len - 1)))
-    config = hierarchical_config(draw, n_layers, vocab, max_seq_len, len(prompt))
-    return backend, prompt, config, cascade(draw, config)
+    return (backend, prompt, *decode_shapes(draw, n_layers, vocab, max_seq_len, len(prompt)))
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(decode_cases())
 def test_speculative_decodes_keep_engine_invariants(case):
-    backend, prompt, config, four_exits = case
-    eos, budget = config.eos_token, config.max_new_tokens
+    backend, prompt, budget, eos, shapes = case
     boundaries_clean = []
 
     def hook(session):
@@ -169,21 +151,12 @@ def test_speculative_decodes_keep_engine_invariants(case):
         boundaries_clean.append(live_counts_are_one(session.backend, session.state))
 
     decodes = [
-        counted(vanilla_decode, backend, prompt, budget, eos_token=eos),
-        counted(
-            selfspec_decode, backend, prompt, config.draft_layer, config.draft_len, budget,
-            eos_token=eos, boundary_hook=hook,
-        ),
-        counted(hierarchical_decode, backend, prompt, config, boundary_hook=hook),
+        counted(speculative_decode, backend, prompt, exits, bursts, budget, eos, boundary_hook=hook)
+        for exits, bursts in shapes
     ]
-    d, i, n = config.draft_layer, config.intermediate_layer, config.full_layer
-    exits = [(n,), (d, n), (d, i, n)]
-    if four_exits is not None:
-        decodes.append(counted(cascade_decode, backend, prompt, config, *four_exits, hook))
-        exits.append(four_exits[0])
     reference = decodes[0][0].tokens
     assert all(boundaries_clean)
-    for (result, counter), session_exits in zip(decodes, exits):
+    for (result, counter), (session_exits, _) in zip(decodes, shapes):
         assert result.tokens == reference
         assert_ledger_counts_passes(result.ledger, counter.passes)
         assert_same_phases(result.ledger, per_pass_replay(result.trace, len(prompt), session_exits))
@@ -196,7 +169,7 @@ def test_speculative_decodes_keep_engine_invariants(case):
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(toy_cases())
 def test_toy_boundaries_recompute_exactly(case):
-    backend, prompt, config, four_exits = case
+    backend, prompt, budget, eos, shapes = case
     boundaries = []
 
     def hook(session):
@@ -209,14 +182,14 @@ def test_toy_boundaries_recompute_exactly(case):
             )
         )
 
-    decodes = [counted(hierarchical_decode, backend, prompt, config, boundary_hook=hook)]
-    if four_exits is not None:
-        decodes.append(counted(cascade_decode, backend, prompt, config, *four_exits, hook))
+    # The 3-exit decode and the 4-exit one, if any.
+    decodes = [
+        counted(speculative_decode, backend, prompt, exits, bursts, budget, eos, boundary_hook=hook)
+        for exits, bursts in shapes[2:]
+    ]
     assert len(boundaries) >= len(decodes)
     assert all(worst == 0.0 and counts_ok for worst, counts_ok in boundaries)
-    vanilla, vanilla_counter = counted(
-        vanilla_decode, backend, prompt, config.max_new_tokens, eos_token=config.eos_token
-    )
+    vanilla, vanilla_counter = counted(speculative_decode, backend, prompt, *shapes[0], budget, eos)
     for result, counter in [(vanilla, vanilla_counter), *decodes]:
         assert result.tokens == vanilla.tokens
         assert_ledger_counts_passes(result.ledger, counter.passes)

@@ -7,11 +7,10 @@ import pytest
 from specdec import (
     AlignmentError,
     ConfigError,
-    HierarchicalConfig,
     LayeredState,
     ProtocolError,
     consistency_check,
-    hierarchical_decode,
+    speculative_decode,
     vanilla_decode,
 )
 
@@ -209,10 +208,7 @@ class TestPrune:
 
 class TestConsistencyCheck:
     def test_engine_states_are_clean(self, toy_backend):
-        config = HierarchicalConfig(
-            draft_layer=2, intermediate_layer=4, full_layer=6, max_new_tokens=12
-        )
-        result = hierarchical_decode(toy_backend, [8, 1, 30], config)
+        result = speculative_decode(toy_backend, [8, 1, 30], (2, 4, 6), (2, 4), 12)
         reports = consistency_check(result.state, toy_backend, result.state.tokens)
         assert all(r.max_abs_discrepancy == 0.0 for r in reports)
 
@@ -262,10 +258,7 @@ class TestConsistencyCheck:
 
 class TestNoLeak:
     def test_session_end_state_is_tight(self, toy_backend):
-        config = HierarchicalConfig(
-            draft_layer=1, intermediate_layer=3, full_layer=6, max_new_tokens=10
-        )
-        result = hierarchical_decode(toy_backend, [2, 2, 2], config)
+        result = speculative_decode(toy_backend, [2, 2, 2], (1, 3, 6), (2, 4), 10)
         final_len = len(result.state.tokens)
         assert final_len == 3 + len(result.tokens)
         assert all(result.state.filled(layer) == final_len for layer in range(1, 7))

@@ -39,6 +39,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="every layer"):
             SyntheticModelSpec(n_layers=8, vocab_size=16, seed=0, agreement_profile={8: 1.0})
 
+    @pytest.mark.parametrize("max_seq_len", [0, -1])
+    def test_max_seq_len_must_be_positive(self, max_seq_len):
+        # Rejected at construction, not at the backend's first new_state.
+        with pytest.raises(ConfigError, match="max_seq_len"):
+            SyntheticModelSpec(
+                n_layers=8, vocab_size=16, seed=0, agreement_profile=uniform_profile(8, 1.0),
+                max_seq_len=max_seq_len,
+            )
+
 
 def exit_tokens(backend, context):
     """What every exit of `backend` predicts after `context`, layer 1 first,
