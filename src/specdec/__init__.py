@@ -3,8 +3,6 @@
 from .backend import Backend, TokenDistribution
 from .costs import CostLedger, relative_throughput
 from .engine import (
-    GREEDY,
-    AcceptancePolicy,
     DecodeResult,
     DecodeSession,
     DecodeTrace,
@@ -35,7 +33,6 @@ from .synthetic import (
 
 
 __all__ = [
-    "AcceptancePolicy",
     "AlignmentError",
     "Backend",
     "CapacityError",
@@ -44,7 +41,6 @@ __all__ = [
     "DecodeResult",
     "DecodeSession",
     "DecodeTrace",
-    "GREEDY",
     "LayeredState",
     "ModelConfig",
     "PRESET_NAMES",

@@ -25,8 +25,11 @@ class TokenDistribution:
 
     `position` is the context position whose exit hidden state produced
     the logits, i.e. the distribution predicts the token at position + 1.
-    `degenerate` marks one-hot oracle distributions whose top-k semantics
-    collapse to top-1.
+    `degenerate` marks one-hot oracle distributions. The engine does not
+    read it: verification is greedy top-1 only. It and the four-argument
+    constructor stay because the benchmark's token-flipping proxy
+    (perfbench/test_smoke.py) rebuilds distributions through them; they
+    can go once ROADMAP item 7 moves perfbench onto the current API.
 
     A distribution made by `one_hot` holds only its token: `argmax`
     returns it, and the full-vocab `logits` array is built on first read,
@@ -88,10 +91,6 @@ class TokenDistribution:
             return self._token
         # The first maximum: ties break to the lowest id.
         return int(self._logits.argmax())
-
-    def top_ids(self, k: int) -> list[int]:
-        order = np.argsort(-self.logits, kind="stable")
-        return [int(i) for i in order[:k]]
 
 
 @runtime_checkable

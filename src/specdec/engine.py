@@ -27,10 +27,9 @@ Self-speculation is the 2-exit case (draft, full) with no screening
 level, and speculation with an intermediate verifier the 3-exit case
 (draft, intermediate, full), whose screening burst is `accept_window`.
 The top exit commits the agreeing prefix and flushes everything from the
-first disagreement, committing its own token in its place. Under the
-greedy top-1 policy speculative decoding is therefore lossless: the
-output matches vanilla decoding token for token. Top-k acceptance is
-available but lossy by construction.
+first disagreement, committing its own token in its place. Every verifier
+accepts only its own greedy top-1 token, so speculative decoding is
+lossless: the output matches vanilla decoding token for token.
 
 The trace is the one record of a decode: one walk over its events yields
 the committed tokens, the acceptance and flush counts and the per-level
@@ -46,23 +45,6 @@ from .backend import Backend
 from .costs import CostLedger
 from .errors import CapacityError, ConfigError, ProtocolError
 from .state import LayeredState
-
-
-@dataclass(frozen=True)
-class AcceptancePolicy:
-    """greedy: verifier accepts only its own argmax. top_k: any of its k best."""
-
-    mode: str = "greedy"
-    k: int = 1
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("greedy", "top_k"):
-            raise ConfigError(f"unknown acceptance mode {self.mode!r}")
-        if self.mode == "top_k" and self.k < 1:
-            raise ConfigError("top_k policy needs k >= 1")
-
-
-GREEDY = AcceptancePolicy()
 
 
 def default_layer_placement(full_layer: int) -> tuple[int, int]:
@@ -173,7 +155,6 @@ class DecodeSession:
         self,
         backend: Backend,
         exits: Sequence[int],
-        policy: AcceptancePolicy = GREEDY,
         eos_token: int | None = None,
     ) -> None:
         exits = tuple(exits)
@@ -183,7 +164,6 @@ class DecodeSession:
             raise ConfigError(f"exits {exits} outside the model's layers 1 to {backend.n_layers}")
         self.backend = backend
         self.exits = exits
-        self.policy = policy
         self.eos_token = eos_token
         self.state = backend.new_state(buffered_layers=exits)
         self.trace = DecodeTrace()
@@ -251,26 +231,23 @@ class DecodeSession:
 
         The draft is the newest tokens of the context. Runs one batched
         pass of the level's layers over every position it is behind on,
-        then checks tokens left to right. On the first mismatch the
-        rejected positions are pruned from all filled layers and the
-        verifier's own greedy token is returned as the bonus; on full
-        acceptance below the top exit the bonus is the verifier's
-        prediction for the position after the draft, and at the top exit
-        there is none. `phase` names the verification for observers; the
-        engine does not read it.
+        then checks tokens left to right: a token is accepted only if it
+        is the exit's argmax. On the first mismatch the rejected positions
+        are pruned from all filled layers and the verifier's own greedy
+        token is returned as the bonus; on full acceptance below the top
+        exit the bonus is the verifier's prediction for the position after
+        the draft, and at the top exit there is none. `phase` names the
+        verification for observers; the engine does not read it.
         """
         state, exit_layer = self.state, self.exits[level]
         exit_distribution = self.backend.exit_distribution
-        greedy, k = self.policy.mode == "greedy", self.policy.k
         upto = len(state.tokens)
         draft_start = upto - len(draft_tokens)
         spans = self._ensure_through(level, upto)
         accepted: list[int] = []
         for j, token in enumerate(draft_tokens):
-            dist = exit_distribution(state, exit_layer, draft_start + j - 1)
-            top = dist.argmax()
-            # A degenerate (one-hot) distribution accepts only its argmax.
-            if token == top if greedy or dist.degenerate else token in dist.top_ids(k):
+            top = exit_distribution(state, exit_layer, draft_start + j - 1).argmax()
+            if token == top:
                 accepted.append(token)
                 continue
             state.prune_all(draft_start + j)
@@ -345,7 +322,6 @@ def speculative_decode(
     bursts: Sequence[int],
     max_new_tokens: int,
     eos_token: int | None = None,
-    policy: AcceptancePolicy = GREEDY,
     boundary_hook=None,
 ) -> DecodeResult:
     """Decoding over N >= 1 strictly increasing exits.
@@ -362,7 +338,7 @@ def speculative_decode(
     exits, bursts = tuple(exits), tuple(bursts)
     if len(exits) > 1 and exits[-1] != backend.n_layers:
         raise ConfigError(f"exits {exits} must end at the full_layer {backend.n_layers}")
-    session = DecodeSession(backend, exits, policy=policy, eos_token=eos_token)
+    session = DecodeSession(backend, exits, eos_token=eos_token)
     if len(bursts) != len(exits) - 1 or min(bursts, default=1) < 1:
         raise ConfigError(
             f"bursts {bursts} must give one length >= 1 for each of the "

@@ -26,8 +26,6 @@ from typing import Any, Sequence
 from .costs import CostLedger, relative_throughput
 from .engine import (
     DEFAULT_BURSTS,
-    GREEDY,
-    AcceptancePolicy,
     DecodeStats,
     default_layer_placement,
     speculative_decode,
@@ -97,8 +95,7 @@ SECTION_FIELDS = {
     },
     "text": {"text_path": (_REQUIRED, str), "max_len": (64, 1)},
     "random": {"count": (50, 1), "min_len": (4, 1), "max_len": (12, 1)},
-    "decode": {"max_new_tokens": (32, 1), "policy": ({}, dict)},
-    "policy": {"mode": ("greedy", ("greedy", "top_k")), "k": (1, 1)},
+    "decode": {"max_new_tokens": (32, 1)},
 }
 
 
@@ -152,7 +149,6 @@ class ExperimentConfig:
     strategies: tuple[dict, ...]
     max_new_tokens: int
     seed: int
-    policy: AcceptancePolicy = GREEDY
 
     @classmethod
     def from_dict(cls, raw: dict, seed_override: int | None = None) -> "ExperimentConfig":
@@ -170,8 +166,14 @@ class ExperimentConfig:
         strategies = raw.get("strategies", [{"name": "hierarchical"}])
         if not isinstance(strategies, list) or not strategies:
             raise ConfigError(f"strategies must be a non-empty list of objects, got {strategies!r}")
+        backend = _model_spec(raw.get("backend"), seed)
+        if "text_path" not in prompt_spec and backend.vocab_size > 2**63:
+            # random prompt tokens are drawn as int64
+            raise ConfigError(
+                f"backend.vocab_size must be <= 2**63 for random prompts, got {backend.vocab_size}"
+            )
         return cls(
-            backend=_model_spec(raw.get("backend"), seed),
+            backend=backend,
             prompt_spec=prompt_spec,
             strategies=tuple(
                 _parse_strategy(entry, f"strategies[{index}]")
@@ -179,7 +181,6 @@ class ExperimentConfig:
             ),
             max_new_tokens=decode["max_new_tokens"],
             seed=seed,
-            policy=AcceptancePolicy(**_section(decode["policy"], "decode.policy", "policy")),
         )
 
 
@@ -290,6 +291,18 @@ def build_prompts(config: ExperimentConfig, vocab_size: int) -> list[list[int]]:
         raise ConfigError(f"prompts.text_path: {exc}") from None
 
 
+def _corpus(config: ExperimentConfig) -> list[list[int]]:
+    """The config's prompts, once each is known to leave room for the budget."""
+    prompts = build_prompts(config, config.backend.vocab_size)
+    longest, limit = max(map(len, prompts)), config.backend.max_seq_len
+    if longest + config.max_new_tokens > limit:
+        raise ConfigError(
+            f"decode.max_new_tokens {config.max_new_tokens} plus the longest prompt of "
+            f"{longest} tokens exceeds the model's max_seq_len {limit}"
+        )
+    return prompts
+
+
 def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
     """Cartesian strategy grids; invalid points are skipped with a logged reason.
 
@@ -362,7 +375,6 @@ def run_point(
     prompts: Sequence[Sequence[int]],
     point: GridPoint,
     max_new_tokens: int,
-    policy: AcceptancePolicy,
     boundary_hook=None,
 ) -> PointAggregate:
     backend = _backend_cache(backend_spec)
@@ -370,7 +382,7 @@ def run_point(
     for prompt in prompts:
         result = speculative_decode(
             backend, prompt, point.exits, point.bursts, max_new_tokens,
-            policy=policy, boundary_hook=boundary_hook,
+            boundary_hook=boundary_hook,
         )
         aggregate.tokens += len(result.tokens)
         aggregate.ledger.merge(result.ledger)
@@ -410,10 +422,7 @@ def _map_points(
     worker, config: ExperimentConfig, prompts: list, points: Sequence[GridPoint], jobs: int
 ) -> list:
     """`worker` over each point's payload, in point order, in up to `jobs` processes."""
-    payloads = [
-        (config.backend, prompts, point, config.max_new_tokens, config.policy)
-        for point in points
-    ]
+    payloads = [(config.backend, prompts, point, config.max_new_tokens) for point in points]
     if jobs > 1 and len(payloads) > 1:
         # Imported here: its multiprocessing imports cost every import of specdec ~14 ms.
         from concurrent.futures import ProcessPoolExecutor
@@ -428,7 +437,7 @@ def run_points(
     config: ExperimentConfig, points: Sequence[GridPoint], jobs: int = 1
 ) -> list[dict]:
     """Execute grid points and assemble sorted result rows."""
-    prompts = build_prompts(config, config.backend.vocab_size)
+    prompts = _corpus(config)
     by_point = {agg.point: agg for agg in _map_points(_worker, config, prompts, points, jobs)}
     baseline = by_point[GridPoint("vanilla", (config.backend.n_layers,), ())]
     return [
@@ -487,7 +496,7 @@ def run_check(config: ExperimentConfig, jobs: int = 1) -> tuple[int, int, int, f
     points = [p for p in expand_grid(config, n_layers) if p.strategy != "vanilla"]
     if not points:
         raise ConfigError(f"strategies have no speculative point for {n_layers} layers")
-    prompts = build_prompts(config, config.backend.vocab_size)
+    prompts = _corpus(config)
     checked = _map_points(_check_worker, config, prompts, points, jobs)
     return sum(b for b, _ in checked), len(prompts), len(points), max(w for _, w in checked)
 

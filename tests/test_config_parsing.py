@@ -1,7 +1,7 @@
 """Property test of config parsing: a bad field is named when the config loads.
 
 Each example takes a valid config of one section kind (a toy, preset or
-profile backend; text or random prompts; decode and its policy; the root;
+profile backend; text or random prompts; decode; the root;
 a strategy entry), replaces one of that kind's fields, given or left to its
 default, with a value from a small fixed pool, and loads it. Either
 `ExperimentConfig.from_dict` raises a ConfigError whose message holds the
@@ -44,8 +44,7 @@ SECTIONS = [
     ),
     ("text", ("prompts",), ("text_path", "max_len")),
     ("random", ("prompts",), ("count", "min_len", "max_len")),
-    ("random", ("decode",), ("max_new_tokens", "policy")),
-    ("random", ("decode", "policy"), ("mode", "k")),
+    ("random", ("decode",), ("max_new_tokens",)),
     ("random", (), ("seed", "backend", "prompts", "decode", "strategies")),
     (
         "random", ("strategies", 0),
@@ -64,7 +63,7 @@ def valid_config(kind: str, text_path: str) -> dict:
         "seed": 1,
         "backend": copy.deepcopy(BACKENDS.get(kind, BACKENDS["toy"])),
         "prompts": prompts,
-        "decode": {"max_new_tokens": 4, "policy": {"mode": "top_k", "k": 2}},
+        "decode": {"max_new_tokens": 4},
         "strategies": [{"name": "hierarchical", "draft_layer": [1], "draft_len": 2}],
     }
 

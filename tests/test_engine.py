@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from specdec import (
-    AcceptancePolicy,
     CapacityError,
     ConfigError,
     DecodeSession,
@@ -41,19 +40,13 @@ def profile_backend(profile, n_layers=8, vocab=32, seed=7, max_seq_len=512):
 
 
 class TestTopPredictions:
-    """What a verifier accepts: `argmax()` under greedy, `top_ids(k)` under top-k."""
+    """What a verifier accepts: its distribution's `argmax()`."""
 
     def dist(self, logits):
         return TokenDistribution(logits=np.array(logits, dtype=float), position=0, source_layer=1)
 
     def test_greedy_tiebreak_lowest_id(self):
         assert self.dist([0.1, 3.0, 3.0, -1.0]).argmax() == 1
-
-    def test_top2_includes_tied_pair(self):
-        assert set(self.dist([0.1, 3.0, 3.0, -1.0]).top_ids(2)) == {1, 2}
-
-    def test_topk_full_vocab_accepts_anything(self):
-        assert set(self.dist([0.1, 3.0, 3.0, -1.0]).top_ids(4)) == {0, 1, 2, 3}
 
 
 class TestDefaults:
@@ -403,16 +396,6 @@ class TestHierarchical:
     def test_wrong_full_layer_rejected(self, oracle_backend):
         with pytest.raises(ConfigError, match="full_layer"):
             speculative_decode(oracle_backend, [1], (2, 4, 16), DEFAULT_BURSTS, 4)
-
-    def test_topk_policy_runs_but_is_lossy_by_contract(self, toy_backend):
-        # Output equivalence is only claimed for greedy; top-k must still
-        # produce a legal decode (right length, in-vocab tokens).
-        policy = AcceptancePolicy("top_k", k=3)
-        result = speculative_decode(
-            toy_backend, [1, 2, 3], (2, 4, 6), DEFAULT_BURSTS, 12, policy=policy
-        )
-        assert len(result.tokens) == 12
-        assert all(0 <= t < toy_backend.vocab_size for t in result.tokens)
 
     def test_corrupted_kv_mid_decode_is_located(self, toy_backend):
         # Corrupt one K/V entry of the full model's level at the second

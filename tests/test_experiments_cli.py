@@ -18,6 +18,7 @@ from specdec.experiments import (
     emit_report,
     load_config,
     run_ablation,
+    run_check,
     run_compare,
     run_sweep,
 )
@@ -43,6 +44,14 @@ SMALL_CONFIG = {
     ],
 }
 
+
+# A toy model whose max_seq_len of 16 cannot hold a 4- or 5-token prompt plus 14 new tokens.
+TIGHT_TOY = {
+    "backend": {"type": "toy", "n_layers": 4, "d_model": 8, "n_heads": 2, "max_seq_len": 16},
+    "prompts": {"count": 3, "min_len": 4, "max_len": 5},
+    "decode": {"max_new_tokens": 14},
+    "strategies": [{"name": "selfspec"}],
+}
 
 # case -> (config overrides, command, field the message names)
 MALFORMED_INPUTS = {
@@ -131,9 +140,7 @@ MALFORMED_INPUTS = {
     "unknown-decode-key": (
         {"decode": {"max_new_token": 4}}, ["compare"], "decode.max_new_token"
     ),
-    "unknown-policy-key": (
-        {"decode": {"policy": {"mode": "top_k", "kk": 2}}}, ["compare"], "decode.policy.kk"
-    ),
+    "policy-field": ({"decode": {"policy": {"mode": "greedy"}}}, ["compare"], "decode.policy"),
     "seed-beyond-64-bits": ({"seed": 2**64}, ["compare"], "seed"),
     "seed-flag-beyond-64-bits": ({}, ["compare", "--seed", str(2**64)], "seed"),
     "empty-grid-list-sweep": (
@@ -167,12 +174,6 @@ MALFORMED_INPUTS = {
     "unknown-backend-type": (
         {"backend": {"type": "warp-drive"}}, ["compare"], "backend.type"
     ),
-    "unknown-policy-mode": (
-        {"decode": {"policy": {"mode": "topk"}}}, ["compare"], "decode.policy.mode"
-    ),
-    "zero-policy-k": (
-        {"decode": {"policy": {"mode": "top_k", "k": 0}}}, ["compare"], "decode.policy.k"
-    ),
     "two-layer-toy": (
         {"backend": {"type": "toy", "n_layers": 2}}, ["compare"], "backend.n_layers"
     ),
@@ -185,6 +186,12 @@ MALFORMED_INPUTS = {
     ),
     "blank-text-path-file": (
         {"prompts": {"text_path": "blank.txt"}}, ["compare"], "prompts.text_path"
+    ),
+    "budget-beyond-max-seq-len-compare": (TIGHT_TOY, ["compare"], "decode.max_new_tokens"),
+    "budget-beyond-max-seq-len-check": (TIGHT_TOY, ["check"], "decode.max_new_tokens"),
+    "random-prompts-over-vocab-beyond-63-bits": (
+        {"backend": {"type": "synthetic", "preset": "quarter-depth-69", "vocab_size": 10**20}},
+        ["compare"], "backend.vocab_size",
     ),
 }
 
@@ -301,6 +308,29 @@ class TestRunAndEmit:
             paths.append(emit_report(rows, tmp_path / f"run{idx}.csv"))
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("run", [run_compare, run_check], ids=["compare", "check"])
+    def test_budget_beyond_max_seq_len_fails_before_any_decode(self, monkeypatch, run):
+        def decode(*args, **kwargs):
+            raise AssertionError("a decode started before the budget was checked")
+
+        monkeypatch.setattr(experiments, "speculative_decode", decode)
+        config = ExperimentConfig.from_dict(dict(SMALL_CONFIG, **TIGHT_TOY))
+        message = (
+            "decode.max_new_tokens 14 plus the longest prompt of 5 tokens "
+            "exceeds the model's max_seq_len 16"
+        )
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run(config)
+
+    def test_text_prompts_take_a_vocabulary_beyond_63_bits(self, tmp_path):
+        # Only random prompts draw int64 tokens; byte tokens fit any vocabulary.
+        path = tmp_path / "prompts.txt"
+        path.write_text("one prompt\nanother\n", encoding="utf-8")
+        backend = {"type": "synthetic", "preset": "quarter-depth-69", "vocab_size": 10**20}
+        raw = dict(SMALL_CONFIG, backend=backend, prompts={"text_path": str(path)})
+        rows = run_compare(ExperimentConfig.from_dict(raw))
+        assert [r["committed_tokens"] for r in rows] == [20, 20, 20]
 
     def test_jsonl_emission(self, tmp_path):
         config = ExperimentConfig.from_dict(SMALL_CONFIG)
@@ -537,16 +567,6 @@ class TestCli:
         argv += ["--config", str(write_config(tmp_path, SMALL_CONFIG))]
         assert main(argv) == 2
         assert "--out" in capsys.readouterr().err
-
-    def test_capacity_problem_exits_3(self, tmp_path):
-        raw = {
-            "seed": 1,
-            "backend": {"type": "toy", "n_layers": 4, "d_model": 8, "n_heads": 2, "max_seq_len": 8},
-            "prompts": {"count": 1, "min_len": 6, "max_len": 6},
-            "decode": {"max_new_tokens": 30},
-        }
-        config_path = write_config(tmp_path, raw)
-        assert main(["compare", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 3
 
     @pytest.mark.parametrize("call", ["advance", "exit_distribution", "filled"])
     def test_layer_outside_the_stack_exits_3(self, tmp_path, monkeypatch, capsys, call):
