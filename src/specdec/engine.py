@@ -4,7 +4,8 @@ exit and speculation through any number of verifying exits.
 A `DecodeSession` owns one decode's layered state and trace.
 Its exits split the layer stack into levels; lower levels run ahead of
 higher ones, and verification prunes rejected positions before the next
-phase.
+phase. It binds each level's (lo, hi) layer range and the state's live
+fill list once, so each pass reads them rather than re-deriving them.
 
 Every strategy is `speculative_decode` over its exits, and every decode
 takes the same four steps: it checks the budget and the capacity and
@@ -37,6 +38,7 @@ pass tallies that `replay_ledger` prices; no cost is kept by hand.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import astuple, dataclass, field
 from typing import Sequence
@@ -143,6 +145,16 @@ class DecodeResult:
     state: LayeredState
 
 
+def _check_prompt(backend: Backend, prompt: Sequence[int]) -> None:
+    if len(prompt) < 1:
+        raise ConfigError("prompt must be non-empty")
+    for token in prompt:
+        if not 0 <= int(token) < backend.vocab_size:
+            raise ConfigError(f"prompt token {token} outside vocabulary")
+    if len(prompt) > backend.max_seq_len:
+        raise CapacityError("prompt exceeds max_seq_len")
+
+
 class DecodeSession:
     """One decode over one backend; strictly sequential, owns its state and trace.
 
@@ -167,31 +179,31 @@ class DecodeSession:
         self.eos_token = eos_token
         self.state = backend.new_state(buffered_layers=exits)
         self.trace = DecodeTrace()
+        # Bound once: each level's (lo, hi) layer range, and the state's
+        # live fill list, which only the state writes (in place).
+        self._levels = tuple(zip((1, *(e + 1 for e in exits[:-1])), exits))
+        self._fills = self.state.live_fills
 
     # -- level plumbing ----------------------------------------------
 
-    def _advance(self, level: int, upto: int) -> Span:
-        hi = self.exits[level]
-        start = self.state.filled(hi)
-        if start >= upto:
-            return (start, start)
-        lo = 1 if level == 0 else self.exits[level - 1] + 1
-        self.backend.forward_range(self.state, lo, hi, start, upto)
-        return (start, upto)
-
     def _ensure_through(self, level: int, upto: int) -> tuple[Span, ...]:
-        return tuple(self._advance(lvl, upto) for lvl in range(level + 1))
+        """Run every level through `level` up to `upto`; the span each ran,
+        (fill, fill) for a level already there."""
+        state, fills, forward_range = self.state, self._fills, self.backend.forward_range
+        spans = []
+        for lo, hi in self._levels[: level + 1]:
+            start = fills[hi - 1]
+            if start < upto:
+                forward_range(state, lo, hi, start, upto)
+                spans.append((start, upto))
+            else:
+                spans.append((start, start))
+        return tuple(spans)
 
     # -- operations ----------------------------------------------------
 
     def prefill(self, prompt: Sequence[int]) -> None:
-        if len(prompt) < 1:
-            raise ConfigError("prompt must be non-empty")
-        for token in prompt:
-            if not 0 <= int(token) < self.backend.vocab_size:
-                raise ConfigError(f"prompt token {token} outside vocabulary")
-        if len(prompt) > self.backend.max_seq_len:
-            raise CapacityError("prompt exceeds max_seq_len")
+        _check_prompt(self.backend, prompt)
         self.state.set_tokens(prompt)
         self.backend.forward_range(self.state, 1, self.exits[-1], 0, len(prompt))
         self.state.mark_committed(len(prompt))
@@ -204,24 +216,26 @@ class DecodeSession:
         the produced token is processed too, so a following verification
         pass can cover every emitted position in one batch.
         """
-        state, hi, eos = self.state, self.exits[0], self.eos_token
-        tokens, max_seq_len = state.tokens, self.backend.max_seq_len
-        exit_distribution = self.backend.exit_distribution
-        start_fill = fill = state.filled(hi)
+        state, (lo, hi), eos, backend = self.state, self._levels[0], self.eos_token, self.backend
+        tokens, max_seq_len = state.tokens, backend.max_seq_len
+        forward_range, exit_distribution = backend.forward_range, backend.exit_distribution
+        start_fill = fill = self._fills[hi - 1]
         emitted: list[int] = []
         for _ in range(n):
             if len(tokens) >= max_seq_len:
                 break
             pos = len(tokens) - 1
             if fill <= pos:
-                fill = self._advance(0, pos + 1)[1]
+                forward_range(state, lo, hi, fill, pos + 1)
+                fill = pos + 1
             token = exit_distribution(state, hi, pos).argmax()
             state.append_token(token)
             emitted.append(token)
             if token == eos:  # None never equals a token
                 break
         if emitted and fill < len(tokens):
-            fill = self._advance(0, len(tokens))[1]
+            forward_range(state, lo, hi, fill, len(tokens))
+            fill = len(tokens)
         return emitted, (start_fill, fill)
 
     def leading_substring_verify(
@@ -338,7 +352,6 @@ def speculative_decode(
     exits, bursts = tuple(exits), tuple(bursts)
     if len(exits) > 1 and exits[-1] != backend.n_layers:
         raise ConfigError(f"exits {exits} must end at the full_layer {backend.n_layers}")
-    session = DecodeSession(backend, exits, eos_token=eos_token)
     if len(bursts) != len(exits) - 1 or min(bursts, default=1) < 1:
         raise ConfigError(
             f"bursts {bursts} must give one length >= 1 for each of the "
@@ -351,16 +364,20 @@ def speculative_decode(
             f"prompt of {len(prompt)} plus {max_new_tokens} new tokens exceeds "
             f"max_seq_len {backend.max_seq_len}"
         )
+    _check_prompt(backend, prompt)
+    session = DecodeSession(backend, exits, eos_token=eos_token)
     session.prefill(prompt)
     if len(exits) == 1:  # vanilla: one burst as long as the budget, committed unverified
-        drafted, _ = _fill(session, 0, (max_new_tokens,), max_new_tokens)
+        budget = (max_new_tokens,)
+        drafted, _ = _fill(session, 0, budget, budget, max_new_tokens)
         session.commit(drafted)
         return _finish(session, len(prompt))
     top = len(exits) - 1
+    caps = tuple(itertools.accumulate(bursts))
     eos = eos_token
     room = max_new_tokens
     while room > 0:
-        tentative, reason = _fill(session, top - 1, bursts, room)
+        tentative, reason = _fill(session, top - 1, bursts, caps, room)
         if not tentative:
             raise CapacityError("no room left to draft")
         accepted, bonus, mismatch, spans = session.leading_substring_verify(
@@ -388,7 +405,7 @@ def speculative_decode(
 
 
 def _fill(
-    session: DecodeSession, level: int, bursts: Sequence[int], room: int
+    session: DecodeSession, level: int, bursts: Sequence[int], caps: Sequence[int], room: int
 ) -> tuple[list[int], str]:
     """Gather tentative tokens through `level`; return them and why they are due.
 
@@ -397,7 +414,8 @@ def _fill(
     until it holds `bursts[k]` tokens ("window"), holds eos ("eos"),
     reaches the remaining budget `room` ("budget"), or no position is
     left to draft into ("capacity"). The gathered tokens are always the
-    newest tokens of the context.
+    newest tokens of the context. `caps[k]`, the sum of `bursts[: k + 1]`
+    computed once per decode, bounds what level k can gather.
     """
     if level == 0:
         start = len(session.state.tokens)
@@ -408,7 +426,7 @@ def _fill(
     eos = session.eos_token
     gathered: list[int] = []
     while len(gathered) < bursts[level] and eos not in gathered and len(gathered) < room:
-        offered, _ = _fill(session, level - 1, bursts, room - len(gathered))
+        offered, _ = _fill(session, level - 1, bursts, caps, room - len(gathered))
         if not offered:
             break
         accepted, bonus, _, spans = session.leading_substring_verify(
@@ -423,7 +441,7 @@ def _fill(
         session.trace.events.append(
             IntermediateVerify(tuple(accepted), bonus, len(offered) - len(accepted), spans)
         )
-        if len(gathered) > sum(bursts[: level + 1]):
+        if len(gathered) > caps[level]:
             raise ProtocolError(
                 f"level {level} gathered {len(gathered)} tokens, "
                 f"more than the burst lengths {tuple(bursts[: level + 1])} allow"
@@ -473,29 +491,38 @@ def _walk(trace: DecodeTrace, n_levels: int) -> tuple[list[int], DecodeStats, di
     drafted = checked_i = accepted_i = presented = checked_t = accepted_t = flushed = 0
     draft, intermediate, target = ([[0, 0] for _ in range(n_levels)] for _ in range(3))
     shown = 0  # tokens of the DraftStep just before this event, else 0
-    for event in trace.events:
-        if isinstance(event, DraftStep):
+    # The events are exactly the four types below, so one `type` test picks
+    # each; the closing None stands for finalize's spans.
+    for event in (*trace.events, None):
+        kind = type(event)
+        if kind is DraftStep:
             a, b = event.processed
             draft[0][0] += b - a
             draft[0][1] += b - a
             shown = len(event.tokens)
             continue
-        if isinstance(event, Commit):
+        if kind is Commit:
             tokens.extend(event.tokens)
-        else:
-            drafted += shown
-            if isinstance(event, IntermediateVerify):
-                checked_i += len(event.accepted) + (event.rejected > 0)
-                accepted_i += len(event.accepted)
-                _count_spans(intermediate, event.processed)
-            else:
-                presented += event.presented
-                checked_t += len(event.accepted) + event.mismatch
-                accepted_t += len(event.accepted)
-                flushed += event.flushed
-                _count_spans(target, event.processed)
+            shown = 0
+            continue
+        if kind is IntermediateVerify:
+            checked_i += len(event.accepted) + (event.rejected > 0)
+            accepted_i += len(event.accepted)
+            counts, spans = intermediate, event.processed
+        elif kind is TargetVerify:
+            presented += event.presented
+            checked_t += len(event.accepted) + event.mismatch
+            accepted_t += len(event.accepted)
+            flushed += event.flushed
+            counts, spans = target, event.processed
+        else:  # None: finalize was shown no draft
+            counts, spans, shown = target, trace.finalize_processed, 0
+        drafted += shown
         shown = 0
-    _count_spans(target, trace.finalize_processed)
+        for level, (a, b) in enumerate(spans):
+            if b > a:
+                counts[level][0] += 1
+                counts[level][1] += b - a
     stats = DecodeStats(
         drafted=drafted,
         checked_intermediate=checked_i,
@@ -507,13 +534,6 @@ def _walk(trace: DecodeTrace, n_levels: int) -> tuple[list[int], DecodeStats, di
     )
     tally = {"draft": draft, "intermediate_verify": intermediate, "target_verify": target}
     return tokens, stats, tally
-
-
-def _count_spans(counts: list[list[int]], spans: Sequence[Span]) -> None:
-    for level, (a, b) in enumerate(spans):
-        if b > a:
-            counts[level][0] += 1
-            counts[level][1] += b - a
 
 
 def _price(tally: dict, prompt_len: int, exits: Sequence[int]) -> CostLedger:

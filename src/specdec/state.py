@@ -15,10 +15,13 @@ check the fill protocol before they change anything:
 - `prune_all(keep_len)` drops every entry at positions >= keep_len, with
   the tokens there, and never a committed position.
 
-The fills are a plain list of Python ints. Because they never increase
-with depth, `advance` checks a range's contiguity on its first and last
-fill alone, and `prune_all` finds the layers filled past `keep_len`, a
-prefix of the fills, by bisection.
+The fills are one plain list of Python ints, `live_fills` (layer l at
+index l-1). Only `advance` and `prune_all` write it, in place, so the
+decode engine binds it once per session and the synthetic exit query
+reads it unchecked; nothing else may mutate it. Because fills never
+increase with depth, `advance` checks a range's contiguity on its first
+and last fill alone, and `prune_all` finds the layers filled past
+`keep_len`, a prefix of the fills, by bisection.
 
 A state with tensors keeps them all in one private anonymous `mmap` of
 shape (2·n_layers + len(buffered_layers), max_seq_len, d_model), float64:
@@ -69,13 +72,6 @@ class LayerReport:
     worst_position: int | None
 
 
-def check_layer_range(n_layers: int, start_layer: int, end_layer: int) -> None:
-    if not (1 <= start_layer <= end_layer <= n_layers):
-        raise AlignmentError(
-            f"invalid layer range [{start_layer}, {end_layer}] for {n_layers} layers"
-        )
-
-
 def fill_runs(fills: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     """(start_layer, end_layer, fill) for each run of layers with one non-zero fill.
 
@@ -110,6 +106,8 @@ class LayeredState:
     state has no arrays (`kv_k == kv_v == []`, `hidden == {}`), allocates
     and clears nothing, and uses the fill bookkeeping alone.
     Single-session: never share one instance across concurrent decodes.
+    `live_fills` is read-only outside `advance` and `prune_all`, which
+    update it in place; `filled(layer)` is its checked read.
     """
 
     def __init__(
@@ -132,7 +130,7 @@ class LayeredState:
                 raise AlignmentError(f"buffered layer {layer} outside 1..{n_layers}")
         self.tokens: list[int] = []
         self.committed_len = 0
-        self._fill = [0] * n_layers
+        self.live_fills = [0] * n_layers
         if d_model is None:
             self._block = None
             self.kv_k: list[np.ndarray] = []
@@ -149,11 +147,11 @@ class LayeredState:
 
     def filled(self, layer: int) -> int:
         if 0 < layer <= self.n_layers:
-            return self._fill[layer - 1]
+            return self.live_fills[layer - 1]
         raise AlignmentError(f"no layer {layer}: layers are 1..{self.n_layers}")
 
     def fills(self) -> tuple[int, ...]:
-        return tuple(self._fill)
+        return tuple(self.live_fills)
 
     def set_tokens(self, tokens: Sequence[int]) -> None:
         if len(tokens) > self.max_seq_len:
@@ -189,14 +187,17 @@ class LayeredState:
         when its first and last layers are; the layers between are read
         only to name the first one that is not.
         """
-        check_layer_range(self.n_layers, start_layer, end_layer)
+        if not 1 <= start_layer <= end_layer <= self.n_layers:
+            raise AlignmentError(
+                f"invalid layer range [{start_layer}, {end_layer}] for {self.n_layers} layers"
+            )
         if end_pos <= start_pos:
             raise AlignmentError("empty position span")
         if end_pos > self.max_seq_len:
             raise AlignmentError(f"position {end_pos - 1} beyond max_seq_len")
         if end_pos > len(self.tokens):
             raise AlignmentError(f"no token recorded at position {end_pos - 1}")
-        fill = self._fill
+        fill = self.live_fills
         if fill[start_layer - 1] != start_pos or fill[end_layer - 1] != start_pos:
             layer = next(l for l in range(start_layer, end_layer + 1) if fill[l - 1] != start_pos)
             raise AlignmentError(
@@ -214,7 +215,7 @@ class LayeredState:
         """The hidden row buffered at (layer, position)."""
         if layer not in self.hidden:
             raise AlignmentError(f"no hidden buffer at layer {layer}")
-        if not 0 <= position < self._fill[layer - 1]:
+        if not 0 <= position < self.live_fills[layer - 1]:
             raise AlignmentError(f"missing hidden state at (layer {layer}, position {position})")
         return self.hidden[layer][position]
 
@@ -236,11 +237,11 @@ class LayeredState:
                 f"prune to {keep_len} would discard committed positions "
                 f"(committed_len {self.committed_len})"
             )
-        top = self._fill[0]  # fills never increase with depth
+        top = self.live_fills[0]  # fills never increase with depth
         if top > keep_len:
             # So the layers filled past keep_len are a prefix of the fills.
-            above = bisect.bisect_left(self._fill, -keep_len, key=operator.neg)
-            self._fill[:above] = [keep_len] * above
+            above = bisect.bisect_left(self.live_fills, -keep_len, key=operator.neg)
+            self.live_fills[:above] = [keep_len] * above
             # Rows past each layer's old fill are zero already, so clearing
             # positions [keep_len, top) everywhere clears exactly the pruned ones.
             if self._block is not None:

@@ -223,7 +223,8 @@ class SyntheticBackend:
         from the trailing `context_window` tokens through `position`."""
         if not 1 <= layer <= self.n_layers:
             raise AlignmentError(f"no exit at layer {layer}: layers are 1..{self.n_layers}")
-        if not 0 <= position < state.filled(layer):
+        # The layer is checked, so its fill is read unchecked, once.
+        if not 0 <= position < state.live_fills[layer - 1]:
             raise AlignmentError(f"missing hidden state at (layer {layer}, position {position})")
         lo = position + 1 - self._context_window
         window = tuple(state.tokens[lo if lo > 0 else 0 : position + 1])

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,38 @@ class TestDefaults:
     def test_budget_below_one_is_a_config_error(self, oracle_backend, decode, budget):
         with pytest.raises(ConfigError, match="max_new_tokens"):
             decode(oracle_backend, [1, 2, 3], budget)
+
+    @pytest.mark.parametrize(
+        "prompt, bursts, budget, error, message",
+        [
+            ([1, 2, 3], (0, 4), 8, ConfigError, "bursts (0, 4) must give one length >= 1"),
+            ([1, 2, 3], DEFAULT_BURSTS, 0, ConfigError, "max_new_tokens must be >= 1, got 0"),
+            ([1, 2, 3], DEFAULT_BURSTS, 510, CapacityError, "plus 510 new tokens exceeds"),
+            ([], DEFAULT_BURSTS, 8, ConfigError, "prompt must be non-empty"),
+            ([1, 32], DEFAULT_BURSTS, 8, ConfigError, "prompt token 32 outside vocabulary"),
+        ],
+        ids=["bursts", "budget", "capacity", "empty-prompt", "prompt-token"],
+    )
+    def test_bad_input_is_rejected_before_a_state_is_allocated(
+        self, oracle_backend, prompt, bursts, budget, error, message
+    ):
+        class StateCounting:
+            def __init__(self, backend):
+                self.backend, self.states = backend, 0
+
+            def __getattr__(self, name):
+                return getattr(self.backend, name)
+
+            def new_state(self, buffered_layers=()):
+                self.states += 1
+                return self.backend.new_state(buffered_layers)
+
+        backend = StateCounting(oracle_backend)
+        with pytest.raises(error, match=re.escape(message)):
+            speculative_decode(backend, prompt, (2, 4, 8), bursts, budget)
+        assert backend.states == 0
+        speculative_decode(backend, [1, 2, 3], (2, 4, 8), DEFAULT_BURSTS, 8)
+        assert backend.states == 1
 
     def test_defaults_match_paper_style_values(self):
         assert default_layer_placement(32) == (4, 8)

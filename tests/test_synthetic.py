@@ -177,6 +177,51 @@ class TestPredictions:
         backend.forward_range(state, 1, 8, 0, 4)
         with pytest.raises(AlignmentError, match=rf"no exit at layer {layer}: layers are 1\.\.8"):
             backend.exit_distribution(state, layer, 3)
+        # The layer is named first, even where no fill covers the position.
+        with pytest.raises(AlignmentError, match=rf"no exit at layer {layer}: layers are 1\.\.8"):
+            backend.exit_distribution(state, layer, 4)
+
+
+class TestExitQueryFill:
+    """An exit query reads only positions its layer has computed."""
+
+    def missing(self, layer, position):
+        return rf"^missing hidden state at \(layer {layer}, position {position}\)$"
+
+    def test_position_at_the_fill_is_missing(self):
+        backend = make_backend()
+        state = backend.new_state()
+        state.set_tokens([4, 5, 6, 7])
+        backend.forward_range(state, 1, 8, 0, 3)
+        backend.exit_distribution(state, 3, 2)
+        with pytest.raises(AlignmentError, match=self.missing(3, 3)):
+            backend.exit_distribution(state, 3, 3)
+
+    def test_deep_layer_lagging_a_shallow_one_is_missing(self):
+        backend = make_backend()
+        state = backend.new_state()
+        state.set_tokens([4, 5, 6, 7])
+        backend.forward_range(state, 1, 2, 0, 4)
+        backend.forward_range(state, 3, 8, 0, 2)
+        backend.exit_distribution(state, 2, 3)
+        backend.exit_distribution(state, 5, 1)
+        with pytest.raises(AlignmentError, match=self.missing(5, 2)):
+            backend.exit_distribution(state, 5, 2)
+        with pytest.raises(AlignmentError, match=self.missing(8, 3)):
+            backend.exit_distribution(state, 8, 3)
+
+    def test_pruned_position_is_missing_though_its_token_is_back(self):
+        backend = make_backend()
+        state = backend.new_state()
+        state.set_tokens([4, 5, 6, 7])
+        backend.forward_range(state, 1, 8, 0, 4)
+        state.prune_all(2)
+        state.append_token(6)
+        state.append_token(7)
+        backend.exit_distribution(state, 3, 1)
+        for layer in (1, 3, 8):
+            with pytest.raises(AlignmentError, match=self.missing(layer, 2)):
+                backend.exit_distribution(state, layer, 2)
 
 
 class FlipFullDepthToken:
