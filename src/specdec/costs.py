@@ -1,4 +1,4 @@
-"""Two-metric cost accounting for decode phases.
+"""Two-metric cost accounting for decode phases, priced from a pass histogram.
 
 sequential_depth_units is the latency proxy: layers traversed per forward
 pass, independent of how many positions the pass covers in parallel.
@@ -9,6 +9,7 @@ excluded from those ratios.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import UndefinedRatioError
@@ -25,36 +26,35 @@ class PhaseCost:
 
 @dataclass
 class CostLedger:
-    phases: dict[str, PhaseCost] = field(
-        default_factory=lambda: {name: PhaseCost() for name in PHASES}
-    )
+    """The forward passes of one or more decodes, as a histogram.
 
-    def record_pass(self, phase: str, layers: int, positions: int) -> None:
-        if layers <= 0 or positions <= 0:
-            raise ValueError("layers and positions must be positive")
-        if phase not in self.phases:
-            raise ValueError(f"unknown phase {phase!r}")
-        cost = self.phases[phase]
-        cost.sequential_depth_units += layers
-        cost.position_layer_units += layers * positions
-        cost.pass_count += 1
+    `passes` maps (phase, first layer, last layer, positions) to how many
+    passes of that phase ran those layers, inclusive, over that many
+    positions at once. Every cost is priced from it on read. `phases` is
+    such a priced view: fresh `PhaseCost`s for all of `PHASES`, built on
+    each read, which nothing may write to; only `passes` changes a ledger.
+    """
+
+    passes: Counter[tuple[str, int, int, int]] = field(default_factory=Counter)
+
+    @property
+    def phases(self) -> dict[str, PhaseCost]:
+        phases = {name: PhaseCost() for name in PHASES}
+        for (phase, first, last, positions), count in self.passes.items():
+            cost, layers = phases[phase], last - first + 1
+            cost.sequential_depth_units += layers * count
+            cost.position_layer_units += layers * positions * count
+            cost.pass_count += count
+        return phases
 
     def sequential_units(self) -> int:
-        return sum(
-            cost.sequential_depth_units for name, cost in self.phases.items() if name != "prefill"
-        )
+        return sum(c.sequential_depth_units for p, c in self.phases.items() if p != "prefill")
 
     def position_layer_units(self) -> int:
-        return sum(
-            cost.position_layer_units for name, cost in self.phases.items() if name != "prefill"
-        )
+        return sum(c.position_layer_units for p, c in self.phases.items() if p != "prefill")
 
     def merge(self, other: "CostLedger") -> None:
-        for name, cost in other.phases.items():
-            mine = self.phases[name]
-            mine.sequential_depth_units += cost.sequential_depth_units
-            mine.position_layer_units += cost.position_layer_units
-            mine.pass_count += cost.pass_count
+        self.passes.update(other.passes)
 
 
 def relative_throughput(
@@ -71,4 +71,3 @@ def relative_throughput(
     if subject_units == 0 or baseline_units == 0:
         raise UndefinedRatioError("zero-cost ledger has no defined throughput")
     return (subject_tokens / subject_units) / (baseline_tokens / baseline_units)
-

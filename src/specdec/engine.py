@@ -33,14 +33,17 @@ accepts only its own greedy top-1 token, so speculative decoding is
 lossless: the output matches vanilla decoding token for token.
 
 The trace is the one record of a decode: one walk over its events yields
-the committed tokens, the acceptance and flush counts and the per-level
-pass tallies that `replay_ledger` prices; no cost is kept by hand.
+the committed tokens, the acceptance and flush counts and the ledger's
+histogram of passes, prefill included, which `CostLedger` prices on read;
+no cost is kept by hand.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import astuple, dataclass, field
+from numbers import Integral
 from typing import Sequence
 
 from .backend import Backend
@@ -149,7 +152,10 @@ def _check_prompt(backend: Backend, prompt: Sequence[int]) -> None:
     if len(prompt) < 1:
         raise ConfigError("prompt must be non-empty")
     for token in prompt:
-        if not 0 <= int(token) < backend.vocab_size:
+        # An exact int skips the ABC check, which costs more than the rest.
+        if type(token) is not int and (isinstance(token, bool) or not isinstance(token, Integral)):
+            raise ConfigError(f"prompt token {token!r} must be an integer")
+        if not 0 <= token < backend.vocab_size:
             raise ConfigError(f"prompt token {token} outside vocabulary")
     if len(prompt) > backend.max_seq_len:
         raise CapacityError("prompt exceeds max_seq_len")
@@ -181,7 +187,7 @@ class DecodeSession:
         self.trace = DecodeTrace()
         # Bound once: each level's (lo, hi) layer range, and the state's
         # live fill list, which only the state writes (in place).
-        self._levels = tuple(zip((1, *(e + 1 for e in exits[:-1])), exits))
+        self._levels = _level_ranges(exits)
         self._fills = self.state.live_fills
 
     # -- level plumbing ----------------------------------------------
@@ -458,38 +464,37 @@ def _fill(
 def _finish(session: DecodeSession, prompt_len: int) -> DecodeResult:
     session.finalize()
     trace = session.trace
-    tokens, stats, tally = _walk(trace, len(session.exits))
-    return DecodeResult(
-        tokens=tokens,
-        trace=trace,
-        ledger=_price(tally, prompt_len, session.exits),
-        stats=stats,
-        state=session.state,
-    )
+    tokens, stats, ledger = _walk(trace, prompt_len, session._levels)
+    return DecodeResult(tokens=tokens, trace=trace, ledger=ledger, stats=stats, state=session.state)
 
 
-def replay_ledger(
-    trace: DecodeTrace,
-    prompt_len: int,
-    exits: Sequence[int],
-) -> CostLedger:
+def replay_ledger(trace: DecodeTrace, prompt_len: int, exits: Sequence[int]) -> CostLedger:
     """The cost ledger of a decode, derived from its trace alone: the one
     place a decode's costs are recorded."""
-    exits = tuple(exits)
-    return _price(_walk(trace, len(exits))[2], prompt_len, exits)
+    return _walk(trace, prompt_len, _level_ranges(exits))[2]
 
 
-def _walk(trace: DecodeTrace, n_levels: int) -> tuple[list[int], DecodeStats, dict]:
-    """The committed tokens, the `DecodeStats` and the pass tallies of a
+def _level_ranges(exits: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The (first, last) layers of each level, as `DecodeSession` defines them."""
+    return tuple(zip((1, *(e + 1 for e in exits[:-1])), exits))
+
+
+def _walk(
+    trace: DecodeTrace, prompt_len: int, levels: Sequence[tuple[int, int]]
+) -> tuple[list[int], DecodeStats, CostLedger]:
+    """The committed tokens, the `DecodeStats` and the `CostLedger` of a
     trace, in one pass over its events.
 
-    The tallies map each phase to [passes, positions] per level: a draft
-    span is one pass per position, a verify or finalize span one pass
-    over its positions at its level.
+    The ledger holds the prefill of `prompt_len` positions through every
+    level, one one-position pass per drafted position, and one pass over
+    each non-empty verify or finalize span at its level; finalize's passes
+    count as target_verify. Each level's verify passes are tallied by
+    width and keyed once, after the walk.
     """
     tokens: list[int] = []
     drafted = checked_i = accepted_i = presented = checked_t = accepted_t = flushed = 0
-    draft, intermediate, target = ([[0, 0] for _ in range(n_levels)] for _ in range(3))
+    draft_passes = 0
+    intermediate, target = [{} for _ in levels], [{} for _ in levels]
     shown = 0  # tokens of the DraftStep just before this event, else 0
     # The events are exactly the four types below, so one `type` test picks
     # each; the closing None stands for finalize's spans.
@@ -497,8 +502,7 @@ def _walk(trace: DecodeTrace, n_levels: int) -> tuple[list[int], DecodeStats, di
         kind = type(event)
         if kind is DraftStep:
             a, b = event.processed
-            draft[0][0] += b - a
-            draft[0][1] += b - a
+            draft_passes += b - a
             shown = len(event.tokens)
             continue
         if kind is Commit:
@@ -506,13 +510,15 @@ def _walk(trace: DecodeTrace, n_levels: int) -> tuple[list[int], DecodeStats, di
             shown = 0
             continue
         if kind is IntermediateVerify:
-            checked_i += len(event.accepted) + (event.rejected > 0)
-            accepted_i += len(event.accepted)
+            accepted = len(event.accepted)
+            checked_i += accepted + (event.rejected > 0)
+            accepted_i += accepted
             counts, spans = intermediate, event.processed
         elif kind is TargetVerify:
+            accepted = len(event.accepted)
             presented += event.presented
-            checked_t += len(event.accepted) + event.mismatch
-            accepted_t += len(event.accepted)
+            checked_t += accepted + event.mismatch
+            accepted_t += accepted
             flushed += event.flushed
             counts, spans = target, event.processed
         else:  # None: finalize was shown no draft
@@ -521,31 +527,16 @@ def _walk(trace: DecodeTrace, n_levels: int) -> tuple[list[int], DecodeStats, di
         shown = 0
         for level, (a, b) in enumerate(spans):
             if b > a:
-                counts[level][0] += 1
-                counts[level][1] += b - a
-    stats = DecodeStats(
-        drafted=drafted,
-        checked_intermediate=checked_i,
-        accepted_intermediate=accepted_i,
-        presented_target=presented,
-        checked_target=checked_t,
-        accepted_target=accepted_t,
-        flushed=flushed,
-    )
-    tally = {"draft": draft, "intermediate_verify": intermediate, "target_verify": target}
-    return tokens, stats, tally
-
-
-def _price(tally: dict, prompt_len: int, exits: Sequence[int]) -> CostLedger:
-    """The ledger of a prefill of `prompt_len` at full depth plus each
-    tally priced once at its level's width."""
-    ledger = CostLedger()
-    ledger.record_pass("prefill", exits[-1], prompt_len)
-    level_widths = [exits[0]] + [exits[i] - exits[i - 1] for i in range(1, len(exits))]
-    for phase, counts in tally.items():
-        cost = ledger.phases[phase]
-        for width, (passes, positions) in zip(level_widths, counts):
-            cost.sequential_depth_units += width * passes
-            cost.position_layer_units += width * positions
-            cost.pass_count += passes
-    return ledger
+                widths = counts[level]
+                widths[b - a] = widths.get(b - a, 0) + 1
+    stats = DecodeStats(drafted, checked_i, accepted_i, presented, checked_t, accepted_t, flushed)
+    passes = Counter()
+    passes["prefill", 1, levels[-1][1], prompt_len] = 1
+    if draft_passes:
+        first, last = levels[0]
+        passes["draft", first, last, 1] = draft_passes
+    for phase, counts in (("intermediate_verify", intermediate), ("target_verify", target)):
+        for (first, last), widths in zip(levels, counts):
+            for positions, count in widths.items():
+                passes[phase, first, last, positions] = count
+    return tokens, stats, CostLedger(passes)

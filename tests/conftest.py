@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -117,11 +118,16 @@ def counted(decode, backend, *args, **kwargs):
 
 
 def assert_ledger_counts_passes(ledger, passes):
-    """The ledger sums to the counted passes, and prefill is the first one."""
+    """The ledger sums to the counted passes, holds each of them as a
+    (layers, positions) pass, and prefill is the first one."""
     costs = ledger.phases.values()
     assert sum(cost.pass_count for cost in costs) == len(passes)
     assert sum(cost.sequential_depth_units for cost in costs) == sum(l for l, _ in passes)
     assert sum(cost.position_layer_units for cost in costs) == sum(l * p for l, p in passes)
+    shapes = Counter()
+    for (_, first, last, positions), count in ledger.passes.items():
+        shapes[last - first + 1, positions] += count
+    assert shapes == Counter(passes)
     layers, positions = passes[0]
     assert ledger.phases["prefill"] == PhaseCost(layers, layers * positions, 1)
 

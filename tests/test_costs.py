@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from specdec import (
@@ -13,61 +15,54 @@ from specdec.synthetic import uniform_profile
 from conftest import all_agree_backend
 
 
+def ledger_of(*passes):
+    """A ledger of one pass per (phase, first layer, last layer, positions)."""
+    return CostLedger(Counter(passes))
+
+
 class TestRecordPass:
+    """A pass in the histogram is priced at its layers in sequential depth
+    and at its layers times positions in compute."""
+
     def test_single_position_pass(self):
-        ledger = CostLedger()
-        ledger.record_pass("draft", layers=4, positions=1)
+        ledger = ledger_of(("draft", 1, 4, 1))
         assert ledger.phases["draft"].sequential_depth_units == 4
         assert ledger.phases["draft"].position_layer_units == 4
 
     def test_batched_pass(self):
-        ledger = CostLedger()
-        ledger.record_pass("target_verify", layers=24, positions=5)
+        ledger = ledger_of(("target_verify", 9, 32, 5))
         assert ledger.phases["target_verify"].sequential_depth_units == 24
         assert ledger.phases["target_verify"].position_layer_units == 120
 
     def test_compute_proxy_dominates_latency_proxy(self):
-        ledger = CostLedger()
-        for phase, layers, positions in (
-            ("draft", 4, 1),
-            ("intermediate_verify", 4, 3),
-            ("target_verify", 24, 6),
-        ):
-            ledger.record_pass(phase, layers, positions)
+        ledger = ledger_of(
+            ("draft", 1, 4, 1),
+            ("intermediate_verify", 5, 8, 3),
+            ("target_verify", 9, 32, 6),
+        )
         for cost in ledger.phases.values():
             assert cost.position_layer_units >= cost.sequential_depth_units
-
-    def test_rejects_nonpositive(self):
-        ledger = CostLedger()
-        with pytest.raises(ValueError):
-            ledger.record_pass("draft", 0, 1)
 
 
 class TestRelativeThroughput:
     def test_identity(self):
-        ledger = CostLedger()
-        ledger.record_pass("draft", 8, 1)
+        ledger = ledger_of(("draft", 1, 8, 1))
         assert relative_throughput(10, ledger, 10, ledger) == 1.0
 
     def test_zero_cost_ledger_rejected(self):
         empty = CostLedger()
-        full = CostLedger()
-        full.record_pass("draft", 8, 1)
+        full = ledger_of(("draft", 1, 8, 1))
         with pytest.raises(UndefinedRatioError):
             relative_throughput(10, empty, 10, full)
 
     def test_zero_baseline_tokens_rejected(self):
-        ledger = CostLedger()
-        ledger.record_pass("draft", 8, 1)
+        ledger = ledger_of(("draft", 1, 8, 1))
         with pytest.raises(UndefinedRatioError):
             relative_throughput(10, ledger, 0, ledger)
 
     def test_prefill_excluded_by_default(self):
-        subject = CostLedger()
-        subject.record_pass("prefill", 32, 7)
-        subject.record_pass("draft", 8, 1)
-        baseline = CostLedger()
-        baseline.record_pass("draft", 16, 1)
+        subject = ledger_of(("prefill", 1, 32, 7), ("draft", 1, 8, 1))
+        baseline = ledger_of(("draft", 1, 16, 1))
         assert relative_throughput(1, subject, 1, baseline) == 2.0
 
 

@@ -113,6 +113,30 @@ class TestDefaults:
         speculative_decode(backend, [1, 2, 3], (2, 4, 8), DEFAULT_BURSTS, 8)
         assert backend.states == 1
 
+    @pytest.mark.parametrize(
+        "token, rejected",
+        [
+            (1.7, True),
+            (2.0, True),
+            (True, True),
+            ("3", True),
+            (np.float64(2.0), True),
+            (np.bool_(True), True),
+            (np.int64(2), False),
+            (np.uint8(2), False),
+        ],
+        ids=["float", "integral-float", "bool", "str", "np-float", "np-bool", "np-int64", "np-uint8"],
+    )
+    def test_non_integer_prompt_token_is_named(self, oracle_backend, token, rejected):
+        prompt = [1, token, 3]
+        if rejected:
+            with pytest.raises(ConfigError, match=re.escape(f"prompt token {token!r} must be")):
+                speculative_decode(oracle_backend, prompt, (2, 4, 8), DEFAULT_BURSTS, 8)
+        else:
+            got = speculative_decode(oracle_backend, prompt, (2, 4, 8), DEFAULT_BURSTS, 8)
+            want = speculative_decode(oracle_backend, [1, 2, 3], (2, 4, 8), DEFAULT_BURSTS, 8)
+            assert got.tokens == want.tokens
+
     def test_defaults_match_paper_style_values(self):
         assert default_layer_placement(32) == (4, 8)
         assert DEFAULT_BURSTS == (2, 4)
@@ -303,6 +327,13 @@ class TestSelfspec:
         # Per round: N_d single-position draft passes + one (L_f - L_d) verify pass.
         assert result.ledger.phases["draft"].sequential_depth_units == rounds * 2 * 4
         assert result.ledger.phases["target_verify"].sequential_depth_units == rounds * (32 - 4)
+        # 24 tokens in rounds of 2: each round's verify covers its 2 drafts,
+        # and finalize finds every level at the committed end.
+        assert result.ledger.passes == {
+            ("prefill", 1, 32, 3): 1,
+            ("draft", 1, 4, 1): 24,
+            ("target_verify", 5, 32, 2): 12,
+        }
 
     def test_zero_agreement_commits_one_per_round(self):
         backend = profile_backend(uniform_profile(8, 0.0), seed=3)
@@ -311,6 +342,18 @@ class TestSelfspec:
         assert all(e.mismatch and len(e.accepted) == 0 for e in verifies)
         commits = [e for e in result.trace.events if isinstance(e, Commit)]
         assert all(len(e.tokens) == 1 for e in commits)
+        # 12 rounds. The first drafts from the prefilled end: 3 draft passes
+        # and a 3-position verify. Each later one first runs the last bonus
+        # through both levels: 4 draft passes and a 4-position verify.
+        # Finalize runs the last bonus through both levels.
+        assert result.ledger.passes == {
+            ("prefill", 1, 8, 2): 1,
+            ("draft", 1, 2, 1): 3 + 11 * 4,
+            ("target_verify", 3, 8, 3): 1,
+            ("target_verify", 3, 8, 4): 11,
+            ("target_verify", 1, 2, 1): 1,
+            ("target_verify", 3, 8, 1): 1,
+        }
 
     def test_matches_vanilla_over_many_prompts(self, toy_backend):
         rng = np.random.default_rng(5)
@@ -335,6 +378,19 @@ class TestHierarchical:
         per_cycle = 2 * (draft_len + 1)
         assert len(verifies) == -(-24 // per_cycle)
         assert all(e.reason in ("window", "budget") for e in verifies)
+        # Each of the 4 cycles drafts 2 then 3 tokens (the second burst first
+        # runs the bonus), screens 2 then 3 positions, and the top verify
+        # runs the last bonus through levels 0 and 1 and the cycle's 6
+        # positions through the top level.
+        assert result.ledger.passes == {
+            ("prefill", 1, 32, 3): 1,
+            ("draft", 1, 4, 1): 4 * 5,
+            ("intermediate_verify", 5, 8, 2): 4,
+            ("intermediate_verify", 5, 8, 3): 4,
+            ("target_verify", 1, 4, 1): 4,
+            ("target_verify", 5, 8, 1): 4,
+            ("target_verify", 9, 32, 6): 4,
+        }
 
     def test_forced_path_draft_wrong_intermediate_right(self):
         profile = uniform_profile(8, 0.0)

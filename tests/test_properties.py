@@ -32,7 +32,7 @@ from specdec import (
     replay_ledger,
     speculative_decode,
 )
-from specdec.costs import PHASES, CostLedger
+from specdec.costs import PHASES, PhaseCost
 from specdec.engine import Commit, DecodeTrace, DraftStep, IntermediateVerify, TargetVerify
 
 from conftest import (
@@ -69,33 +69,39 @@ def decode_shapes(draw, n_layers, vocab, max_seq_len, prompt_len):
 
 
 def per_pass_replay(trace, prompt_len, exits):
-    """The ledger of `trace` priced one `record_pass` per pass, in trace
-    order: the reference for `replay_ledger`'s per-(phase, level) tally."""
-    ledger = CostLedger()
-    ledger.record_pass("prefill", exits[-1], prompt_len)
+    """The per-phase costs of `trace` priced one pass at a time, in trace
+    order, with no ledger: the reference for `replay_ledger`'s histogram."""
+    phases = {phase: PhaseCost() for phase in PHASES}
     widths = [exits[0]] + [exits[i] - exits[i - 1] for i in range(1, len(exits))]
 
-    def record_spans(phase, spans):
+    def price(phase, layers, positions):
+        cost = phases[phase]
+        cost.sequential_depth_units += layers
+        cost.position_layer_units += layers * positions
+        cost.pass_count += 1
+
+    def price_spans(phase, spans):
         for level, (a, b) in enumerate(spans):
             if b > a:
-                ledger.record_pass(phase, widths[level], b - a)
+                price(phase, widths[level], b - a)
 
+    price("prefill", exits[-1], prompt_len)
     for event in trace.events:
         if isinstance(event, DraftStep):
             a, b = event.processed
             for _ in range(b - a):
-                ledger.record_pass("draft", widths[0], 1)
+                price("draft", widths[0], 1)
         elif isinstance(event, IntermediateVerify):
-            record_spans("intermediate_verify", event.processed)
+            price_spans("intermediate_verify", event.processed)
         elif isinstance(event, TargetVerify):
-            record_spans("target_verify", event.processed)
-    record_spans("target_verify", trace.finalize_processed)
-    return ledger
+            price_spans("target_verify", event.processed)
+    price_spans("target_verify", trace.finalize_processed)
+    return phases
 
 
 def assert_same_phases(ledger, reference):
     for phase in PHASES:
-        assert ledger.phases[phase] == reference.phases[phase], phase
+        assert ledger.phases[phase] == reference[phase], phase
 
 
 @st.composite
