@@ -9,22 +9,22 @@ Determinism contract: all math is float64 and every position gets the
 same bits however work is batched into forward calls. Splitting a layer
 range or re-running a prefix therefore reproduces results bit for bit,
 which is what makes the recompute-based consistency oracle meaningful.
-A layer processes a span of positions as one (n, d) array:
+A layer takes one position as a (d,) vector and a span of n as (n, 1, d)
+stacked rows, and both give a position the same bits:
 
-- Projections are stacks of vector-matrix products,
-  `np.matmul(X[:, None, :], W)`. Each row takes the path a single
-  `x @ W` takes. A plain 2-D `X @ W` does not: its matrix-matrix kernel
-  sums in another order, so a row's bits would depend on the batch.
-- Attention (`_attend_span`) runs once per span. Three steps stay per
-  position, because their bits depend on the length they run over: the
-  scores product over the position's own prefix, the sum of its softmax
-  weights over that prefix, and the value product over that prefix.
-  Each is one batched `np.matmul` or reduce over all heads, which makes
-  the same products and sums as a loop over heads (`np.einsum` does
-  not). The scores go into one (n, heads, span end) buffer that is -inf
-  past each prefix; the scale, the max, the subtraction, the `exp` and
-  the division then run once over the whole buffer. They are exact per
-  element, and -inf becomes a weight of exactly 0.
+- Every projection is `x @ W`: one gemv for a vector, and one gemv per
+  row, on the same operands, for stacked rows. A plain 2-D `X @ W` sums in
+  another order (matrix-matrix), so a row's bits would depend on the batch.
+- Attention (`_attend_span`) makes three length-dependent steps over each
+  position's own prefix: the scores product, the sum of the softmax
+  weights and the value product. Each is one batched `np.matmul` or
+  reduce over all heads, which makes the same products and sums as a
+  loop over heads (`np.einsum` does not). One query runs them once on an
+  unpadded (heads, prefix, 1) column, whose sum is the same pairwise sum
+  over a unit-stride prefix. A span runs them per position into one (n,
+  heads, span end) buffer that is -inf past each prefix; the scale, max,
+  subtraction, `exp` and division then run once over it. They are exact
+  per element, and -inf becomes a weight of exactly 0.
 - Batching the three per-position steps further is not bit-exact. On
   OpenBLAS 0.3.31 with numpy 2.4.6 (4 heads of 16, every prefix <=
   length <= 128), the scores product over the span's full length gave a
@@ -85,11 +85,6 @@ def _rms_norm(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + _NORM_EPS)
 
 
-def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`x[i] @ w` for every row i, bit for bit (see the determinism contract)."""
-    return np.matmul(x[:, None, :], w)[:, 0, :]
-
-
 def _attend_span(
     keys: np.ndarray, values: np.ndarray, q: np.ndarray, start_pos: int
 ) -> np.ndarray:
@@ -102,6 +97,12 @@ def _attend_span(
     would give (see the determinism contract).
     """
     n, n_heads = q.shape[:2]
+    if n == 1:  # one (1, heads, prefix, 1) column of scores, softmaxed in place
+        w = keys[:, : start_pos + 1] @ q
+        w *= 1.0 / math.sqrt(keys.shape[-1])
+        w -= np.maximum.reduce(w, axis=2, keepdims=True)
+        w /= np.add.reduce(np.exp(w, out=w), axis=2, keepdims=True)
+        return w.swapaxes(2, 3) @ values[:, : start_pos + 1]
     ends = range(start_pos + 1, start_pos + n + 1)
     # Row i holds position i's scores over its prefix and -inf past it.
     scores = np.full((n, n_heads, start_pos + n), -np.inf)
@@ -139,17 +140,13 @@ class ToyTransformer:
         scale = 1.0 / np.sqrt(d)
         self.embedding = rng.normal(0.0, scale, size=(config.vocab_size, d))
         self.pos_table = rng.normal(0.0, scale, size=(config.max_seq_len, d))
-        self.layers = []
+        self.layers: list[tuple[np.ndarray, ...]] = []  # (w_qkv, w_o, w_up, w_down)
         for _ in range(config.n_layers):
             w_qkv = np.concatenate([rng.normal(0.0, scale, size=(d, d)) for _ in range(3)], axis=1)
-            self.layers.append(
-                {
-                    "w_qkv": w_qkv,
-                    "w_o": rng.normal(0.0, scale, size=(d, d)),
-                    "w_up": rng.normal(0.0, scale, size=(d, d_ff)),
-                    "w_down": rng.normal(0.0, 1.0 / np.sqrt(d_ff), size=(d_ff, d)),
-                }
-            )
+            w_o = rng.normal(0.0, scale, size=(d, d))
+            w_up = rng.normal(0.0, scale, size=(d, d_ff))
+            w_down = rng.normal(0.0, 1.0 / np.sqrt(d_ff), size=(d_ff, d))
+            self.layers.append((w_qkv, w_o, w_up, w_down))
         self.unembedding = rng.normal(0.0, scale, size=(d, config.vocab_size))
 
     # -- state -------------------------------------------------------
@@ -164,36 +161,31 @@ class ToyTransformer:
 
     # -- forward -----------------------------------------------------
 
-    def _embed(self, tokens: Sequence[int], start_pos: int) -> np.ndarray:
-        ids = np.asarray(tokens, dtype=np.intp)
-        bad = (ids < 0) | (ids >= self.vocab_size)
-        if bad.any():
-            raise AlignmentError(f"token {ids[bad][0]} outside vocabulary")
-        return self.embedding[ids] + self.pos_table[start_pos : start_pos + len(ids)]
+    def _embed(self, tokens: list[int], start_pos: int) -> np.ndarray:
+        if tokens and (min(tokens) < 0 or max(tokens) >= self.vocab_size):
+            bad = next(t for t in tokens if not 0 <= t < self.vocab_size)
+            raise AlignmentError(f"token {bad} outside vocabulary")
+        return self.embedding[tokens] + self.pos_table[start_pos : start_pos + len(tokens)]
 
     def _run_layer(
-        self, state: LayeredState, layer: int, start_pos: int, x: np.ndarray
+        self, state: LayeredState, layer: int, start_pos: int, x: np.ndarray, kv_heads: np.ndarray
     ) -> np.ndarray:
-        """One layer over the span of positions starting at start_pos, as an (n, d) array.
+        """One layer over a (d,) position or (n, 1, d) span starting at start_pos.
 
-        The state must already have advanced over the span. Its K/V rows
-        are written first; each position then attends causally over its own
-        prefix, the whole span in one `_attend_span`.
+        The state must have advanced over the span; `kv_heads` is its `kv_heads` view.
         """
-        weights = self.layers[layer - 1]
-        d, n_heads, d_head = self.d_model, self.config.n_heads, self._d_head
-        qkv = _rows_matmul(_rms_norm(x), weights["w_qkv"])
-        end_pos = start_pos + len(x)
-        state.kv_k[layer - 1][start_pos:end_pos] = qkv[:, d : 2 * d]
-        state.kv_v[layer - 1][start_pos:end_pos] = qkv[:, 2 * d :]
-        keys = state.kv_k[layer - 1].reshape(-1, n_heads, d_head).transpose(1, 0, 2)
-        values = state.kv_v[layer - 1].reshape(-1, n_heads, d_head).transpose(1, 0, 2)
-        q_heads = qkv[:, :d].reshape(-1, n_heads, d_head, 1)
-        attended = _attend_span(keys, values, q_heads, start_pos)
-        x = x + _rows_matmul(attended.reshape(len(x), d), weights["w_o"])
-        x = x + _rows_matmul(_silu(_rows_matmul(_rms_norm(x), weights["w_up"])), weights["w_down"])
+        w_qkv, w_o, w_up, w_down = self.layers[layer - 1]
+        d = self.d_model
+        rows = start_pos if x.ndim == 1 else (slice(start_pos, start_pos + len(x)), None)
+        qkv = _rms_norm(x) @ w_qkv
+        state.kv_k[layer - 1][rows] = qkv[..., d : 2 * d]
+        state.kv_v[layer - 1][rows] = qkv[..., 2 * d :]
+        q_heads = qkv[..., :d].reshape(-1, self.config.n_heads, self._d_head, 1)
+        attended = _attend_span(kv_heads[0, layer - 1], kv_heads[1, layer - 1], q_heads, start_pos)
+        x = x + attended.reshape(x.shape) @ w_o
+        x = x + _silu(_rms_norm(x) @ w_up) @ w_down
         if layer in state.hidden:
-            state.hidden[layer][start_pos:end_pos] = x
+            state.hidden[layer][rows] = x
         return x
 
     def forward_range(
@@ -212,8 +204,15 @@ class ToyTransformer:
         the range also record their outputs. Returns the end-layer hidden
         states for the span.
         """
-        # Inputs are taken (and token ids checked) before the state advances,
-        # so a rejected call leaves the state untouched.
+        # The state's shape, the range and the inputs are checked before the
+        # state advances, so a rejected call leaves the state untouched.
+        if (state.n_layers, state.d_model) != (self.n_layers, self.d_model):
+            field = "n_layers" if state.n_layers != self.n_layers else "d_model"
+            raise AlignmentError(f"state {field} {getattr(state, field)} is not the model's")
+        if not 1 <= start_layer <= end_layer <= self.n_layers:
+            raise AlignmentError(
+                f"invalid layer range [{start_layer}, {end_layer}] for {self.n_layers} layers"
+            )
         resume = start_layer - 1
         if start_layer == 1:
             x = self._embed(state.tokens[start_pos:end_pos], start_pos)
@@ -221,10 +220,12 @@ class ToyTransformer:
             x = state.hidden[resume][start_pos:end_pos]
         else:
             raise AlignmentError(f"missing hidden state at (layer {resume}, position {start_pos})")
+        x = x[0] if len(x) == 1 else x[:, None]  # a (d,) vector or (n, 1, d) stacked rows
+        kv_heads = state.kv_heads(self.config.n_heads)
         state.advance(start_layer, end_layer, start_pos, end_pos)
         for layer in range(start_layer, end_layer + 1):
-            x = self._run_layer(state, layer, start_pos, x)
-        return x
+            x = self._run_layer(state, layer, start_pos, x, kv_heads)
+        return x.reshape(-1, self.d_model)
 
     # -- heads -------------------------------------------------------
 
@@ -250,9 +251,10 @@ class ToyTransformer:
         """Fresh monolithic recompute brought to the given per-layer extents."""
         ref = self.new_state(buffered_layers)
         ref.set_tokens(tokens)
-        x = self._embed(ref.tokens[: fills[0]], 0)
+        x = self._embed(ref.tokens[: fills[0]], 0)[:, None]
+        kv_heads = ref.kv_heads(self.config.n_heads)
         for start_layer, end_layer, fill in fill_runs(fills):
             ref.advance(start_layer, end_layer, 0, fill)
         for layer in range(1, self.n_layers + 1):
-            x = self._run_layer(ref, layer, 0, x[: ref.filled(layer)])
+            x = self._run_layer(ref, layer, 0, x[: ref.filled(layer)], kv_heads)
         return ref

@@ -219,6 +219,14 @@ class LayeredState:
             raise AlignmentError(f"missing hidden state at (layer {layer}, position {position})")
         return self.hidden[layer][position]
 
+    def kv_heads(self, n_heads: int) -> np.ndarray:
+        """K (index 0) and V of every layer split into heads, as a read-only view
+        (2, n_layers, n_heads, max_seq_len, d_head) of a state with tensors."""
+        shape = (2, self.n_layers, self.max_seq_len, n_heads, self.d_model // n_heads)
+        heads = self._block[: 2 * self.n_layers].reshape(shape).transpose(0, 1, 3, 2, 4)
+        heads.flags.writeable = False
+        return heads
+
     def arrays(self) -> list[tuple[int, np.ndarray]]:
         """(layer, rows) for every K, V and hidden buffer, K and V first."""
         return [*enumerate(self.kv_k, 1), *enumerate(self.kv_v, 1), *self.hidden.items()]

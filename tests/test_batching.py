@@ -6,8 +6,8 @@ position-major or layer-major order, and requires outputs and every
 KV/hidden buffer to be bit-identical to a single call over the whole
 span. The kernel guards check the two numpy/BLAS facts that make this
 hold: a stacked vector-matrix product equals `x @ W` row by row, and the
-span attention gives each position the bits of a loop over heads at that
-position's own prefix.
+span attention (one query or many) gives each position the bits of a loop
+over heads at that position's own prefix.
 """
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec import ModelConfig, ToyTransformer
-from specdec.model import _attend_span, _rows_matmul
+from specdec.model import _attend_span
 
 N_LAYERS = 5
 MAX_SEQ_LEN = 20
@@ -88,6 +88,27 @@ def test_any_batching_is_bit_identical_to_one_call(case):
         assert np.array_equal(mine, theirs)
 
 
+def test_one_position_steps_equal_one_prefill_past_128():
+    # One-position passes take the vector path and attention's one-query
+    # branch; here their prefixes cross 8 and 128, which the cases above do not.
+    model = ToyTransformer(
+        ModelConfig(n_layers=N_LAYERS, d_model=16, n_heads=2, vocab_size=12, max_seq_len=160, seed=7)
+    )
+    tokens = np.random.default_rng(7).integers(0, model.vocab_size, 140).tolist()
+    every_layer = range(1, N_LAYERS + 1)
+    steps, whole = model.new_state(every_layer), model.new_state(every_layer)
+    for state in (steps, whole):
+        state.set_tokens(tokens)
+    model.forward_range(whole, 1, N_LAYERS, 0, len(tokens))
+    for pos in range(len(tokens)):
+        model.forward_range(steps, 1, N_LAYERS, pos, pos + 1)
+    assert steps.fills() == whole.fills()
+    for mine, theirs in zip(_buffers(steps), _buffers(whole)):
+        assert np.array_equal(mine, theirs), CONTRACT.format(
+            what="140 one-position passes and one 140-position pass"
+        )
+
+
 @pytest.mark.parametrize("d", [8, 16, 32, 64])
 def test_stacked_matmul_equals_per_row_products(d):
     rng = np.random.default_rng(d)
@@ -96,7 +117,8 @@ def test_stacked_matmul_equals_per_row_products(d):
         for n in (1, 2, 3, 7):
             x = rng.normal(size=(n, shape[0]))
             per_row = np.stack([row @ w for row in x])
-            assert np.array_equal(_rows_matmul(x, w), per_row), CONTRACT.format(
+            # The model's stacked rows: a span of n positions as (n, 1, d).
+            assert np.array_equal((x[:, None, :] @ w)[:, 0], per_row), CONTRACT.format(
                 what=f"stacked ({n}, 1, {shape[0]}) @ {shape} and per-row x @ W"
             )
 
@@ -122,7 +144,8 @@ def test_head_batched_attention_equals_head_loop(n_heads, d_head):
     kv_k, kv_v = rng.normal(size=(2, 160, d))
     keys = kv_k.reshape(-1, n_heads, d_head)
     values = kv_v.reshape(-1, n_heads, d_head)
-    # Prefixes cross 8 and 128, where numpy's pairwise sum changes its blocking.
+    # Prefixes cross 8 and 128, where numpy's pairwise sum changes its blocking;
+    # n = 1 takes the one-query branch.
     for n in (0, 1, 3, 16):
         for start_pos in (0, 6, 30, 120, 127, 140):
             # Rows of the fused QKV product, viewed per head as in the model.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specdec import AlignmentError, ConfigError, ModelConfig, ToyTransformer
+from specdec import AlignmentError, ConfigError, LayeredState, ModelConfig, ToyTransformer
 
 
 def make_config(**overrides):
@@ -101,6 +101,34 @@ class TestForwardRange:
         state.set_tokens(PROMPT)
         with pytest.raises(AlignmentError, match="expected"):
             backend.forward_range(state, 1, 2, 3, len(PROMPT))
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize(
+        "state_model, layers, match",
+        [
+            (None, (1, 2), "state d_model None is not the model's"),
+            (dict(d_model=32), (1, 2), "state d_model 32 is not the model's"),
+            (dict(n_layers=5), (1, 2), "state n_layers 5 is not the model's"),
+            ({}, (0, 2), r"invalid layer range \[0, 2\] for 4 layers"),
+            ({}, (5, 5), r"invalid layer range \[5, 5\] for 4 layers"),
+        ],
+        ids=["tensorless", "d_model", "n_layers", "layers-0-2", "layers-5-5"],
+    )
+    def test_rejected_call_leaves_the_state_untouched(self, state_model, layers, match, width):
+        # A 4-layer model; each state is made by a model with the overrides
+        # applied, or has no tensors (None). Layer 4 is not buffered.
+        shape = dict(n_layers=4, d_model=16)
+        backend = ToyTransformer(make_config(**shape))
+        if state_model is None:
+            state = LayeredState(4, 64, buffered_layers=(2,))
+        else:
+            state = ToyTransformer(make_config(**{**shape, **state_model})).new_state((2,))
+        state.set_tokens(PROMPT)
+        fills = state.fills()
+        with pytest.raises(AlignmentError, match=match):
+            backend.forward_range(state, *layers, 0, width)
+        assert state.fills() == fills
+        assert state.tokens == PROMPT
 
     def test_negative_exit_position_is_alignment_error(self):
         # Row -1 of a hidden buffer is its last, zero row: never a valid read.
