@@ -43,13 +43,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import astuple, dataclass, field
-from numbers import Integral
 from typing import Sequence
 
 from .backend import Backend
 from .costs import CostLedger
 from .errors import CapacityError, ConfigError, ProtocolError
-from .state import LayeredState
+from .state import LayeredState, as_token
 
 
 def default_layer_placement(full_layer: int) -> tuple[int, int]:
@@ -152,9 +151,8 @@ def _check_prompt(backend: Backend, prompt: Sequence[int]) -> None:
     if len(prompt) < 1:
         raise ConfigError("prompt must be non-empty")
     for token in prompt:
-        # An exact int skips the ABC check, which costs more than the rest.
-        if type(token) is not int and (isinstance(token, bool) or not isinstance(token, Integral)):
-            raise ConfigError(f"prompt token {token!r} must be an integer")
+        if type(token) is not int:
+            as_token(token, "prompt token")
         if not 0 <= token < backend.vocab_size:
             raise ConfigError(f"prompt token {token} outside vocabulary")
     if len(prompt) > backend.max_seq_len:

@@ -35,7 +35,10 @@ stacked rows, and both give a position the same bits:
   numpy's pairwise blocks and changes its bits too.
 
 Norms and softmax sums reduce along unit-stride rows, so numpy's pairwise
-summation adds the same operands in the same order at any batch size.
+summation adds the same operands in the same order at any batch size. A
+(d,) vector's norm makes that sum, then divides, adds and takes the square
+root on numpy float64 scalars: correctly rounded IEEE operations, like the
+row form's elementwise ones, so its bits are the row's.
 These are properties of numpy and the installed BLAS, not guarantees;
 `tests/test_batching.py` checks them (with prefixes that cross the
 pairwise sum's blocks of 8 and 128) and names this contract when a
@@ -81,6 +84,8 @@ class ModelConfig:
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:
+    if x.ndim == 1:  # the same pairwise sum, then numpy float64 scalar ops
+        return x / np.sqrt(np.add.reduce(x * x) / x.shape[0] + _NORM_EPS)
     # np.mean divides the same pairwise sum by d; one call fewer per norm.
     return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + _NORM_EPS)
 
@@ -162,10 +167,13 @@ class ToyTransformer:
     # -- forward -----------------------------------------------------
 
     def _embed(self, tokens: list[int], start_pos: int) -> np.ndarray:
+        if len(tokens) == 1 and 0 <= tokens[0] < self.vocab_size:  # one token: a (d,) vector
+            return self.embedding[tokens[0]] + self.pos_table[start_pos]
         if tokens and (min(tokens) < 0 or max(tokens) >= self.vocab_size):
             bad = next(t for t in tokens if not 0 <= t < self.vocab_size)
             raise AlignmentError(f"token {bad} outside vocabulary")
-        return self.embedding[tokens] + self.pos_table[start_pos : start_pos + len(tokens)]
+        rows = self.embedding[tokens] + self.pos_table[start_pos : start_pos + len(tokens)]
+        return rows[:, None]  # (n, 1, d) stacked rows
 
     def _run_layer(
         self, state: LayeredState, layer: int, start_pos: int, x: np.ndarray, kv_heads: np.ndarray
@@ -218,9 +226,9 @@ class ToyTransformer:
             x = self._embed(state.tokens[start_pos:end_pos], start_pos)
         elif resume in state.buffered_layers:
             x = state.hidden[resume][start_pos:end_pos]
+            x = x[0] if len(x) == 1 else x[:, None]  # a (d,) vector or (n, 1, d) stacked rows
         else:
             raise AlignmentError(f"missing hidden state at (layer {resume}, position {start_pos})")
-        x = x[0] if len(x) == 1 else x[:, None]  # a (d,) vector or (n, 1, d) stacked rows
         kv_heads = state.kv_heads(self.config.n_heads)
         state.advance(start_layer, end_layer, start_pos, end_pos)
         for layer in range(start_layer, end_layer + 1):
@@ -251,7 +259,7 @@ class ToyTransformer:
         """Fresh monolithic recompute brought to the given per-layer extents."""
         ref = self.new_state(buffered_layers)
         ref.set_tokens(tokens)
-        x = self._embed(ref.tokens[: fills[0]], 0)[:, None]
+        x = self._embed(ref.tokens[: fills[0]], 0).reshape(-1, 1, self.d_model)
         kv_heads = ref.kv_heads(self.config.n_heads)
         for start_layer, end_layer, fill in fill_runs(fills):
             ref.advance(start_layer, end_layer, 0, fill)

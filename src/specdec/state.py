@@ -55,6 +55,7 @@ import math
 import mmap
 import operator
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -83,6 +84,14 @@ def fill_runs(fills: Sequence[int]) -> Iterator[tuple[int, int, int]]:
         if fill:
             yield start_layer, end_layer, fill
         start_layer = end_layer + 1
+
+
+def as_token(token: object, what: str = "token") -> int:
+    """`token` as an int; numpy integers pass, floats, bools and strings are named.
+    Callers skip it for an exact int (`type(t) is int`): the ABC check is slow."""
+    if isinstance(token, bool) or not isinstance(token, Integral):
+        raise ConfigError(f"{what} {token!r} must be an integer")
+    return int(token)
 
 
 def zeroed_block(shape: tuple[int, int, int]) -> np.ndarray:
@@ -156,13 +165,13 @@ class LayeredState:
     def set_tokens(self, tokens: Sequence[int]) -> None:
         if len(tokens) > self.max_seq_len:
             raise AlignmentError(f"token sequence of {len(tokens)} exceeds max_seq_len")
-        self.tokens = [int(t) for t in tokens]
+        self.tokens = [t if type(t) is int else as_token(t) for t in tokens]
 
     def append_token(self, token: int) -> int:
         """Place a token at the next free position and return that position."""
         if len(self.tokens) >= self.max_seq_len:
             raise AlignmentError("no free position for token")
-        self.tokens.append(int(token))
+        self.tokens.append(token if type(token) is int else as_token(token))
         return len(self.tokens) - 1
 
     def mark_committed(self, new_len: int) -> None:

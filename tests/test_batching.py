@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec import ModelConfig, ToyTransformer
-from specdec.model import _attend_span
+from specdec.model import _attend_span, _rms_norm
 
 N_LAYERS = 5
 MAX_SEQ_LEN = 20
@@ -120,6 +120,20 @@ def test_stacked_matmul_equals_per_row_products(d):
             # The model's stacked rows: a span of n positions as (n, 1, d).
             assert np.array_equal((x[:, None, :] @ w)[:, 0], per_row), CONTRACT.format(
                 what=f"stacked ({n}, 1, {shape[0]}) @ {shape} and per-row x @ W"
+            )
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 64, 127, 128, 129, 200])
+def test_vector_norm_equals_its_row_of_stacked_norm(d):
+    # A one-position pass norms a (d,) vector with scalar ops after the sum;
+    # d crosses the pairwise sum's blocks of 8 and 128.
+    rng = np.random.default_rng(d)
+    for scale in (1e-6, 1e-3, 1.0, 1e3):
+        rows = rng.normal(scale=scale, size=(5, 1, d))
+        stacked = _rms_norm(rows)
+        for i in range(len(rows)):
+            assert np.array_equal(_rms_norm(rows[i, 0].copy()), stacked[i, 0]), CONTRACT.format(
+                what=f"the norm of a ({d},) vector at scale {scale} and its row of (5, 1, {d})"
             )
 
 

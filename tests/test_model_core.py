@@ -104,31 +104,39 @@ class TestForwardRange:
 
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize(
-        "state_model, layers, match",
+        "state_model, tokens, layers, match",
         [
-            (None, (1, 2), "state d_model None is not the model's"),
-            (dict(d_model=32), (1, 2), "state d_model 32 is not the model's"),
-            (dict(n_layers=5), (1, 2), "state n_layers 5 is not the model's"),
-            ({}, (0, 2), r"invalid layer range \[0, 2\] for 4 layers"),
-            ({}, (5, 5), r"invalid layer range \[5, 5\] for 4 layers"),
+            (None, PROMPT, (1, 2), "state d_model None is not the model's"),
+            (dict(d_model=32), PROMPT, (1, 2), "state d_model 32 is not the model's"),
+            (dict(n_layers=5), PROMPT, (1, 2), "state n_layers 5 is not the model's"),
+            ({}, PROMPT, (0, 2), r"invalid layer range \[0, 2\] for 4 layers"),
+            ({}, PROMPT, (5, 5), r"invalid layer range \[5, 5\] for 4 layers"),
+            # At width 1 these two are one-position passes at layer 1.
+            ({}, [], (1, 1), "no token recorded at position {last}$"),
+            ({}, [64, *PROMPT[1:]], (1, 1), "token 64 outside vocabulary$"),
         ],
-        ids=["tensorless", "d_model", "n_layers", "layers-0-2", "layers-5-5"],
+        ids=[
+            "tensorless", "d_model", "n_layers", "layers-0-2", "layers-5-5",
+            "past-the-tokens", "token-outside-vocabulary",
+        ],
     )
-    def test_rejected_call_leaves_the_state_untouched(self, state_model, layers, match, width):
-        # A 4-layer model; each state is made by a model with the overrides
-        # applied, or has no tensors (None). Layer 4 is not buffered.
+    def test_rejected_call_leaves_the_state_untouched(
+        self, state_model, tokens, layers, match, width
+    ):
+        # A 4-layer model with vocabulary 64; each state is made by a model
+        # with the overrides applied, or has no tensors (None). Layer 4 is not buffered.
         shape = dict(n_layers=4, d_model=16)
         backend = ToyTransformer(make_config(**shape))
         if state_model is None:
             state = LayeredState(4, 64, buffered_layers=(2,))
         else:
             state = ToyTransformer(make_config(**{**shape, **state_model})).new_state((2,))
-        state.set_tokens(PROMPT)
+        state.set_tokens(tokens)
         fills = state.fills()
-        with pytest.raises(AlignmentError, match=match):
+        with pytest.raises(AlignmentError, match=match.format(last=width - 1)):
             backend.forward_range(state, *layers, 0, width)
         assert state.fills() == fills
-        assert state.tokens == PROMPT
+        assert state.tokens == tokens
 
     def test_negative_exit_position_is_alignment_error(self):
         # Row -1 of a hidden buffer is its last, zero row: never a valid read.

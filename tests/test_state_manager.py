@@ -1,5 +1,6 @@
 import math
 import mmap
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,31 @@ class TestConstruction:
             LayeredState(n_layers=4, max_seq_len=16, d_model=d_model, buffered_layers=(2, layer))
 
 
+NON_INTEGERS = [1.9, 2.0, True, "3", np.float64(2.0), np.bool_(True)]
+NON_INTEGER_IDS = ["float", "integral-float", "bool", "str", "np-float", "np-bool"]
+
+
+class TestTokens:
+    @pytest.mark.parametrize("token", NON_INTEGERS, ids=NON_INTEGER_IDS)
+    def test_non_integer_token_is_named_and_not_recorded(self, token):
+        # int() would truncate 1.9 to 1 and record True as token 1.
+        state = LayeredState(n_layers=4, max_seq_len=16)
+        state.set_tokens([4, 5])
+        message = re.escape(f"token {token!r} must be an integer")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            state.set_tokens([1, token, 3])
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            state.append_token(token)
+        assert state.tokens == [4, 5]
+
+    def test_numpy_integers_are_recorded_as_ints(self):
+        state = LayeredState(n_layers=4, max_seq_len=16)
+        state.set_tokens([np.int64(1), np.uint8(2), 3])
+        assert state.append_token(np.int32(4)) == 3
+        assert state.tokens == [1, 2, 3, 4]
+        assert all(type(t) is int for t in state.tokens)
+
+
 class TestLayerRange:
     @pytest.mark.parametrize("layer", [0, -1, 7, 100])
     def test_filled_outside_the_stack_is_named(self, toy_backend, layer):
@@ -240,6 +266,12 @@ class TestConsistencyCheck:
         assert [(r.layer, r.max_abs_discrepancy, r.worst_position) for r in flagged] == [
             (layer, math.inf, 3)
         ]
+
+    def test_non_integer_sequence_is_named_not_truncated(self, toy_backend):
+        # Truncated to [1, 2, 3], this sequence would report 0.0 on every layer.
+        state = prepared_state(toy_backend, [1, 2, 3])
+        with pytest.raises(ConfigError, match=re.escape("token 1.9 must be an integer")):
+            consistency_check(state, toy_backend, [1.9, 2.2, 3.7])
 
     def test_empty_state_empty_report(self, toy_backend):
         state = toy_backend.new_state()
