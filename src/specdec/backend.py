@@ -13,7 +13,7 @@ token, and their logits array is made only when read.
 """
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class TokenDistribution:
     A distribution made by `one_hot` holds only its token: `argmax`
     returns it, and the full-vocab `logits` array is built on first read,
     so a greedy decode that only takes argmaxes never allocates one.
-    The fields are read-only.
+    The fields are read-only; a toy builds one only in `exit_distribution`.
     """
 
     __slots__ = ("_logits", "_token", "_vocab_size", "_position", "_source_layer", "_degenerate")
@@ -93,7 +93,6 @@ class TokenDistribution:
         return int(self._logits.argmax())
 
 
-@runtime_checkable
 class Backend(Protocol):
     n_layers: int
     vocab_size: int

@@ -108,10 +108,10 @@ class DecodeStats:
     the tail flushed after a mismatch was never checked and is excluded
     from the rate denominators (it still counts as flushed work).
 
-    `drafted` counts the draft tokens shown to the first verifier, i.e.
-    each DraftStep directly followed by a verify event; a vanilla trace
-    has no verifier and counts zero everywhere. The intermediate counts
-    sum over every screening level between the draft and the top exit.
+    `drafted` sums the DraftSteps' tokens: with a verifier, the event after
+    each is a verify event (`_fill` records one only for a non-empty draft,
+    which its caller verifies at once). Vanilla has no verifier and counts
+    zero everywhere; the intermediate counts sum over every screening level.
     """
 
     drafted: int = 0
@@ -174,6 +174,9 @@ class DecodeSession:
         eos_token: int | None = None,
     ) -> None:
         exits = tuple(exits)
+        for exit_layer in exits:
+            if type(exit_layer) is not int:
+                as_token(exit_layer, "exit")
         if not exits or list(exits) != sorted(set(exits)):
             raise ConfigError("exits must be strictly increasing")
         if exits[0] < 1 or exits[-1] > backend.n_layers:
@@ -354,6 +357,13 @@ def speculative_decode(
     `boundary_hook(session)` runs after every top-exit verification.
     """
     exits, bursts = tuple(exits), tuple(bursts)
+    for burst in bursts:
+        if type(burst) is not int:
+            as_token(burst, "burst")
+    if type(max_new_tokens) is not int:
+        as_token(max_new_tokens, "max_new_tokens")
+    if eos_token is not None and type(eos_token) is not int:
+        as_token(eos_token, "eos_token")
     if len(exits) > 1 and exits[-1] != backend.n_layers:
         raise ConfigError(f"exits {exits} must end at the full_layer {backend.n_layers}")
     if len(bursts) != len(exits) - 1 or min(bursts, default=1) < 1:
@@ -486,14 +496,13 @@ def _walk(
     The ledger holds the prefill of `prompt_len` positions through every
     level, one one-position pass per drafted position, and one pass over
     each non-empty verify or finalize span at its level; finalize's passes
-    count as target_verify. Each level's verify passes are tallied by
-    width and keyed once, after the walk.
+    count as target_verify. Verify passes are tallied by width and keyed
+    once, after the walk; `drafted` sums every DraftStep (see `DecodeStats`).
     """
     tokens: list[int] = []
     drafted = checked_i = accepted_i = presented = checked_t = accepted_t = flushed = 0
     draft_passes = 0
     intermediate, target = [{} for _ in levels], [{} for _ in levels]
-    shown = 0  # tokens of the DraftStep just before this event, else 0
     # The events are exactly the four types below, so one `type` test picks
     # each; the closing None stands for finalize's spans.
     for event in (*trace.events, None):
@@ -501,11 +510,10 @@ def _walk(
         if kind is DraftStep:
             a, b = event.processed
             draft_passes += b - a
-            shown = len(event.tokens)
+            drafted += len(event.tokens)
             continue
         if kind is Commit:
             tokens.extend(event.tokens)
-            shown = 0
             continue
         if kind is IntermediateVerify:
             accepted = len(event.accepted)
@@ -519,14 +527,14 @@ def _walk(
             accepted_t += accepted
             flushed += event.flushed
             counts, spans = target, event.processed
-        else:  # None: finalize was shown no draft
-            counts, spans, shown = target, trace.finalize_processed, 0
-        drafted += shown
-        shown = 0
+        else:  # the closing None
+            counts, spans = target, trace.finalize_processed
         for level, (a, b) in enumerate(spans):
             if b > a:
                 widths = counts[level]
                 widths[b - a] = widths.get(b - a, 0) + 1
+    if len(levels) == 1:  # vanilla: no verifier was shown the draft
+        drafted = 0
     stats = DecodeStats(drafted, checked_i, accepted_i, presented, checked_t, accepted_t, flushed)
     passes = Counter()
     passes["prefill", 1, levels[-1][1], prompt_len] = 1

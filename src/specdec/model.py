@@ -54,7 +54,7 @@ import numpy as np
 
 from .backend import TokenDistribution
 from .errors import AlignmentError, ConfigError
-from .state import LayeredState, fill_runs
+from .state import LayeredState
 
 _NORM_EPS = 1e-6
 
@@ -237,16 +237,15 @@ class ToyTransformer:
 
     # -- heads -------------------------------------------------------
 
-    def exit_logits(self, hidden: np.ndarray, position: int, source_layer: int) -> TokenDistribution:
-        """Shared unembedding head applied after the final normalization."""
+    def exit_logits(self, hidden: np.ndarray) -> np.ndarray:
+        """Logits of the shared unembedding head, after the final norm, of a (d,) state."""
         if hidden.shape != (self.d_model,):
             raise AlignmentError(f"hidden state must have {self.d_model} entries")
-        logits = _rms_norm(hidden) @ self.unembedding
-        return TokenDistribution(logits=logits, position=position, source_layer=source_layer)
+        return _rms_norm(hidden) @ self.unembedding
 
     def exit_distribution(self, state: LayeredState, layer: int, position: int) -> TokenDistribution:
-        hidden = state.hidden_at(layer, position)
-        return self.exit_logits(hidden, position=position, source_layer=layer)
+        logits = self.exit_logits(state.hidden_at(layer, position))
+        return TokenDistribution(logits, position, layer)
 
     # -- consistency oracle --------------------------------------------
 
@@ -261,8 +260,8 @@ class ToyTransformer:
         ref.set_tokens(tokens)
         x = self._embed(ref.tokens[: fills[0]], 0).reshape(-1, 1, self.d_model)
         kv_heads = ref.kv_heads(self.config.n_heads)
-        for start_layer, end_layer, fill in fill_runs(fills):
-            ref.advance(start_layer, end_layer, 0, fill)
-        for layer in range(1, self.n_layers + 1):
-            x = self._run_layer(ref, layer, 0, x[: ref.filled(layer)], kv_heads)
+        for layer, fill in enumerate(fills, 1):
+            if fill:
+                ref.advance(layer, layer, 0, fill)
+                x = self._run_layer(ref, layer, 0, x[:fill], kv_heads)
         return ref

@@ -50,13 +50,12 @@ it by counting backend passes (`conftest.CountingBackend`).
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import mmap
 import operator
 from dataclasses import dataclass
 from numbers import Integral
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -71,19 +70,6 @@ class LayerReport:
     layer: int
     max_abs_discrepancy: float
     worst_position: int | None
-
-
-def fill_runs(fills: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """(start_layer, end_layer, fill) for each run of layers with one non-zero fill.
-
-    An empty state reaches `fills` with one `advance` from position 0 per run.
-    """
-    start_layer = 1
-    for fill, run in itertools.groupby(fills):
-        end_layer = start_layer + len(list(run)) - 1
-        if fill:
-            yield start_layer, end_layer, fill
-        start_layer = end_layer + 1
 
 
 def as_token(token: object, what: str = "token") -> int:
@@ -116,7 +102,9 @@ class LayeredState:
     and clears nothing, and uses the fill bookkeeping alone.
     Single-session: never share one instance across concurrent decodes.
     `live_fills` is read-only outside `advance` and `prune_all`, which
-    update it in place; `filled(layer)` is its checked read.
+    update it in place; `filled(layer)` is its checked read. `tokens` is
+    read-only outside `set_tokens`, `append_token` and `prune_all`, which
+    check every token they place.
     """
 
     def __init__(
@@ -133,7 +121,8 @@ class LayeredState:
         self.n_layers = n_layers
         self.max_seq_len = max_seq_len
         self.d_model = d_model
-        self.buffered_layers = tuple(sorted(set(int(l) for l in buffered_layers)))
+        layers = {l if type(l) is int else as_token(l, "buffered layer") for l in buffered_layers}
+        self.buffered_layers = tuple(sorted(layers))
         for layer in self.buffered_layers:
             if not 1 <= layer <= n_layers:
                 raise AlignmentError(f"buffered layer {layer} outside 1..{n_layers}")

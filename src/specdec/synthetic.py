@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from .backend import TokenDistribution
 from .errors import AlignmentError, ConfigError
-from .state import LayeredState, fill_runs
+from .state import LayeredState
 
 _MASK64 = (1 << 64) - 1
 _MIX_A = 0xFF51AFD7ED558CCD
@@ -275,6 +275,7 @@ class SyntheticBackend:
     ) -> LayeredState:
         ref = self.new_state(buffered_layers)
         ref.set_tokens(tokens)
-        for start_layer, end_layer, fill in fill_runs(fills):
-            ref.advance(start_layer, end_layer, 0, fill)
+        for layer, fill in enumerate(fills, 1):
+            if fill:
+                ref.advance(layer, layer, 0, fill)
         return ref

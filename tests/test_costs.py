@@ -20,7 +20,7 @@ def ledger_of(*passes):
     return CostLedger(Counter(passes))
 
 
-class TestRecordPass:
+class TestPassHistogram:
     """A pass in the histogram is priced at its layers in sequential depth
     and at its layers times positions in compute."""
 

@@ -50,6 +50,9 @@ class TestTopPredictions:
         assert self.dist([0.1, 3.0, 3.0, -1.0]).argmax() == 1
 
 
+H, B = (2, 4, 8), DEFAULT_BURSTS  # hierarchical exits and bursts on the 8-layer oracle
+
+
 class TestDefaults:
     def test_layer_placement_rule(self):
         assert default_layer_placement(32) == (4, 8)
@@ -82,18 +85,28 @@ class TestDefaults:
             decode(oracle_backend, [1, 2, 3], budget)
 
     @pytest.mark.parametrize(
-        "prompt, bursts, budget, error, message",
+        "prompt, exits, bursts, budget, eos, error, message",
         [
-            ([1, 2, 3], (0, 4), 8, ConfigError, "bursts (0, 4) must give one length >= 1"),
-            ([1, 2, 3], DEFAULT_BURSTS, 0, ConfigError, "max_new_tokens must be >= 1, got 0"),
-            ([1, 2, 3], DEFAULT_BURSTS, 510, CapacityError, "plus 510 new tokens exceeds"),
-            ([], DEFAULT_BURSTS, 8, ConfigError, "prompt must be non-empty"),
-            ([1, 32], DEFAULT_BURSTS, 8, ConfigError, "prompt token 32 outside vocabulary"),
+            ([1, 2, 3], H, (0, 4), 8, None, ConfigError, "bursts (0, 4) must give one length >= 1"),
+            ([1, 2, 3], H, B, 0, None, ConfigError, "max_new_tokens must be >= 1, got 0"),
+            ([1, 2, 3], H, B, 510, None, CapacityError, "plus 510 new tokens exceeds"),
+            ([], H, B, 8, None, ConfigError, "prompt must be non-empty"),
+            ([1, 32], H, B, 8, None, ConfigError, "prompt token 32 outside vocabulary"),
+            ([1, 2, 3], (2.5, 8), (2,), 4, None, ConfigError, "exit 2.5 must be an integer"),
+            ([1, 2, 3], (True, 8), (2,), 4, None, ConfigError, "exit True must be an integer"),
+            ([1, 2, 3], ("2", 8), (2,), 4, None, ConfigError, "exit '2' must be an integer"),
+            ([1, 2, 3], H, (2.0, 4), 8, None, ConfigError, "burst 2.0 must be an integer"),
+            ([1, 2, 3], H, B, 4.5, None, ConfigError, "max_new_tokens 4.5 must be"),
+            ([1, 2, 3], H, B, "4", None, ConfigError, "max_new_tokens '4' must be"),
+            ([1, 2, 3], H, B, 8, 1.5, ConfigError, "eos_token 1.5 must be an integer"),
         ],
-        ids=["bursts", "budget", "capacity", "empty-prompt", "prompt-token"],
+        ids=[
+            "bursts", "budget", "capacity", "empty-prompt", "prompt-token", "float-exit",
+            "bool-exit", "str-exit", "float-burst", "float-budget", "str-budget", "float-eos",
+        ],
     )
     def test_bad_input_is_rejected_before_a_state_is_allocated(
-        self, oracle_backend, prompt, bursts, budget, error, message
+        self, oracle_backend, prompt, exits, bursts, budget, eos, error, message
     ):
         class StateCounting:
             def __init__(self, backend):
@@ -108,7 +121,7 @@ class TestDefaults:
 
         backend = StateCounting(oracle_backend)
         with pytest.raises(error, match=re.escape(message)):
-            speculative_decode(backend, prompt, (2, 4, 8), bursts, budget)
+            speculative_decode(backend, prompt, exits, bursts, budget, eos)
         assert backend.states == 0
         speculative_decode(backend, [1, 2, 3], (2, 4, 8), DEFAULT_BURSTS, 8)
         assert backend.states == 1
@@ -296,6 +309,12 @@ class TestVanilla:
     def test_capacity_guard(self, toy_backend):
         with pytest.raises(CapacityError):
             vanilla_decode(toy_backend, [1] * 100, 100)
+
+    def test_prefill_beyond_max_seq_len_is_rejected(self):
+        session = DecodeSession(all_agree_backend(max_seq_len=4), exits=(8,))
+        with pytest.raises(CapacityError, match="^prompt exceeds max_seq_len$"):
+            session.prefill([1, 2, 3, 4, 5])
+        assert session.state.tokens == [] and session.state.fills() == (0,) * 8
 
     def test_exit_below_layer_one_is_a_config_error(self, oracle_backend):
         with pytest.raises(ConfigError, match="exits"):

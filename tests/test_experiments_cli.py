@@ -9,6 +9,7 @@ import pytest
 from specdec import experiments
 from specdec.cli import main
 from specdec.errors import AlignmentError, ConfigError
+from specdec.state import LayerReport
 from specdec.experiments import (
     ExperimentConfig,
     build_backend,
@@ -423,6 +424,13 @@ class TestRunAndEmit:
         config = ExperimentConfig.from_dict(SMALL_CONFIG)
         assert run_ablation(config, "N_i", []) == []
 
+    def test_unknown_format_and_ablation_parameter_are_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="^unknown report format 'xml'$"):
+            emit_report([], tmp_path / "rows.xml", fmt="xml")
+        config = ExperimentConfig.from_dict(SMALL_CONFIG)
+        with pytest.raises(ConfigError, match="^ablation parameter must be one of N_d, N_i$"):
+            run_ablation(config, "L_d", [1])
+
     def test_matrix_reshape_with_nan_for_invalid(self, tmp_path):
         rows = [
             {"strategy": "hierarchical", "L_d": 1, "L_i": 2, "rel_throughput": 1.25},
@@ -631,6 +639,23 @@ class TestCli:
         assert main(["check", "--config", str(config_path)]) == 0
         out = capsys.readouterr().out
         assert "over 2 prompts at 4 grid points; max discrepancy 0.000e+00" in out
+
+    def test_check_mismatch_exits_3(self, tmp_path, monkeypatch, capsys):
+        # A recomputed state that differs anywhere fails the check.
+        def gapped(state, backend, tokens):
+            return [LayerReport(1, 0.5, 0)]
+
+        monkeypatch.setattr(experiments, "consistency_check", gapped)
+        raw = {
+            "seed": 1,
+            "backend": {"type": "toy", "n_layers": 5, "d_model": 8, "n_heads": 2},
+            "prompts": {"count": 2, "min_len": 2, "max_len": 4},
+            "decode": {"max_new_tokens": 6},
+        }
+        assert main(["check", "--config", str(write_config(tmp_path, raw))]) == 3
+        captured = capsys.readouterr()
+        assert "max discrepancy 5.000e-01" in captured.out
+        assert captured.err == "state recompute mismatch detected\n"
 
     def test_check_line_is_the_same_across_jobs(self, tmp_path, monkeypatch, capsys):
         raw = {

@@ -33,6 +33,11 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="vocab_size"):
             make_config(vocab_size=3)
 
+    @pytest.mark.parametrize("field", ["d_model", "n_heads", "max_seq_len"])
+    def test_zero_size_is_named(self, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be positive$"):
+            make_config(**{field: 0})
+
 
 class TestDeterminism:
     def test_same_seed_same_logits(self):
@@ -156,25 +161,31 @@ class TestForwardRange:
 class TestExitLogits:
     def test_zero_hidden_gives_uniform_logits_and_tiebreak(self):
         backend = ToyTransformer(make_config())
-        dist = backend.exit_logits(np.zeros(32), position=0, source_layer=3)
-        assert np.allclose(dist.logits, dist.logits[0])
-        assert dist.argmax() == 0
+        logits = backend.exit_logits(np.zeros(32))
+        assert isinstance(logits, np.ndarray) and logits.shape == (64,)
+        assert np.allclose(logits, logits[0])
+        assert int(logits.argmax()) == 0
 
-    def test_head_is_shared_across_layers(self):
+    def test_exit_distribution_reads_the_shared_head(self):
+        # Every buffered exit reads the one head: its distribution is the
+        # head's logits of the exit's hidden row, bit for bit.
         backend = ToyTransformer(make_config())
-        hidden = np.linspace(-1.0, 1.0, 32)
-        a = backend.exit_logits(hidden, position=0, source_layer=2)
-        b = backend.exit_logits(hidden, position=0, source_layer=7)
-        assert np.array_equal(a.logits, b.logits)
+        state = backend.new_state(buffered_layers=(2, 7))
+        state.set_tokens(PROMPT)
+        backend.forward_range(state, 1, 7, 0, len(PROMPT))
+        for layer in (2, 7):
+            dist = backend.exit_distribution(state, layer, 4)
+            logits = backend.exit_logits(state.hidden_at(layer, 4))
+            assert np.array_equal(dist.logits, logits)
+            assert (dist.position, dist.source_layer) == (4, layer)
 
     def test_golden_argmax_snapshot(self):
         # Frozen from a deterministic run of this exact configuration.
         backend = ToyTransformer(make_config())
         hiddens, _ = full_forward(backend, PROMPT)
-        dist = backend.exit_logits(hiddens[-1], position=len(PROMPT) - 1, source_layer=8)
-        assert dist.argmax() == 1
+        assert int(backend.exit_logits(hiddens[-1]).argmax()) == 1
 
     def test_wrong_width_rejected(self):
         backend = ToyTransformer(make_config())
         with pytest.raises(AlignmentError):
-            backend.exit_logits(np.zeros(31), position=0, source_layer=1)
+            backend.exit_logits(np.zeros(31))

@@ -16,6 +16,16 @@ def test_random_prompts_vary_with_seed():
     assert random_prompts(5, 64, 4, 4, seed=1) != random_prompts(5, 64, 4, 4, seed=2)
 
 
+@pytest.mark.parametrize(
+    "count, min_len, max_len, message",
+    [(0, 3, 9, "prompt count must be >= 1"), (5, 9, 3, "need 1 <= min_len <= max_len")],
+    ids=["no-prompts", "min-above-max"],
+)
+def test_random_prompts_reject_bad_sizes(count, min_len, max_len, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        random_prompts(count, 64, min_len, max_len, seed=0)
+
+
 def test_byte_tokenize_folds_into_vocab():
     tokens = byte_tokenize("hi", vocab_size=16)
     assert tokens == [ord("h") % 16, ord("i") % 16]

@@ -168,6 +168,10 @@ def test_speculative_decodes_keep_engine_invariants(case):
         assert_same_phases(result.ledger, per_pass_replay(result.trace, len(prompt), session_exits))
         assert live_counts_are_one(counter, result.state)
         stats = result.stats
+        # With a verifier every DraftStep is shown to it; vanilla shows none.
+        drafts = [e for e in result.trace.events if type(e) is DraftStep]
+        shown = sum(len(e.tokens) for e in drafts) if len(session_exits) > 1 else 0
+        assert stats.drafted == shown
         assert stats.accepted_intermediate <= stats.checked_intermediate
         assert stats.accepted_target <= stats.checked_target
 

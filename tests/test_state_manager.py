@@ -9,7 +9,9 @@ from specdec import (
     AlignmentError,
     ConfigError,
     LayeredState,
+    ModelConfig,
     ProtocolError,
+    ToyTransformer,
     consistency_check,
     speculative_decode,
     vanilla_decode,
@@ -31,23 +33,28 @@ def prepared_state(backend, tokens, upto_layer=None):
     return state
 
 
+def append_tokens(state, tokens):
+    for token in tokens:
+        state.append_token(token)
+
+
 class TestExtend:
     def test_extend_advances_only_target_layers(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
-        state.tokens.extend([4, 5])
+        append_tokens(state, [4, 5])
         toy_backend.forward_range(state, 1, 2, 3, 5)
         assert state.filled(1) == 5 and state.filled(2) == 5
         assert all(state.filled(layer) == 3 for layer in range(3, 7))
 
     def test_non_contiguous_extend_rejected(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
-        state.tokens.extend([4, 5])
+        append_tokens(state, [4, 5])
         with pytest.raises(AlignmentError, match="expected 4"):
             toy_backend.forward_range(state, 1, 2, 4, 5)
 
     def test_rejected_token_leaves_state_untouched(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
-        state.tokens.extend([4, toy_backend.vocab_size])
+        append_tokens(state, [4, toy_backend.vocab_size])
         before = snapshot(state)
         with pytest.raises(AlignmentError, match="outside vocabulary"):
             toy_backend.forward_range(state, 1, 6, 3, 5)
@@ -85,7 +92,7 @@ class TestExtend:
     def test_extend_then_prune_restores_snapshot_bitwise(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
         before = snapshot(state)
-        state.tokens.extend([4, 5])
+        append_tokens(state, [4, 5])
         toy_backend.forward_range(state, 1, 4, 3, 5)
         assert not equals_snapshot(state, before)
         state.prune_all(3)
@@ -147,6 +154,15 @@ class TestConstruction:
         with pytest.raises(AlignmentError, match=rf"^buffered layer {layer} outside 1\.\.4$"):
             LayeredState(n_layers=4, max_seq_len=16, d_model=d_model, buffered_layers=(2, layer))
 
+    @pytest.mark.parametrize(
+        "layer", [2.7, True, "2", np.float64(2.0)], ids=["float", "bool", "str", "np-float"]
+    )
+    def test_non_integer_buffered_layer_is_named(self, layer):
+        # int() would buffer layer 2 for 2.7 and layer 1 for True.
+        message = re.escape(f"buffered layer {layer!r} must be an integer")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            LayeredState(6, 16, 8, buffered_layers=(layer, 6))
+
 
 NON_INTEGERS = [1.9, 2.0, True, "3", np.float64(2.0), np.bool_(True)]
 NON_INTEGER_IDS = ["float", "integral-float", "bool", "str", "np-float", "np-bool"]
@@ -171,6 +187,20 @@ class TestTokens:
         assert state.append_token(np.int32(4)) == 3
         assert state.tokens == [1, 2, 3, 4]
         assert all(type(t) is int for t in state.tokens)
+
+    def test_capacity_and_commit_bounds_are_named(self):
+        state = LayeredState(n_layers=4, max_seq_len=3)
+        with pytest.raises(AlignmentError, match="^token sequence of 4 exceeds max_seq_len$"):
+            state.set_tokens([1, 2, 3, 4])
+        state.set_tokens([1, 2, 3])
+        with pytest.raises(AlignmentError, match="^no free position for token$"):
+            state.append_token(4)
+        state.mark_committed(2)
+        with pytest.raises(ProtocolError, match="^cannot lower committed length 2 to 1$"):
+            state.mark_committed(1)
+        with pytest.raises(ProtocolError, match="^cannot commit 4 with only 3 tokens$"):
+            state.mark_committed(4)
+        assert (state.tokens, state.committed_len) == ([1, 2, 3], 2)
 
 
 class TestLayerRange:
@@ -209,10 +239,10 @@ class TestPrune:
         # never speculated.
         tokens = [4, 9, 2]
         state = prepared_state(toy_backend, tokens)
-        state.tokens.extend([7, 7, 7])
+        append_tokens(state, [7, 7, 7])
         toy_backend.forward_range(state, 1, 6, 3, 6)
         state.prune_all(3)
-        state.tokens.extend([5, 6])
+        append_tokens(state, [5, 6])
         toy_backend.forward_range(state, 1, 6, 3, 5)
 
         clean = prepared_state(toy_backend, [4, 9, 2, 5, 6])
@@ -224,10 +254,10 @@ class TestPrune:
         # A pruned position is computed afresh, so the recompute counts once.
         counter = CountingBackend(toy_backend)
         state = prepared_state(counter, [1, 2, 3])
-        state.tokens.extend([4])
+        append_tokens(state, [4])
         counter.forward_range(state, 1, 6, 3, 4)
         state.prune_all(3)
-        state.tokens.extend([5])
+        append_tokens(state, [5])
         counter.forward_range(state, 1, 6, 3, 4)
         assert live_counts_are_one(counter, state)
 
@@ -272,6 +302,32 @@ class TestConsistencyCheck:
         state = prepared_state(toy_backend, [1, 2, 3])
         with pytest.raises(ConfigError, match=re.escape("token 1.9 must be an integer")):
             consistency_check(state, toy_backend, [1.9, 2.2, 3.7])
+
+    @pytest.mark.parametrize("kind", ["toy", "synthetic"])
+    @pytest.mark.parametrize(
+        "fills, message",
+        [
+            ((3, 0, 2, 0), "missing hidden state at (layer 2, position 0)"),
+            ((3, 5, 0, 0), "missing hidden state at (layer 1, position 3)"),
+            ((3, 3, 2, 2), None),
+        ],
+        ids=["gap", "deeper-ahead", "monotone"],
+    )
+    def test_reference_state_reaches_only_monotone_fills(self, kind, fills, message):
+        # A fill of 0 above a layer does not end the recompute: a deeper
+        # non-zero fill has no input there and is rejected by `advance`.
+        if kind == "toy":
+            config = ModelConfig(
+                n_layers=4, d_model=8, n_heads=2, vocab_size=8, max_seq_len=8, seed=0
+            )
+            backend = ToyTransformer(config)
+        else:
+            backend = all_agree_backend(n_layers=4, vocab_size=8)
+        if message is None:
+            assert backend.reference_state(range(6), fills, (2, 4)).fills() == fills
+        else:
+            with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$"):
+                backend.reference_state(range(6), fills, (2, 4))
 
     def test_empty_state_empty_report(self, toy_backend):
         state = toy_backend.new_state()

@@ -48,6 +48,22 @@ class TestSpecValidation:
             )
 
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_layers", 2, "n_layers must be >= 3"),
+            ("vocab_size", 3, "vocab_size must be >= 4"),
+            ("context_window", 0, "context_window must be positive"),
+            ("agreement_profile", {**uniform_profile(8, 0.5), 3: 1.5}, r"alpha\(3\) outside \[0, 1\]"),
+        ],
+        ids=["n_layers", "vocab_size", "context_window", "alpha"],
+    )
+    def test_bad_field_is_named(self, field, value, message):
+        spec = dict(n_layers=8, vocab_size=16, seed=0, agreement_profile=uniform_profile(8, 0.5))
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SyntheticModelSpec(**{**spec, field: value})
+
+
 def exit_tokens(backend, context):
     """What every exit of `backend` predicts after `context`, layer 1 first,
     read through `exit_distribution` on a state filled over `context`."""
@@ -362,6 +378,10 @@ class TestProfiles:
         assert profile[4] == pytest.approx(0.4)
         assert 0.0 <= profile[1] <= 1.0
         assert profile[10] == 1.0
+
+    def test_interpolation_needs_an_anchor(self):
+        with pytest.raises(ConfigError, match="^at least one anchor required$"):
+            interpolated_profile(10, {})
 
     def test_mix64_reference_values(self):
         # fmix64 with the published constants; spot values pin the construction.
