@@ -1,4 +1,4 @@
-"""Command-line harness: sweep, ablate, compare and check subcommands.
+"""Command-line harness: sweep, compare and check subcommands.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime or capacity error.
 Identical config and seed produce byte-identical reports regardless of --jobs.
@@ -16,7 +16,6 @@ from .experiments import (
     emit_matrix,
     emit_report,
     load_config,
-    run_ablation,
     run_check,
     run_compare,
     run_sweep,
@@ -42,14 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(sweep)
     _add_report(sweep)
     sweep.add_argument("--matrix", action="store_true", help="also emit an (L_d x L_i) matrix")
-
-    ablate = sub.add_parser("ablate", help="vary N_d or N_i with defaults elsewhere")
-    _add_config(ablate)
-    _add_report(ablate)
-    ablate.add_argument("--parameter", choices=("N_d", "N_i"), required=True)
-    ablate.add_argument(
-        "--values", default="", help="comma-separated values; empty emits an empty table"
-    )
 
     compare = sub.add_parser("compare", help="vanilla vs selfspec vs hierarchical")
     _add_config(compare)
@@ -78,15 +69,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_ablate(args) -> int:
-    config = load_config(args.config, args.seed)
-    values = [config_int(v, "--values", minimum=1) for v in args.values.split(",") if v.strip()]
-    rows = run_ablation(config, args.parameter, values, jobs=args.jobs)
-    path = _write(rows, args, f"ablate_{args.parameter}")
-    print(f"wrote {len(rows)} rows to {path}")
-    return 0
-
-
 def _cmd_compare(args) -> int:
     config = load_config(args.config, args.seed)
     rows = run_compare(config, jobs=args.jobs)
@@ -110,7 +92,6 @@ def _cmd_check(args) -> int:
 
 _COMMANDS = {
     "sweep": _cmd_sweep,
-    "ablate": _cmd_ablate,
     "compare": _cmd_compare,
     "check": _cmd_check,
 }

@@ -7,7 +7,7 @@ of fields, rules and defaults, and builds the backend's model spec, so an
 unknown key or a bad value is an error that names its field, and the
 builders downstream read only checked values. Each strategy entry gives
 only its own grid fields. Every report is such a grid: `sweep` runs the
-config's own, while `compare` and `ablate` run fixed ones. A grid point
+config's own, while `compare` runs a fixed one. A grid point
 is a strategy's exits and burst lengths; it decodes the whole corpus,
 aggregates its cost ledger, and becomes one result row. Vanilla
 full-depth decoding over the same corpus is always computed and serves
@@ -309,11 +309,13 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
     A missing field takes its default (the default layer placement and
     DEFAULT_BURSTS). For an exit layer, "all" spans every layer that the
     field can hold under 1 <= L_d < L_i < L_f; for a burst length it is
-    the default. The skip reason is logged once per strategy and invalid
-    layer combination, however many burst lengths the grid pairs it with,
-    when no exit layer of the entry is "all". Otherwise a combination drawn
-    from "all" was never asked for, so the reason is logged once per named
-    exit-layer value that no combination can use.
+    the default. So an entry that lists only a burst length, such as
+    {"name": "hierarchical", "draft_len": [1, 3]}, varies that burst with
+    every other field at its default. The skip reason is logged once per
+    strategy and invalid layer combination, however many burst lengths the
+    grid pairs it with, when no exit layer of the entry is "all". Otherwise
+    a combination drawn from "all" was never asked for, so the reason is
+    logged once per named exit-layer value that no combination can use.
     """
     defaults = dict(zip(FIELD_COLUMNS, default_layer_placement(n_layers) + DEFAULT_BURSTS))
     points = set()
@@ -475,19 +477,6 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     return run_points(config, expand_grid(config, config.backend.n_layers), jobs)
 
 
-def run_ablation(
-    config: ExperimentConfig, parameter: str, values: Sequence[int], jobs: int = 1
-) -> list[dict]:
-    """Vary draft_len (N_d) or accept_window (N_i) with everything else at defaults."""
-    bursts = {column: field for field, column in FIELD_COLUMNS.items() if column.startswith("N_")}
-    if parameter not in bursts:
-        raise ConfigError(f"ablation parameter must be one of {', '.join(bursts)}")
-    if not values:
-        return []
-    strategy = {"name": "hierarchical", bursts[parameter]: tuple(values)}
-    return run_sweep(replace(config, strategies=(strategy,)), jobs)
-
-
 def run_check(config: ExperimentConfig, jobs: int = 1) -> tuple[int, int, int, float]:
     """Recompute the state at every top-exit verification of each
     speculative grid point. Returns the boundaries checked, the prompts,
@@ -520,6 +509,8 @@ def _format_cell(column: str, value) -> str:
 
 def emit_report(rows: Sequence[dict], out_path: str | Path, fmt: str = "csv") -> Path:
     """Write result rows as CSV or JSON lines in RESULT_COLUMNS order."""
+    if fmt not in ("csv", "jsonl"):
+        raise ConfigError(f"unknown report format {fmt!r}")
     columns = RESULT_COLUMNS
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -528,7 +519,7 @@ def emit_report(rows: Sequence[dict], out_path: str | Path, fmt: str = "csv") ->
         for row in rows:
             lines.append(",".join(_format_cell(col, row.get(col)) for col in columns))
         out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    elif fmt == "jsonl":
+    else:
         lines = []
         for row in rows:
             clean = {
@@ -537,8 +528,6 @@ def emit_report(rows: Sequence[dict], out_path: str | Path, fmt: str = "csv") ->
             }
             lines.append(json.dumps(clean, sort_keys=True))
         out_path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
     return out_path
 
 

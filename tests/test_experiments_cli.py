@@ -18,7 +18,6 @@ from specdec.experiments import (
     emit_matrix,
     emit_report,
     load_config,
-    run_ablation,
     run_check,
     run_compare,
     run_sweep,
@@ -65,9 +64,6 @@ MALFORMED_INPUTS = {
     "non-integer-max-new-tokens": (
         {"decode": {"max_new_tokens": "abc"}}, ["compare"], "decode.max_new_tokens"
     ),
-    "non-integer-ablate-value": (
-        {}, ["ablate", "--parameter", "N_d", "--values", "1,x"], "--values"
-    ),
     "fractional-d-model": (
         {"backend": {"type": "toy", "n_layers": 4, "d_model": 16.5}}, ["compare"],
         "backend.d_model",
@@ -108,9 +104,6 @@ MALFORMED_INPUTS = {
     "zero-grid-draft-len": (
         {"strategies": [{"name": "hierarchical", "draft_len": [0, 2]}]}, ["sweep"],
         "strategies[0].draft_len",
-    ),
-    "zero-ablate-value": (
-        {}, ["ablate", "--parameter", "N_d", "--values", "0,2"], "--values"
     ),
     "check-without-valid-point": (
         {
@@ -344,15 +337,15 @@ class TestRunAndEmit:
         assert parsed["rel_throughput"] == 1.0
 
     def test_ablation_rows(self):
-        config = ExperimentConfig.from_dict(SMALL_CONFIG)
-        rows = run_ablation(config, "N_d", [1, 2, 4])
+        raw = dict(SMALL_CONFIG, strategies=[{"name": "hierarchical", "draft_len": [1, 2, 4]}])
+        rows = run_sweep(ExperimentConfig.from_dict(raw))
         hier = [r for r in rows if r["strategy"] == "hierarchical"]
         assert [r["N_d"] for r in hier] == [1, 2, 4]
         assert all(r["N_i"] == 4 for r in hier)
 
     def test_ablation_repeated_value_gives_one_row(self):
-        config = ExperimentConfig.from_dict(SMALL_CONFIG)
-        rows = run_ablation(config, "N_d", [2, 2])
+        raw = dict(SMALL_CONFIG, strategies=[{"name": "hierarchical", "draft_len": [2, 2]}])
+        rows = run_sweep(ExperimentConfig.from_dict(raw))
         assert [r["strategy"] for r in rows] == ["vanilla", "hierarchical"]
 
     def test_compare_skips_invalid_default_placement_like_sweep(self, tmp_path, caplog):
@@ -420,16 +413,10 @@ class TestRunAndEmit:
         assert run_compare(config, jobs=jobs) == want
         assert sizes == [min(jobs, 3)]
 
-    def test_ablation_empty_range(self):
-        config = ExperimentConfig.from_dict(SMALL_CONFIG)
-        assert run_ablation(config, "N_i", []) == []
-
-    def test_unknown_format_and_ablation_parameter_are_named(self, tmp_path):
+    def test_unknown_format_is_named_before_any_directory_is_made(self, tmp_path):
         with pytest.raises(ConfigError, match="^unknown report format 'xml'$"):
-            emit_report([], tmp_path / "rows.xml", fmt="xml")
-        config = ExperimentConfig.from_dict(SMALL_CONFIG)
-        with pytest.raises(ConfigError, match="^ablation parameter must be one of N_d, N_i$"):
-            run_ablation(config, "L_d", [1])
+            emit_report([], tmp_path / "d" / "sub" / "rows.xml", fmt="xml")
+        assert not (tmp_path / "d").exists()
 
     def test_matrix_reshape_with_nan_for_invalid(self, tmp_path):
         rows = [
@@ -494,25 +481,6 @@ class TestCli:
         main(["compare", "--config", str(config_path), "--out", str(out_a)])
         main(["compare", "--config", str(config_path), "--out", str(out_b), "--seed", "99"])
         assert (out_a / "compare.csv").read_bytes() != (out_b / "compare.csv").read_bytes()
-
-    def test_ablate_empty_values_exits_zero(self, tmp_path):
-        config_path = write_config(tmp_path, SMALL_CONFIG)
-        out_dir = tmp_path / "out"
-        code = main(
-            [
-                "ablate",
-                "--config",
-                str(config_path),
-                "--parameter",
-                "N_i",
-                "--values",
-                "",
-                "--out",
-                str(out_dir),
-            ]
-        )
-        assert code == 0
-        assert (out_dir / "ablate_N_i.csv").read_text().count("\n") == 1  # header only
 
     def test_bad_config_exits_2(self, tmp_path):
         path = write_config(tmp_path, {"backend": {"type": "warp-drive"}})
@@ -601,13 +569,15 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 3
         assert re.fullmatch(f"runtime error: {message}\n", capsys.readouterr().err)
 
-    def test_wall_subcommand(self, tmp_path, capsys):
-        # The layer-quotient `wall` report is retired: argparse rejects it.
+    @pytest.mark.parametrize("command", ["wall", "ablate"])
+    def test_wall_subcommand(self, tmp_path, capsys, command):
+        # Retired reports: the layer-quotient `wall`, and `ablate`, which a
+        # sweep over a list-valued burst length replaces. Argparse rejects both.
         with pytest.raises(SystemExit) as exc:
-            main(["wall", "--out", str(tmp_path / "out")])
+            main([command, "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice" in err and "wall" in err
+        assert "invalid choice" in err and command in err
         assert not (tmp_path / "out").exists()
 
     def test_check_subcommand_reports_clean_state(self, tmp_path):
@@ -680,9 +650,8 @@ class TestCli:
             ["compare"],
             ["check"],
             ["sweep", "--matrix"],
-            ["ablate", "--parameter", "N_i", "--values", "2,4"],
         ],
-        ids=["compare", "check", "sweep-matrix", "ablate"],
+        ids=["compare", "check", "sweep-matrix"],
     )
     def test_console_entry_point(self, tmp_path, command):
         config_path = write_config(tmp_path, SMALL_CONFIG)

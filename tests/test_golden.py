@@ -5,10 +5,11 @@ events, finalize spans, the per-phase ledger, stats, the per-layer fills
 at every verification boundary and at the end. A change to the decode
 loops that moves a single event, span or counter fails here, even when
 the committed tokens stay the same. The report cases pin the bytes the
-CLI writes for `compare`, `sweep --matrix` and `ablate`, in csv and
-jsonl, at one and two jobs, for a synthetic preset, a synthetic profile
-with text prompts, a toy model and a config that leaves every
-defaultable field unset.
+CLI writes for `compare`, `sweep --matrix` and a list-valued burst sweep
+(`sweep` over one hierarchical entry whose draft_len is [1, 3], every
+other field at its default), in csv and jsonl, at one and two jobs, for
+a synthetic preset, a synthetic profile with text prompts, a toy model
+and a config that leaves every defaultable field unset.
 
 Update a digest only for a deliberate change of decode or report
 behaviour, and say so in the change log.
@@ -205,10 +206,14 @@ REPORT_CONFIGS = {
 # The file the profile-text config's prompts name, beside the config.
 PROMPT_TEXT = "the quick brown fox\njumps over\n\n  \nthe lazy dog\nspeculative decoding\n"
 
+# case -> (argv, report stems, config overrides)
 COMMANDS = {
-    "compare": (["compare"], ["compare"]),
-    "sweep": (["sweep", "--matrix"], ["sweep", "matrix"]),
-    "ablate": (["ablate", "--parameter", "N_d", "--values", "1,3"], ["ablate_N_d"]),
+    "compare": (["compare"], ["compare"], {}),
+    "sweep": (["sweep", "--matrix"], ["sweep", "matrix"], {}),
+    # Keyed after the retired `ablate` subcommand, whose digests this burst sweep keeps.
+    "ablate": (
+        ["sweep"], ["sweep"], {"strategies": [{"name": "hierarchical", "draft_len": [1, 3]}]}
+    ),
 }
 
 REPORT_GOLDEN = {
@@ -244,8 +249,9 @@ def test_report_bytes_match_golden(tmp_path, monkeypatch, config_name, command):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "prompts.txt").write_text(PROMPT_TEXT, encoding="utf-8")
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(REPORT_CONFIGS[config_name]), encoding="utf-8")
-    args, stems = COMMANDS[command]
+    args, stems, overrides = COMMANDS[command]
+    config = dict(REPORT_CONFIGS[config_name], **overrides)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
     by_jobs = {}
     for jobs in (1, 2):
         blobs = []
