@@ -105,6 +105,14 @@ MALFORMED_INPUTS = {
         {"strategies": [{"name": "hierarchical", "draft_len": [0, 2]}]}, ["sweep"],
         "strategies[0].draft_len",
     ),
+    "zero-grid-accept-window": (
+        {"strategies": [{"name": "hierarchical", "accept_window": [0, 2]}]}, ["sweep"],
+        "strategies[0].accept_window",
+    ),
+    "non-integer-grid-accept-window": (
+        {"strategies": [{"name": "hierarchical", "accept_window": [2, "x"]}]}, ["sweep"],
+        "strategies[0].accept_window",
+    ),
     "check-without-valid-point": (
         {
             "backend": {"type": "toy", "n_layers": 4, "d_model": 8, "n_heads": 2},
@@ -348,6 +356,13 @@ class TestRunAndEmit:
         rows = run_sweep(ExperimentConfig.from_dict(raw))
         assert [r["strategy"] for r in rows] == ["vanilla", "hierarchical"]
 
+    def test_accept_window_rows(self):
+        raw = dict(SMALL_CONFIG, strategies=[{"name": "hierarchical", "accept_window": [2, 8]}])
+        rows = run_sweep(ExperimentConfig.from_dict(raw))
+        hier = [r for r in rows if r["strategy"] == "hierarchical"]
+        assert [r["N_i"] for r in hier] == [2, 8]
+        assert all(r["N_d"] == 2 for r in hier)
+
     def test_compare_skips_invalid_default_placement_like_sweep(self, tmp_path, caplog):
         raw = {
             "seed": 1,
@@ -460,6 +475,17 @@ class TestCli:
         assert code == 0
         assert (out_dir / "sweep.csv").exists()
         assert (out_dir / "matrix.txt").exists()
+
+    def test_sweep_over_burst_list_writes_one_row_per_value(self, tmp_path):
+        raw = dict(SMALL_CONFIG, strategies=[{"name": "hierarchical", "accept_window": [2, 4]}])
+        config_path = write_config(tmp_path, raw)
+        out_dir = tmp_path / "out"
+        argv = ["sweep", "--config", str(config_path), "--out", str(out_dir), "--format", "jsonl"]
+        assert main(argv) == 0
+        rows = [json.loads(line) for line in (out_dir / "sweep.jsonl").read_text().splitlines()]
+        assert [(r["strategy"], r["N_i"]) for r in rows] == [
+            ("vanilla", None), ("hierarchical", 2), ("hierarchical", 4)
+        ]
 
     def test_relative_text_path_is_read_beside_the_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
