@@ -39,7 +39,6 @@ no cost is kept by hand.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import astuple, dataclass, field
@@ -47,7 +46,7 @@ from typing import Sequence
 
 from .backend import Backend
 from .costs import CostLedger
-from .errors import CapacityError, ConfigError, ProtocolError
+from .errors import CapacityError, ConfigError
 from .state import LayeredState, as_token
 
 
@@ -109,9 +108,9 @@ class DecodeStats:
     from the rate denominators (it still counts as flushed work).
 
     `drafted` sums the DraftSteps' tokens: with a verifier, the event after
-    each is a verify event (`_fill` records one only for a non-empty draft,
-    which its caller verifies at once). Vanilla has no verifier and counts
-    zero everywhere; the intermediate counts sum over every screening level.
+    each is a verify event (every draft is non-empty, and `_fill`'s caller
+    verifies it at once). Vanilla has no verifier and counts zero
+    everywhere; the intermediate counts sum over every screening level.
     """
 
     drafted: int = 0
@@ -373,6 +372,9 @@ def speculative_decode(
         )
     if max_new_tokens < 1:
         raise ConfigError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
+    # Every round has room: it starts with len(tokens) + room <= max_seq_len
+    # and room >= 1, and `_fill` calls each level below with room left, so
+    # every draft and every screening level gathers at least one token.
     if len(prompt) + max_new_tokens > backend.max_seq_len:
         raise CapacityError(
             f"prompt of {len(prompt)} plus {max_new_tokens} new tokens exceeds "
@@ -383,17 +385,14 @@ def speculative_decode(
     session.prefill(prompt)
     if len(exits) == 1:  # vanilla: one burst as long as the budget, committed unverified
         budget = (max_new_tokens,)
-        drafted, _ = _fill(session, 0, budget, budget, max_new_tokens)
+        drafted, _ = _fill(session, 0, budget, max_new_tokens)
         session.commit(drafted)
         return _finish(session, len(prompt))
     top = len(exits) - 1
-    caps = tuple(itertools.accumulate(bursts))
     eos = eos_token
     room = max_new_tokens
     while room > 0:
-        tentative, reason = _fill(session, top - 1, bursts, caps, room)
-        if not tentative:
-            raise CapacityError("no room left to draft")
+        tentative, reason = _fill(session, top - 1, bursts, room)
         accepted, bonus, mismatch, spans = session.leading_substring_verify(
             tentative, level=top, phase="target_verify"
         )
@@ -419,35 +418,30 @@ def speculative_decode(
 
 
 def _fill(
-    session: DecodeSession, level: int, bursts: Sequence[int], caps: Sequence[int], room: int
+    session: DecodeSession, level: int, bursts: Sequence[int], room: int
 ) -> tuple[list[int], str]:
     """Gather tentative tokens through `level`; return them and why they are due.
 
     Level 0 drafts one burst of `bursts[0]` tokens, recorded as a
     DraftStep with reason "round". Level k screens bursts from level k-1
-    until it holds `bursts[k]` tokens ("window"), holds eos ("eos"),
-    reaches the remaining budget `room` ("budget"), or no position is
-    left to draft into ("capacity"). The gathered tokens are always the
-    newest tokens of the context. `caps[k]`, the sum of `bursts[: k + 1]`
-    computed once per decode, bounds what level k can gather.
+    until it holds `bursts[k]` tokens ("window"), holds eos ("eos"), or
+    reaches the remaining budget `room` ("budget"). The gathered tokens
+    are always the newest tokens of the context.
     """
     if level == 0:
         start = len(session.state.tokens)
         drafted, span = session.generate_next(bursts[0])
-        if drafted:
-            session.trace.events.append(DraftStep(start, tuple(drafted), span))
+        session.trace.events.append(DraftStep(start, tuple(drafted), span))
         return drafted, "round"
     eos = session.eos_token
     gathered: list[int] = []
     while len(gathered) < bursts[level] and eos not in gathered and len(gathered) < room:
-        offered, _ = _fill(session, level - 1, bursts, caps, room - len(gathered))
-        if not offered:
-            break
+        offered, _ = _fill(session, level - 1, bursts, room - len(gathered))
         accepted, bonus, _, spans = session.leading_substring_verify(
             offered, level=level, phase="intermediate_verify"
         )
         gathered.extend(accepted)
-        if bonus is not None and len(session.state.tokens) < session.backend.max_seq_len:
+        if len(session.state.tokens) < session.backend.max_seq_len:
             session.state.append_token(bonus)
             gathered.append(bonus)
         else:
@@ -455,18 +449,11 @@ def _fill(
         session.trace.events.append(
             IntermediateVerify(tuple(accepted), bonus, len(offered) - len(accepted), spans)
         )
-        if len(gathered) > caps[level]:
-            raise ProtocolError(
-                f"level {level} gathered {len(gathered)} tokens, "
-                f"more than the burst lengths {tuple(bursts[: level + 1])} allow"
-            )
     if len(gathered) >= bursts[level]:
         return gathered, "window"
     if eos in gathered:
         return gathered, "eos"
-    if len(gathered) >= room:
-        return gathered, "budget"
-    return gathered, "capacity"
+    return gathered, "budget"
 
 
 def _finish(session: DecodeSession, prompt_len: int) -> DecodeResult:

@@ -30,7 +30,7 @@ from .engine import (
     default_layer_placement,
     speculative_decode,
 )
-from .errors import ConfigError, UndefinedRatioError
+from .errors import ConfigError
 from .model import ModelConfig, ToyTransformer
 from .prompts import prompts_from_text, random_prompts
 from .state import consistency_check
@@ -223,10 +223,14 @@ def _model_spec(raw: Any, seed: int) -> ModelConfig | SyntheticModelSpec:
             return calibrate_preset(fields.pop("preset"), **fields, seed=seed)
         except ConfigError as exc:
             raise ConfigError(f"backend.n_layers: {exc}") from None
-    try:
-        profile = {int(layer): float(alpha) for layer, alpha in fields.pop("profile").items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"backend.profile must map integer layers to numbers: {exc}") from None
+    profile: dict[int, float] = {}
+    for key, alpha in fields.pop("profile").items():
+        layer = config_int(key, "backend.profile layer")
+        if layer in profile:
+            raise ConfigError(f"backend.profile names layer {layer} twice, again as {key!r}")
+        if type(alpha) not in (int, float):  # type, not isinstance: a bool is an int
+            raise ConfigError(f"backend.profile layer {key} must map to a number, got {alpha!r}")
+        profile[layer] = float(alpha)
     try:
         return SyntheticModelSpec(**fields, seed=seed, agreement_profile=profile)
     except ConfigError as exc:
@@ -450,10 +454,7 @@ def run_points(
 
 def _row_from_aggregate(agg: PointAggregate, baseline: PointAggregate, n_prompts: int) -> dict:
     point = agg.point
-    try:
-        rel = relative_throughput(agg.tokens, agg.ledger, baseline.tokens, baseline.ledger)
-    except UndefinedRatioError:
-        rel = None
+    rel = relative_throughput(agg.tokens, agg.ledger, baseline.tokens, baseline.ledger)
     fields = dict(zip(STRATEGY_FIELDS[point.strategy], point.exits[:-1] + point.bursts))
     return {
         "strategy": point.strategy,
@@ -540,7 +541,7 @@ def emit_matrix(rows: Sequence[dict], out_path: str | Path, n_layers: int) -> Pa
     """
     cells: dict[tuple[int, int], float] = {}
     for row in rows:
-        if row["strategy"] != "hierarchical" or row.get("rel_throughput") is None:
+        if row["strategy"] != "hierarchical":
             continue
         cells[(row["L_d"], row["L_i"])] = row["rel_throughput"]
     out_path = Path(out_path)

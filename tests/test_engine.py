@@ -457,7 +457,7 @@ class TestHierarchical:
                 if event.reason == "window":
                     assert event.presented >= accept_window
                 else:
-                    assert event.reason in ("eos", "budget", "capacity")
+                    assert event.reason in ("eos", "budget")
 
     def test_mismatch_flushes_buffer_and_commits_one(self):
         profile = uniform_profile(8, 0.4)

@@ -53,6 +53,9 @@ TIGHT_TOY = {
     "strategies": [{"name": "selfspec"}],
 }
 
+# A valid profile for a 4-layer synthetic backend, which the profile cases spoil.
+FULL_PROFILE = {"1": 0.5, "2": 0.6, "3": 0.7, "4": 1.0}
+
 # case -> (config overrides, command, field the message names)
 MALFORMED_INPUTS = {
     "synthetic-without-profile": (
@@ -167,6 +170,22 @@ MALFORMED_INPUTS = {
     ),
     "profile-missing-layers": (
         {"backend": {"type": "synthetic", "n_layers": 4, "profile": {"1": 0.5, "4": 1.0}}},
+        ["compare"], "backend.profile",
+    ),
+    "bool-profile-alpha": (
+        {"backend": {"type": "synthetic", "n_layers": 4, "profile": {**FULL_PROFILE, "4": True}}},
+        ["compare"], "backend.profile",
+    ),
+    "string-profile-alpha": (
+        {"backend": {"type": "synthetic", "n_layers": 4, "profile": {**FULL_PROFILE, "1": "0.5"}}},
+        ["compare"], "backend.profile",
+    ),
+    "profile-layer-named-twice": (
+        {"backend": {"type": "synthetic", "n_layers": 4, "profile": {**FULL_PROFILE, "01": 0.5}}},
+        ["compare"], "backend.profile",
+    ),
+    "non-integer-profile-layer": (
+        {"backend": {"type": "synthetic", "n_layers": 4, "profile": {**FULL_PROFILE, "a": 0.5}}},
         ["compare"], "backend.profile",
     ),
     "unknown-preset": (

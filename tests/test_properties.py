@@ -162,7 +162,7 @@ def test_speculative_decodes_keep_engine_invariants(case):
     ]
     reference = decodes[0][0].tokens
     assert all(boundaries_clean)
-    for (result, counter), (session_exits, _) in zip(decodes, shapes):
+    for (result, counter), (session_exits, bursts) in zip(decodes, shapes):
         assert result.tokens == reference
         assert_ledger_counts_passes(result.ledger, counter.passes)
         assert_same_phases(result.ledger, per_pass_replay(result.trace, len(prompt), session_exits))
@@ -174,6 +174,13 @@ def test_speculative_decodes_keep_engine_invariants(case):
         assert stats.drafted == shown
         assert stats.accepted_intermediate <= stats.checked_intermediate
         assert stats.accepted_target <= stats.checked_target
+        # Every round has room: each draft holds a token, and the top exit is
+        # shown at least one and at most the levels' burst lengths together.
+        assert all(e.tokens for e in drafts)
+        for event in result.trace.events:
+            if type(event) is TargetVerify:
+                assert 1 <= event.presented <= sum(bursts)
+                assert event.reason in ("round", "window", "eos", "budget")
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)

@@ -371,12 +371,20 @@ class TestVocabularySize:
 
 
 class TestProfiles:
-    def test_interpolation_hits_anchors_and_clamps(self):
-        profile = interpolated_profile(10, {2: 0.2, 6: 0.6, 10: 1.0})
-        assert profile[2] == pytest.approx(0.2)
-        assert profile[6] == pytest.approx(0.6)
-        assert profile[4] == pytest.approx(0.4)
-        assert 0.0 <= profile[1] <= 1.0
+    @pytest.mark.parametrize(
+        "anchors, expected",
+        [
+            ({2: 0.2, 6: 0.6, 10: 1.0}, {2: 0.2, 4: 0.4, 6: 0.6, 10: 1.0}),
+            # One anchor has no slope: its alpha holds at every layer but the last.
+            ({3: 0.4}, {**dict.fromkeys(range(1, 10), 0.4), 10: 1.0}),
+        ],
+        ids=["three-anchors", "one-anchor"],
+    )
+    def test_interpolation_hits_anchors_and_clamps(self, anchors, expected):
+        profile = interpolated_profile(10, anchors)
+        assert all(0.0 <= alpha <= 1.0 for alpha in profile.values())
+        for layer, alpha in expected.items():
+            assert profile[layer] == pytest.approx(alpha)
         assert profile[10] == 1.0
 
     def test_interpolation_needs_an_anchor(self):
