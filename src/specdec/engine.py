@@ -32,10 +32,12 @@ first disagreement, committing its own token in its place. Every verifier
 accepts only its own greedy top-1 token, so speculative decoding is
 lossless: the output matches vanilla decoding token for token.
 
-The trace is the one record of a decode: one walk over its events yields
-the committed tokens, the acceptance and flush counts and the ledger's
-histogram of passes, prefill included, which `CostLedger` prices on read;
-no cost is kept by hand.
+The trace is the one record of a decode: one walk over its records
+yields the committed tokens, the acceptance and flush counts and the
+ledger's histogram of passes, prefill included, which `CostLedger` prices
+on read; no cost is kept by hand. A decode records each event as a
+positional tuple and builds no event object; `DecodeTrace.events` builds
+the typed events from the tuples when it is read.
 """
 from __future__ import annotations
 
@@ -63,7 +65,8 @@ Span = tuple[int, int]
 
 
 # The trace's events are frozen, slotted records: a boundary hook cannot
-# change them, and the engine builds them positionally, in field order.
+# change them. The engine records each as a tuple of its class and its
+# fields in field order, and `DecodeTrace.events` builds them from those.
 @dataclass(frozen=True, slots=True)
 class DraftStep:
     start_pos: int
@@ -97,8 +100,20 @@ class Commit:
 
 @dataclass
 class DecodeTrace:
-    events: list = field(default_factory=list)
+    """`records` holds one `(event class, *fields)` tuple per event, in
+    order and with the fields in field order; `finalize_processed` holds the
+    spans finalize ran.
+
+    `events` builds the typed events from the records on each read, so it
+    is a fresh list: appending to it changes nothing.
+    """
+
+    records: list = field(default_factory=list)
     finalize_processed: tuple[Span, ...] = ()
+
+    @property
+    def events(self) -> list:
+        return [record[0](*record[1:]) for record in self.records]
 
 
 @dataclass(frozen=True)
@@ -287,7 +302,7 @@ class DecodeSession:
     def commit(self, tokens: Sequence[int]) -> None:
         """Commit `tokens`, the context's tokens after the committed ones."""
         self.state.mark_committed(self.state.committed_len + len(tokens))
-        self.trace.events.append(Commit(tuple(tokens)))
+        self.trace.records.append((Commit, tuple(tokens)))
 
 
 # Legacy wrappers over `speculative_decode`, cut to the exact call shapes of
@@ -406,8 +421,8 @@ def speculative_decode(
         else:
             bonus = None
         room -= len(kept)
-        session.trace.events.append(
-            TargetVerify(tuple(accepted), bonus, len(tentative), flushed, mismatch, reason, spans)
+        session.trace.records.append(
+            (TargetVerify, tuple(accepted), bonus, len(tentative), flushed, mismatch, reason, spans)
         )
         session.commit(kept)
         if boundary_hook is not None:
@@ -431,7 +446,7 @@ def _fill(
     if level == 0:
         start = len(session.state.tokens)
         drafted, span = session.generate_next(bursts[0])
-        session.trace.events.append(DraftStep(start, tuple(drafted), span))
+        session.trace.records.append((DraftStep, start, tuple(drafted), span))
         return drafted, "round"
     eos = session.eos_token
     gathered: list[int] = []
@@ -446,8 +461,8 @@ def _fill(
             gathered.append(bonus)
         else:
             bonus = None
-        session.trace.events.append(
-            IntermediateVerify(tuple(accepted), bonus, len(offered) - len(accepted), spans)
+        session.trace.records.append(
+            (IntermediateVerify, tuple(accepted), bonus, len(offered) - len(accepted), spans)
         )
     if len(gathered) >= bursts[level]:
         return gathered, "window"
@@ -478,7 +493,7 @@ def _walk(
     trace: DecodeTrace, prompt_len: int, levels: Sequence[tuple[int, int]]
 ) -> tuple[list[int], DecodeStats, CostLedger]:
     """The committed tokens, the `DecodeStats` and the `CostLedger` of a
-    trace, in one pass over its events.
+    trace, in one pass over its records.
 
     The ledger holds the prefill of `prompt_len` positions through every
     level, one one-position pass per drafted position, and one pass over
@@ -490,36 +505,37 @@ def _walk(
     drafted = checked_i = accepted_i = presented = checked_t = accepted_t = flushed = 0
     draft_passes = 0
     intermediate, target = [{} for _ in levels], [{} for _ in levels]
-    # The events are exactly the four types below, so one `type` test picks
-    # each; the closing None stands for finalize's spans.
-    for event in (*trace.events, None):
-        kind = type(event)
-        if kind is DraftStep:
-            a, b = event.processed
+    # A record is its event class and the event's fields in field order
+    # (see the classes above); the class picks its branch.
+    for record in trace.records:
+        kind = record[0]
+        if kind is DraftStep:  # start_pos, tokens, processed
+            a, b = record[3]
             draft_passes += b - a
-            drafted += len(event.tokens)
+            drafted += len(record[2])
             continue
-        if kind is Commit:
-            tokens.extend(event.tokens)
+        if kind is Commit:  # tokens
+            tokens.extend(record[1])
             continue
-        if kind is IntermediateVerify:
-            accepted = len(event.accepted)
-            checked_i += accepted + (event.rejected > 0)
+        accepted = len(record[1])
+        if kind is IntermediateVerify:  # accepted, bonus, rejected, processed
+            checked_i += accepted + (record[3] > 0)
             accepted_i += accepted
-            counts, spans = intermediate, event.processed
-        elif kind is TargetVerify:
-            accepted = len(event.accepted)
-            presented += event.presented
-            checked_t += accepted + event.mismatch
+            counts, spans = intermediate, record[4]
+        else:  # TargetVerify: accepted, bonus, presented, flushed, mismatch, reason, processed
+            presented += record[3]
+            checked_t += accepted + record[5]
             accepted_t += accepted
-            flushed += event.flushed
-            counts, spans = target, event.processed
-        else:  # the closing None
-            counts, spans = target, trace.finalize_processed
+            flushed += record[4]
+            counts, spans = target, record[7]
         for level, (a, b) in enumerate(spans):
             if b > a:
                 widths = counts[level]
                 widths[b - a] = widths.get(b - a, 0) + 1
+    for level, (a, b) in enumerate(trace.finalize_processed):
+        if b > a:
+            widths = target[level]
+            widths[b - a] = widths.get(b - a, 0) + 1
     if len(levels) == 1:  # vanilla: no verifier was shown the draft
         drafted = 0
     stats = DecodeStats(drafted, checked_i, accepted_i, presented, checked_t, accepted_t, flushed)

@@ -7,6 +7,7 @@ import pytest
 
 from specdec import ModelConfig, SyntheticBackend, SyntheticModelSpec, ToyTransformer
 from specdec.costs import PhaseCost
+from specdec.engine import Commit, DraftStep, IntermediateVerify, TargetVerify
 from specdec.synthetic import (
     _GOLDEN,
     _MASK64,
@@ -167,3 +168,91 @@ def decode_record(result, boundaries=()) -> str:
         "boundaries": list(boundaries),
     }
     return json.dumps(payload, sort_keys=True)
+
+
+def unspanned(event):
+    """An event's class and its fields but `processed`, in field order."""
+    names = [f.name for f in dataclasses.fields(event) if f.name != "processed"]
+    return (type(event), *(getattr(event, name) for name in names))
+
+
+def reference_decode(backend, prompt, exits, bursts, max_new_tokens, eos=None):
+    """The committed tokens and the trace events, each as `unspanned` gives
+    it, of a decode on a SyntheticBackend, from the round algorithm of
+    `engine.py`'s module docstring run over a plain token list.
+
+    Every prediction is `predict_token`'s, of the context before the
+    position; nothing is kept between predictions, so no state, prune or
+    span takes part. No level grows the context past `max_seq_len`: a
+    draft stops there, and a screening level there adds no token.
+    """
+    context, events, top = list(prompt), [], len(exits) - 1
+
+    def draft(n):
+        start, tokens = len(context), []
+        while len(tokens) < n and len(context) < backend.max_seq_len:
+            tokens.append(predict_token(backend, exits[0], context))
+            context.append(tokens[-1])
+            if tokens[-1] == eos:
+                break
+        events.append((DraftStep, start, tuple(tokens)))
+        return tokens
+
+    def verify(level, offered):
+        """The prefix of `offered`, the newest tokens of the context, that
+        the level's exit agrees with, its own token and whether it disagreed;
+        a disagreement cuts the rest from the context."""
+        start = len(context) - len(offered)
+        for j, token in enumerate(offered):
+            own = predict_token(backend, exits[level], context[: start + j])
+            if own != token:
+                del context[start + j :]
+                return offered[:j], own, True
+        own = predict_token(backend, exits[level], context) if level < top else None
+        return list(offered), own, False
+
+    def gather(level, room):
+        if level == 0:
+            return draft(bursts[0]), "round"
+        gathered = []
+        while len(gathered) < bursts[level] and eos not in gathered and len(gathered) < room:
+            offered, _ = gather(level - 1, room - len(gathered))
+            accepted, bonus, _ = verify(level, offered)
+            gathered += accepted
+            if len(context) < backend.max_seq_len:
+                context.append(bonus)
+                gathered.append(bonus)
+            else:
+                bonus = None
+            rejected = len(offered) - len(accepted)
+            events.append((IntermediateVerify, tuple(accepted), bonus, rejected))
+        if len(gathered) >= bursts[level]:
+            return gathered, "window"
+        return gathered, "eos" if eos in gathered else "budget"
+
+    if top == 0:  # vanilla: one draft as long as the budget, committed unverified
+        committed = draft(max_new_tokens)
+        events.append((Commit, tuple(committed)))
+        return committed, events
+    committed, room = [], max_new_tokens
+    while room > 0:
+        tentative, reason = gather(top - 1, room)
+        accepted, bonus, mismatch = verify(top, tentative)
+        kept = accepted[:room]
+        if eos in kept:
+            kept = kept[: kept.index(eos) + 1]
+        flushed = len(tentative) - len(kept)
+        if mismatch and eos not in kept and len(kept) < room:
+            kept.append(bonus)
+        else:
+            bonus = None
+        events.append(
+            (TargetVerify, tuple(accepted), bonus, len(tentative), flushed, mismatch, reason)
+        )
+        events.append((Commit, tuple(kept)))
+        committed += kept
+        context[len(prompt) :] = committed
+        room -= len(kept)
+        if eos in kept:
+            break
+    return committed, events

@@ -13,6 +13,7 @@ from specdec import (
     TokenDistribution,
     consistency_check,
     default_layer_placement,
+    replay_ledger,
     speculative_decode,
     vanilla_decode,
 )
@@ -188,6 +189,32 @@ class TestTraceEvents:
         for name in fields:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(event, name, None)
+
+    def test_a_decode_builds_no_event_until_read(self, oracle_backend, monkeypatch):
+        built = []
+
+        def counting(init):
+            def counted_init(self, *args):
+                built.append(type(self))
+                init(self, *args)
+
+            return counted_init
+
+        classes = (DraftStep, IntermediateVerify, TargetVerify, Commit)
+        for cls in classes:
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+        prompt, exits = [4, 9, 2, 2], (2, 4, 8)
+        result = speculative_decode(oracle_backend, prompt, exits, DEFAULT_BURSTS, 24)
+        replay_ledger(result.trace, len(prompt), exits)
+        assert built == []
+        trace = result.trace
+        events = trace.events
+        assert len(built) == len(trace.records)
+        assert {type(event) for event in events} == set(classes)
+        assert events == [record[0](*record[1:]) for record in trace.records]
+        # The view is fresh on each read: changing it leaves the records be.
+        events.clear()
+        assert len(trace.events) == len(trace.records) > 0
 
 
 class TestGenerateNext:

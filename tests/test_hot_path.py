@@ -11,12 +11,15 @@ placement (10, 20) with bursts (2, 4), 50 prompts of 4-12 tokens
 window cache an unprofiled pass has warmed. Each count must stay at or
 below its budget.
 
-The counts per committed token were 6.53 (vanilla), 22.71 (selfspec) and
-40.64 (hierarchical) when the budgets were set, once the ledger became a
-pass histogram. An earlier rule counted by the code's file name, which
-misses generated `__init__`s; it read 6.58, 20.61 and 37.81 against
-budgets of 7, 22 and 40, down from 10.64, 36.62 and 68.42 before the
-per-session level table and the live fill list.
+The counts per committed token were 6.48 (vanilla), 20.50 (selfspec) and
+37.68 (hierarchical) when the budgets were last set, once a decode
+recorded its trace events as tuples and built no event object. Before
+that they read 6.52, 22.68 and 40.59 against budgets of 7, 24 and 43, set
+at 6.53, 22.71 and 40.64 once the ledger became a pass histogram. An
+earlier rule counted by the code's file name, which misses generated
+`__init__`s; it read 6.58, 20.61 and 37.81 against budgets of 7, 22 and
+40, down from 10.64, 36.62 and 68.42 before the per-session level table
+and the live fill list.
 
 On the toy transformer the same gate also counts "c_call" events made
 from `specdec` frames, for vanilla and hierarchical decodes of a 16-layer,
@@ -28,11 +31,13 @@ is a lower bound on numpy dispatches. Nor does an operator or ufunc on a
 numpy scalar, while `math.sqrt` does: a norm written with it would add
 one C call per norm, 33 per vanilla token.
 
-Python / C calls per token read 94.66 / 163.94 (vanilla) and 350.35 /
-658.51 (hierarchical) when the budgets were set, once a one-position norm
-ran on numpy float64 scalars and one token was embedded by row. Before
-that the budgets were 100 / 177 and 372 / 730, over counts of 94.66 /
-166.94 and 350.35 / 688.06. Before a one-position pass ran on a (d,)
+Python / C calls per token read 94.56 / 163.97 (vanilla) and 342.51 /
+655.46 (hierarchical) when the hierarchical Python budget was lowered
+from 372 to 363, once trace events were recorded as tuples; it read
+350.26 before. The other budgets were set at 94.66 / 163.94 and 350.35 /
+658.51, once a one-position norm ran on numpy float64 scalars and one
+token was embedded by row. Before that the budgets were 100 / 177 and
+372 / 730, over counts of 94.66 / 166.94 and 350.35 / 688.06. Before a one-position pass ran on a (d,)
 vector and skipped the span machinery, the counts were 159.62 / 277.31
 and 491.16 / 867.28.
 
@@ -53,14 +58,14 @@ from specdec import (
 )
 from specdec.prompts import random_prompts
 
-BUDGETS = {"vanilla": 7.0, "selfspec": 24.0, "hierarchical": 43.0}
+BUDGETS = {"vanilla": 7.0, "selfspec": 22.0, "hierarchical": 40.0}
 SHAPES = {
     "vanilla": ((80,), ()),
     "selfspec": ((10, 80), (2,)),
     "hierarchical": ((10, 20, 80), (2, 4)),
 }
 # (Python calls, C calls) per committed token on the toy transformer.
-TOY_BUDGETS = {"vanilla": (100.0, 174.0), "hierarchical": (372.0, 698.0)}
+TOY_BUDGETS = {"vanilla": (100.0, 174.0), "hierarchical": (363.0, 698.0)}
 TOY_SHAPES = {"vanilla": ((16,), ()), "hierarchical": ((2, 4, 16), (2, 4))}
 
 

@@ -9,9 +9,12 @@ trace sums to the forward passes a counting backend saw, every live
 (layer, position) entry was computed exactly once at every verification
 boundary and at the end, the trace-derived acceptance counts never
 exceed what was checked, and the tallied ledger equals a per-pass replay
-of the same trace, phase by phase. Each trace example draws events and
-finalize spans of a 2-, 3- or 4-exit session directly and checks that
-same equality. Each toy example draws a small random-weight
+of the same trace, phase by phase. Each trace example draws the event
+records and finalize spans of a 2-, 3- or 4-exit session directly and
+checks that same equality. The synthetic examples also check the tokens
+and every event field but the processed spans against `reference_decode`,
+which recomputes each exit's prediction from the context alone and keeps
+no state. Each toy example draws a small random-weight
 transformer and checks, at every verification boundary of a hierarchical
 and a 4-exit decode, that a recompute from scratch matches the live
 state exactly, and that the ledger of every decode, vanilla included,
@@ -42,7 +45,9 @@ from conftest import (
     counted,
     equals_snapshot,
     live_counts_are_one,
+    reference_decode,
     snapshot,
+    unspanned,
 )
 
 
@@ -183,6 +188,17 @@ def test_speculative_decodes_keep_engine_invariants(case):
                 assert event.reason in ("round", "window", "eos", "budget")
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(decode_cases())
+def test_events_match_a_stateless_reference(case):
+    backend, prompt, budget, eos, shapes = case
+    for exits, bursts in shapes:
+        result = speculative_decode(backend, prompt, exits, bursts, budget, eos)
+        tokens, events = reference_decode(backend, prompt, exits, bursts, budget, eos)
+        assert result.tokens == tokens
+        assert [unspanned(event) for event in result.trace.events] == events
+
+
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(toy_cases())
 def test_toy_boundaries_recompute_exactly(case):
@@ -225,21 +241,21 @@ def traces(draw):
     def spans(levels):
         return st.lists(span, min_size=levels, max_size=levels).map(tuple)
 
-    event = st.one_of(
-        span.map(lambda processed: DraftStep(processed[0], (), processed)),
+    record = st.one_of(
+        span.map(lambda processed: (DraftStep, processed[0], (), processed)),
         st.integers(2, len(exits)).flatmap(spans).map(
-            lambda processed: IntermediateVerify((), None, 0, processed)
+            lambda processed: (IntermediateVerify, (), None, 0, processed)
         ),
         spans(len(exits)).map(
-            lambda processed: TargetVerify((), None, 0, 0, False, "round", processed)
+            lambda processed: (TargetVerify, (), None, 0, 0, False, "round", processed)
         ),
-        st.just(Commit(())),
+        st.just((Commit, ())),
     )
     finalize = st.lists(
         span.filter(lambda s: s[1] > s[0]), min_size=1, max_size=len(exits)
     ).map(tuple)
-    events = draw(st.lists(event, max_size=25))
-    trace = DecodeTrace(events=events, finalize_processed=draw(finalize))
+    records = draw(st.lists(record, max_size=25))
+    trace = DecodeTrace(records=records, finalize_processed=draw(finalize))
     return trace, draw(st.integers(1, 40)), exits
 
 
