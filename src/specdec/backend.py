@@ -1,15 +1,16 @@
 """Common backend interface for decode strategies.
 
 A backend is anything that can run layer ranges over a LayeredState and
-expose next-token distributions at arbitrary exit layers. Two
+answer, at arbitrary exit layers, with its greedy next token. Two
 implementations exist: the toy transformer (real tensors) and the
 synthetic layered oracle (closed form, bookkeeping only). Both are
 immutable after construction and safe to share across decode sessions;
 all per-session mutation lives in the LayeredState.
 
-The toy transformer's distributions carry real logits. The synthetic
-oracle's are one-hot (`TokenDistribution.one_hot`): they hold only the
-token, and their logits array is made only when read.
+The toy transformer answers with a `TokenDistribution` over real
+logits. The synthetic oracle answers with the int token, which stands
+exactly for its one-hot distribution, so a synthetic exit query builds
+no object.
 """
 from __future__ import annotations
 
@@ -25,53 +26,29 @@ class TokenDistribution:
 
     `position` is the context position whose exit hidden state produced
     the logits, i.e. the distribution predicts the token at position + 1.
-    `degenerate` marks one-hot oracle distributions. The engine does not
-    read it: verification is greedy top-1 only. It and the four-argument
-    constructor stay because the benchmark's token-flipping proxy
-    (perfbench/test_smoke.py) rebuilds distributions through them; they
-    can go once ROADMAP item 7 moves perfbench onto the current API.
+    The toy transformer's exits answer with one; the engine reads only its
+    `argmax`, as verification is greedy top-1 only. `degenerate` marks a
+    one-hot distribution, and the engine does not read it either. It and
+    the four-argument constructor stay because the benchmark's
+    token-flipping proxy (perfbench/test_smoke.py) rebuilds the toy's
+    distributions through them; the class can go once ROADMAP item 7
+    moves perfbench onto the current API and the toy answers with tokens.
 
-    A distribution made by `one_hot` holds only its token: `argmax`
-    returns it, and the full-vocab `logits` array is built on first read,
-    so a greedy decode that only takes argmaxes never allocates one.
-    The fields are read-only; a toy builds one only in `exit_distribution`.
+    The fields are read-only.
     """
 
-    __slots__ = ("_logits", "_token", "_vocab_size", "_position", "_source_layer", "_degenerate")
+    __slots__ = ("_logits", "_position", "_source_layer", "_degenerate")
 
     def __init__(
         self, logits: np.ndarray, position: int, source_layer: int, degenerate: bool = False
     ) -> None:
         self._logits = logits
-        self._token = None
-        self._vocab_size = len(logits)
         self._position = position
         self._source_layer = source_layer
         self._degenerate = degenerate
 
-    @classmethod
-    def one_hot(
-        cls, token: int, vocab_size: int, position: int, source_layer: int
-    ) -> TokenDistribution:
-        """The degenerate distribution with logit 1.0 at `token` and 0.0 elsewhere.
-
-        `token` must lie in [0, vocab_size).
-        """
-        dist = cls.__new__(cls)
-        dist._logits = None
-        dist._token = token
-        dist._vocab_size = vocab_size
-        dist._position = position
-        dist._source_layer = source_layer
-        dist._degenerate = True
-        return dist
-
     @property
     def logits(self) -> np.ndarray:
-        if self._logits is None:
-            logits = np.zeros(self._vocab_size)
-            logits[self._token] = 1.0
-            self._logits = logits
         return self._logits
 
     @property
@@ -87,8 +64,6 @@ class TokenDistribution:
         return self._degenerate
 
     def argmax(self) -> int:
-        if self._token is not None:
-            return self._token
         # The first maximum: ties break to the lowest id.
         return int(self._logits.argmax())
 
@@ -111,7 +86,11 @@ class Backend(Protocol):
     ):
         ...
 
-    def exit_distribution(self, state: LayeredState, layer: int, position: int) -> TokenDistribution:
+    def exit_distribution(
+        self, state: LayeredState, layer: int, position: int
+    ) -> int | TokenDistribution:
+        """The greedy token of `layer` for the position after `position`:
+        the token itself, or a `TokenDistribution` whose argmax is that token."""
         ...
 
     def reference_state(self, tokens: Sequence[int], fills: Sequence[int], buffered_layers: Sequence[int]) -> LayeredState:

@@ -4,8 +4,9 @@ exit and speculation through any number of verifying exits.
 A `DecodeSession` owns one decode's layered state and trace.
 Its exits split the layer stack into levels; lower levels run ahead of
 higher ones, and verification prunes rejected positions before the next
-phase. It binds each level's (lo, hi) layer range and the state's live
-fill list once, so each pass reads them rather than re-deriving them.
+phase. It binds each level's (lo, hi) layer range, and in its prefill,
+once the prompt is checked, makes the state and binds its live fill list,
+so each pass reads them rather than re-deriving them.
 
 Every strategy is `speculative_decode` over its exits, and every decode
 takes the same four steps: it checks the budget and the capacity and
@@ -38,6 +39,10 @@ ledger's histogram of passes, prefill included, which `CostLedger` prices
 on read; no cost is kept by hand. A decode records each event as a
 positional tuple and builds no event object; `DecodeTrace.events` builds
 the typed events from the tuples when it is read.
+
+An exit answers with its greedy token: the toy transformer's comes as a
+`TokenDistribution`, the synthetic oracle's as the token itself. Each of
+the three exit queries reads `argmax` inline, only of a `TokenDistribution`.
 """
 from __future__ import annotations
 
@@ -46,7 +51,7 @@ from collections import Counter
 from dataclasses import astuple, dataclass, field
 from typing import Sequence
 
-from .backend import Backend
+from .backend import Backend, TokenDistribution
 from .costs import CostLedger
 from .errors import CapacityError, ConfigError
 from .state import LayeredState, as_token
@@ -178,7 +183,7 @@ class DecodeSession:
 
     `exits` are the exit layers splitting the stack into levels, e.g.
     (draft, intermediate, full). Level i covers layers exits[i-1]+1 to
-    exits[i]; level 0 starts at layer 1.
+    exits[i]; level 0 starts at layer 1. `prefill` makes the state.
     """
 
     def __init__(
@@ -198,12 +203,8 @@ class DecodeSession:
         self.backend = backend
         self.exits = exits
         self.eos_token = eos_token
-        self.state = backend.new_state(buffered_layers=exits)
         self.trace = DecodeTrace()
-        # Bound once: each level's (lo, hi) layer range, and the state's
-        # live fill list, which only the state writes (in place).
         self._levels = _level_ranges(exits)
-        self._fills = self.state.live_fills
 
     # -- level plumbing ----------------------------------------------
 
@@ -225,9 +226,12 @@ class DecodeSession:
 
     def prefill(self, prompt: Sequence[int]) -> None:
         _check_prompt(self.backend, prompt)
-        self.state.set_tokens(prompt)
-        self.backend.forward_range(self.state, 1, self.exits[-1], 0, len(prompt))
-        self.state.mark_committed(len(prompt))
+        self.state = state = self.backend.new_state(buffered_layers=self.exits)
+        # The state's live fill list, which only the state writes (in place).
+        self._fills = state.live_fills
+        state.set_tokens(prompt)
+        self.backend.forward_range(state, 1, self.exits[-1], 0, len(prompt))
+        state.mark_committed(len(prompt))
 
     def generate_next(self, n: int) -> tuple[list[int], Span]:
         """Emit up to n greedy tokens at the lowest exit, extending its layers.
@@ -249,7 +253,9 @@ class DecodeSession:
             if fill <= pos:
                 forward_range(state, lo, hi, fill, pos + 1)
                 fill = pos + 1
-            token = exit_distribution(state, hi, pos).argmax()
+            token = exit_distribution(state, hi, pos)
+            if isinstance(token, TokenDistribution):
+                token = token.argmax()
             state.append_token(token)
             emitted.append(token)
             if token == eos:  # None never equals a token
@@ -281,7 +287,9 @@ class DecodeSession:
         spans = self._ensure_through(level, upto)
         accepted: list[int] = []
         for j, token in enumerate(draft_tokens):
-            top = exit_distribution(state, exit_layer, draft_start + j - 1).argmax()
+            top = exit_distribution(state, exit_layer, draft_start + j - 1)
+            if isinstance(top, TokenDistribution):
+                top = top.argmax()
             if token == top:
                 accepted.append(token)
                 continue
@@ -289,7 +297,9 @@ class DecodeSession:
             return accepted, top, True, spans
         bonus = None
         if level < len(self.exits) - 1:
-            bonus = exit_distribution(state, exit_layer, upto - 1).argmax()
+            bonus = exit_distribution(state, exit_layer, upto - 1)
+            if isinstance(bonus, TokenDistribution):
+                bonus = bonus.argmax()
         return accepted, bonus, False, spans
 
     def finalize(self) -> None:
@@ -395,7 +405,6 @@ def speculative_decode(
             f"prompt of {len(prompt)} plus {max_new_tokens} new tokens exceeds "
             f"max_seq_len {backend.max_seq_len}"
         )
-    _check_prompt(backend, prompt)
     session = DecodeSession(backend, exits, eos_token=eos_token)
     session.prefill(prompt)
     if len(exits) == 1:  # vanilla: one burst as long as the budget, committed unverified
@@ -500,6 +509,11 @@ def _walk(
     each non-empty verify or finalize span at its level; finalize's passes
     count as target_verify. Verify passes are tallied by width and keyed
     once, after the walk; `drafted` sums every DraftStep (see `DecodeStats`).
+
+    `finalize_processed` keeps only non-empty spans, read as levels 0, 1,
+    ...: finalize runs every level or none, as the last verification (or
+    vanilla's draft) ran every level to the context's end, so the prune
+    leaves all at the committed end, or all short of the top exit's bonus.
     """
     tokens: list[int] = []
     drafted = checked_i = accepted_i = presented = checked_t = accepted_t = flushed = 0

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .backend import TokenDistribution
 from .errors import AlignmentError, ConfigError
 from .state import LayeredState
 
@@ -164,9 +163,10 @@ class SyntheticBackend:
 
     KV plumbing is simulated: layer ranges advance the state's fills so
     the cache protocol is exercised structurally, but no tensors are
-    stored. Predictions read the recorded token sequence. Exit
-    distributions are one-hot (`TokenDistribution.one_hot`), so their
-    full-vocab logits array is made only when read.
+    stored. Predictions read the recorded token sequence. An exit
+    answers with its int token, which stands exactly for a one-hot
+    distribution, so a query builds no object. The method keeps the
+    protocol's name, `exit_distribution`, until ROADMAP item 13 renames it.
 
     The per-layer alpha table and the seed's hash are built once here. A
     layer with alpha 1.0 is stored as infinity, so that it agrees with
@@ -218,9 +218,9 @@ class SyntheticBackend:
     ) -> None:
         state.advance(start_layer, end_layer, start_pos, end_pos)
 
-    def exit_distribution(self, state: LayeredState, layer: int, position: int) -> TokenDistribution:
-        """The one-hot prediction of `layer` for the token after `position`,
-        from the trailing `context_window` tokens through `position`."""
+    def exit_distribution(self, state: LayeredState, layer: int, position: int) -> int:
+        """The token `layer` predicts after `position`, from the trailing
+        `context_window` tokens through `position`."""
         if not 1 <= layer <= self.n_layers:
             raise AlignmentError(f"no exit at layer {layer}: layers are 1..{self.n_layers}")
         # The layer is checked, so its fill is read unchecked, once.
@@ -232,8 +232,7 @@ class SyntheticBackend:
         if drawn is None:
             drawn = self._draw(window)
         truth, agree_draw, decoy = drawn
-        token = truth if agree_draw < self._alpha[layer] else decoy
-        return TokenDistribution.one_hot(token, self.vocab_size, position, layer)
+        return truth if agree_draw < self._alpha[layer] else decoy
 
     def _draw(self, window: tuple[int, ...]) -> tuple[int, float, int]:
         """Hash a window missing from the cache into its (truth, draw, decoy)

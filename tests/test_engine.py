@@ -17,6 +17,7 @@ from specdec import (
     speculative_decode,
     vanilla_decode,
 )
+from specdec import engine
 from specdec.engine import DEFAULT_BURSTS, Commit, DraftStep, IntermediateVerify, TargetVerify
 from specdec.synthetic import uniform_profile
 
@@ -39,6 +40,20 @@ def profile_backend(profile, n_layers=8, vocab=32, seed=7, max_seq_len=512):
             max_seq_len=max_seq_len,
         )
     )
+
+
+class StateCounting:
+    """Forwards every attribute to `backend` and counts its `new_state` calls."""
+
+    def __init__(self, backend):
+        self.backend, self.states = backend, 0
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def new_state(self, buffered_layers=()):
+        self.states += 1
+        return self.backend.new_state(buffered_layers)
 
 
 class TestTopPredictions:
@@ -109,23 +124,25 @@ class TestDefaults:
     def test_bad_input_is_rejected_before_a_state_is_allocated(
         self, oracle_backend, prompt, exits, bursts, budget, eos, error, message
     ):
-        class StateCounting:
-            def __init__(self, backend):
-                self.backend, self.states = backend, 0
-
-            def __getattr__(self, name):
-                return getattr(self.backend, name)
-
-            def new_state(self, buffered_layers=()):
-                self.states += 1
-                return self.backend.new_state(buffered_layers)
-
         backend = StateCounting(oracle_backend)
         with pytest.raises(error, match=re.escape(message)):
             speculative_decode(backend, prompt, exits, bursts, budget, eos)
         assert backend.states == 0
         speculative_decode(backend, [1, 2, 3], (2, 4, 8), DEFAULT_BURSTS, 8)
         assert backend.states == 1
+
+    @pytest.mark.parametrize("exits, bursts", [((8,), ()), (H, B)], ids=["vanilla", "hierarchical"])
+    def test_a_decode_checks_its_prompt_once(self, oracle_backend, monkeypatch, exits, bursts):
+        checked = []
+        check = engine._check_prompt
+
+        def counting(backend, prompt):
+            checked.append(list(prompt))
+            check(backend, prompt)
+
+        monkeypatch.setattr(engine, "_check_prompt", counting)
+        speculative_decode(oracle_backend, [1, 2, 3], exits, bursts, 8)
+        assert checked == [[1, 2, 3]]
 
     @pytest.mark.parametrize(
         "token, rejected",
@@ -338,10 +355,12 @@ class TestVanilla:
             vanilla_decode(toy_backend, [1] * 100, 100)
 
     def test_prefill_beyond_max_seq_len_is_rejected(self):
-        session = DecodeSession(all_agree_backend(max_seq_len=4), exits=(8,))
+        backend = StateCounting(all_agree_backend(max_seq_len=4))
+        session = DecodeSession(backend, exits=(8,))
         with pytest.raises(CapacityError, match="^prompt exceeds max_seq_len$"):
             session.prefill([1, 2, 3, 4, 5])
-        assert session.state.tokens == [] and session.state.fills() == (0,) * 8
+        # The prompt is checked before the session makes its state.
+        assert backend.states == 0 and not hasattr(session, "state")
 
     def test_exit_below_layer_one_is_a_config_error(self, oracle_backend):
         with pytest.raises(ConfigError, match="exits"):

@@ -186,6 +186,10 @@ def test_speculative_decodes_keep_engine_invariants(case):
             if type(event) is TargetVerify:
                 assert 1 <= event.presented <= sum(bursts)
                 assert event.reason in ("round", "window", "eos", "budget")
+        # `_walk` reads finalize's spans as levels 0, 1, ...: that holds
+        # because finalize runs every level or none, and keeps no empty span.
+        spans = result.trace.finalize_processed
+        assert len(spans) in (0, len(session_exits)) and all(b > a for a, b in spans)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

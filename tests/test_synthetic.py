@@ -66,12 +66,12 @@ class TestSpecValidation:
 
 def exit_tokens(backend, context):
     """What every exit of `backend` predicts after `context`, layer 1 first,
-    read through `exit_distribution` on a state filled over `context`."""
+    the tokens `exit_distribution` answers on a state filled over `context`."""
     state = backend.new_state()
     state.set_tokens(context)
     backend.forward_range(state, 1, backend.n_layers, 0, len(context))
     return [
-        backend.exit_distribution(state, layer, len(context) - 1).argmax()
+        backend.exit_distribution(state, layer, len(context) - 1)
         for layer in range(1, backend.n_layers + 1)
     ]
 
@@ -110,7 +110,7 @@ class TestPredictions:
         state.set_tokens([1, 2, 3])
         backend.forward_range(state, 1, n_layers, 0, 3)
         backend._window_cache[(1, 2, 3)] = (5, 1.0, 6)
-        tokens = [backend.exit_distribution(state, l, 2).argmax() for l in range(1, n_layers + 1)]
+        tokens = [backend.exit_distribution(state, l, 2) for l in range(1, n_layers + 1)]
         assert tokens == [5 if alpha == 1.0 else 6] * (n_layers - 1) + [5]
 
     def test_monte_carlo_agreement_tracks_profile(self):
@@ -140,7 +140,7 @@ class TestPredictions:
             backend.forward_range(state, 1, backend.n_layers, 0, size)
             for _ in range(2):
                 for layer in range(1, backend.n_layers + 1):
-                    got = [backend.exit_distribution(state, layer, p).argmax() for p in range(size)]
+                    got = [backend.exit_distribution(state, layer, p) for p in range(size)]
                     want = [predict_token(backend, layer, ctx[: p + 1]) for p in range(size)]
                     assert got == want
 
@@ -162,7 +162,7 @@ class TestPredictions:
             for layer in range(1, 9):
                 for p in range(size):
                     cold = SyntheticBackend(spec)
-                    got = cold.exit_distribution(state, layer, p).argmax()
+                    got = cold.exit_distribution(state, layer, p)
                     assert got == predict_token(cold, layer, ctx[: p + 1])
                     assert len(cold._window_cache) == 1
 
@@ -173,7 +173,8 @@ class TestPredictions:
         backend.forward_range(state, 1, 8, 0, 4)
         direct = predict_token(backend, 3, [4, 5, 6, 7])
         via_state = backend.exit_distribution(state, 3, 3)
-        assert direct == via_state.argmax()
+        # The answer is the token itself, a plain int.
+        assert type(via_state) is int and via_state == direct
 
     def test_negative_exit_position_is_alignment_error(self):
         # Position -1 would predict from an empty context window.
@@ -241,8 +242,9 @@ class TestExitQueryFill:
 
 
 class FlipFullDepthToken:
-    """Backend proxy that rebuilds every full-depth exit distribution as an
-    array from its logits, and at one position puts another token on top."""
+    """Backend proxy that answers every full-depth exit query with a one-hot
+    distribution built from the token, and at one position puts another
+    token on top."""
 
     def __init__(self, backend, position):
         self._backend = backend
@@ -252,54 +254,41 @@ class FlipFullDepthToken:
         return getattr(self._backend, name)
 
     def exit_distribution(self, state, layer, position):
-        dist = self._backend.exit_distribution(state, layer, position)
+        token = self._backend.exit_distribution(state, layer, position)
         if layer != self._backend.n_layers:
-            return dist
-        logits = dist.logits.copy()
+            return token
+        logits = np.zeros(self._backend.vocab_size)
+        logits[token] = 1.0
         if position == self._position:
-            logits[(dist.argmax() + 1) % len(logits)] = logits.max() + 1.0
-        return TokenDistribution(logits, dist.position, dist.source_layer, dist.degenerate)
+            logits[(token + 1) % len(logits)] = logits.max() + 1.0
+        return TokenDistribution(logits, position, layer, degenerate=True)
+
+
+class NumpyTokens:
+    """Backend proxy whose exits answer with the token as `np.int64`. A
+    numpy scalar has an `argmax()` too, which returns 0."""
+
+    def __init__(self, backend):
+        self._backend = backend
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+    def exit_distribution(self, state, layer, position):
+        return np.int64(self._backend.exit_distribution(state, layer, position))
 
 
 class TestOneHotDistribution:
-    @pytest.mark.parametrize("token, vocab_size", [(0, 4), (3, 4), (17, 256), (255, 256)])
-    def test_matches_the_array_form(self, token, vocab_size):
-        logits = np.zeros(vocab_size)
-        logits[token] = 1.0
-        lazy = TokenDistribution.one_hot(token, vocab_size, 5, 2)
-        eager = TokenDistribution(logits, 5, 2, degenerate=True)
-        assert lazy.argmax() == eager.argmax() == token
-        assert type(lazy.argmax()) is int
-        assert lazy.logits.dtype == eager.logits.dtype
-        assert lazy.logits.shape == eager.logits.shape
-        assert lazy.logits.tobytes() == eager.logits.tobytes()
-        assert lazy.degenerate is eager.degenerate is True
-        assert (lazy.position, lazy.source_layer) == (eager.position, eager.source_layer)
-
-    def test_argmax_builds_no_logits_array(self):
-        # An eager one-hot over 2**20 entries would allocate 8 MiB.
-        tracemalloc.start()
-        try:
-            dist = TokenDistribution.one_hot(7, 1 << 20, 0, 1)
-            token = dist.argmax()
-            _, before_read = tracemalloc.get_traced_memory()
-            assert dist.logits[7] == 1.0
-            _, after_read = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert token == 7
-        assert before_read < 64 * 1024 <= 8 * (1 << 20) <= after_read
-
     def test_fields_are_read_only(self):
-        dist = TokenDistribution.one_hot(1, 4, 0, 1)
+        dist = TokenDistribution(np.array([0.0, 1.0, 0.0, 0.0]), 0, 1, degenerate=True)
         for name, value in [("logits", np.zeros(4)), ("position", 1), ("degenerate", False)]:
             with pytest.raises(AttributeError):
                 setattr(dist, name, value)
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_logits_rewriting_proxy_sees_the_one_hot(self, oracle_backend, flip):
-        # The proxy reads .logits of the synthetic one-hots at full depth;
-        # unflipped it must change nothing, flipped the decode must differ.
+        # The proxy answers at full depth with one-hot logits built from the
+        # token; unflipped it must change nothing, flipped the decode must differ.
         prompt = [3, 1, 4, 1, 5]
         vanilla = vanilla_decode(oracle_backend, prompt, 12).tokens
         proxy = FlipFullDepthToken(oracle_backend, len(prompt) if flip else None)
@@ -310,6 +299,21 @@ class TestOneHotDistribution:
             # Position len(prompt) predicts the second generated token.
             assert result[0] == vanilla[0]
             assert result[1] == (vanilla[1] + 1) % oracle_backend.vocab_size
+
+
+class TestExitAnswers:
+    @pytest.mark.parametrize(
+        "exits, bursts", [((8,), ()), ((3, 8), (2,)), ((2, 4, 8), (2, 2)), ((1, 3, 5, 8), (1, 2, 3))]
+    )
+    def test_numpy_integer_answers_are_tokens(self, oracle_backend, exits, bursts):
+        # Only a TokenDistribution is read through argmax(): a numpy integer
+        # answer is the token, so the decode equals the plain backend's.
+        prompt = [3, 1, 4, 1, 5]
+        plain = speculative_decode(oracle_backend, prompt, exits, bursts, 24, eos_token=9)
+        numpy = speculative_decode(NumpyTokens(oracle_backend), prompt, exits, bursts, 24, eos_token=9)
+        assert numpy.tokens == plain.tokens
+        assert numpy.trace.records == plain.trace.records
+        assert numpy.trace.finalize_processed == plain.trace.finalize_processed
 
 
 class TestPresets:
