@@ -183,7 +183,9 @@ class DecodeSession:
 
     `exits` are the exit layers splitting the stack into levels, e.g.
     (draft, intermediate, full). Level i covers layers exits[i-1]+1 to
-    exits[i]; level 0 starts at layer 1. `prefill` makes the state.
+    exits[i]; level 0 starts at layer 1. `eos_token`, None or an integer,
+    ends a draft or a decode once emitted. The constructor checks the exits
+    and `eos_token` it stores; `prefill` checks the prompt and makes the state.
     """
 
     def __init__(
@@ -200,6 +202,8 @@ class DecodeSession:
             raise ConfigError("exits must be strictly increasing")
         if exits[0] < 1 or exits[-1] > backend.n_layers:
             raise ConfigError(f"exits {exits} outside the model's layers 1 to {backend.n_layers}")
+        if eos_token is not None and type(eos_token) is not int:
+            as_token(eos_token, "eos_token")
         self.backend = backend
         self.exits = exits
         self.eos_token = eos_token
@@ -386,8 +390,6 @@ def speculative_decode(
             as_token(burst, "burst")
     if type(max_new_tokens) is not int:
         as_token(max_new_tokens, "max_new_tokens")
-    if eos_token is not None and type(eos_token) is not int:
-        as_token(eos_token, "eos_token")
     if len(exits) > 1 and exits[-1] != backend.n_layers:
         raise ConfigError(f"exits {exits} must end at the full_layer {backend.n_layers}")
     if len(bursts) != len(exits) - 1 or min(bursts, default=1) < 1:

@@ -7,12 +7,13 @@ of fields, rules and defaults, and builds the backend's model spec, so an
 unknown key or a bad value is an error that names its field, and the
 builders downstream read only checked values. Each strategy entry gives
 only its own grid fields. Every report is such a grid: `sweep` runs the
-config's own, while `compare` runs a fixed one. A grid point
-is a strategy's exits and burst lengths; it decodes the whole corpus,
-aggregates its cost ledger, and becomes one result row. Vanilla
-full-depth decoding over the same corpus is always computed and serves
-as the throughput baseline. Rows are emitted in sorted parameter order
-so output bytes never depend on scheduling.
+config's own, while `compare` runs a fixed one. A grid point is the
+exits and burst lengths of one `speculative_decode` call, and its exit
+count names its strategy; it decodes the whole corpus, sums the tokens,
+cost ledgers and stats, and becomes one result row. Vanilla full-depth
+decoding over the same corpus is always computed and serves as the
+throughput baseline. Rows are emitted in sorted parameter order so
+output bytes never depend on scheduling.
 """
 from __future__ import annotations
 
@@ -101,15 +102,20 @@ SECTION_FIELDS = {
 
 @dataclass(frozen=True)
 class GridPoint:
-    """A strategy's exit layers, the last at full depth, and one burst
-    length per level below it; vanilla has one exit and no bursts."""
+    """The arguments of one `speculative_decode` call: exit layers, the last
+    at full depth, and one burst length per level below it. Vanilla has one
+    exit and no bursts."""
 
-    strategy: str
     exits: tuple[int, ...]
     bursts: tuple[int, ...]
 
+    @property
+    def strategy(self) -> str:
+        """The strategy of this many exits, in `STRATEGY_FIELDS` order."""
+        return list(STRATEGY_FIELDS)[len(self.exits) - 1]
+
     def sort_key(self) -> tuple:
-        return (list(STRATEGY_FIELDS).index(self.strategy), self.exits, self.bursts)
+        return (len(self.exits), self.exits, self.bursts)
 
 
 def config_int(value: Any, name: str, minimum: int | None = None) -> int:
@@ -340,7 +346,7 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
         for combo in itertools.product(*axes):
             exits = (*combo[:depth], n_layers)
             if all(lo < hi for lo, hi in zip((0, *exits), exits)):
-                points.add(GridPoint(name, exits, combo[depth:]))
+                points.add(GridPoint(exits, combo[depth:]))
                 used.update(enumerate(exits[:depth]))
             elif named and (name, exits) not in skipped:
                 skipped.add((name, exits))
@@ -366,34 +372,26 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
     return sorted(points, key=GridPoint.sort_key)
 
 
-@dataclass
-class PointAggregate:
-    """One grid point over the whole corpus: summed tokens, ledger and stats."""
-
-    point: GridPoint
-    tokens: int
-    ledger: CostLedger
-    stats: DecodeStats
-
-
 def run_point(
     backend_spec: ModelConfig | SyntheticModelSpec,
     prompts: Sequence[Sequence[int]],
     point: GridPoint,
     max_new_tokens: int,
     boundary_hook=None,
-) -> PointAggregate:
+) -> tuple[int, CostLedger, DecodeStats]:
+    """Decode every prompt at `point`; return the committed tokens, the
+    cost ledger and the stats, each summed over the corpus."""
     backend = _backend_cache(backend_spec)
-    aggregate = PointAggregate(point, 0, CostLedger(), DecodeStats())
+    tokens, ledger, stats = 0, CostLedger(), DecodeStats()
     for prompt in prompts:
         result = speculative_decode(
             backend, prompt, point.exits, point.bursts, max_new_tokens,
             boundary_hook=boundary_hook,
         )
-        aggregate.tokens += len(result.tokens)
-        aggregate.ledger.merge(result.ledger)
-        aggregate.stats += result.stats
-    return aggregate
+        tokens += len(result.tokens)
+        ledger.merge(result.ledger)
+        stats += result.stats
+    return tokens, ledger, stats
 
 
 _BACKENDS: dict[ModelConfig | SyntheticModelSpec, Any] = {}
@@ -406,68 +404,65 @@ def _backend_cache(spec: ModelConfig | SyntheticModelSpec):
     return _BACKENDS[spec]
 
 
-def _worker(payload: tuple) -> PointAggregate:
-    return run_point(*payload)
-
-
-def _check_worker(payload: tuple) -> tuple[int, float]:
+def _check_worker(backend_spec, prompts, point, max_new_tokens) -> tuple[int, float]:
     """Run one grid point with consistency_check at every top-exit
     verification; return the boundaries checked and the worst discrepancy."""
-    backend = _backend_cache(payload[0])
+    backend = _backend_cache(backend_spec)
     worst: list[float] = []  # one entry per boundary
 
     def hook(session) -> None:
         reports = consistency_check(session.state, backend, session.state.tokens)
         worst.append(max(report.max_abs_discrepancy for report in reports))
 
-    run_point(*payload, boundary_hook=hook)
+    run_point(backend_spec, prompts, point, max_new_tokens, boundary_hook=hook)
     return len(worst), max(worst, default=0.0)
 
 
 def _map_points(
     worker, config: ExperimentConfig, prompts: list, points: Sequence[GridPoint], jobs: int
 ) -> list:
-    """`worker` over each point's payload, in point order, in up to `jobs` processes."""
-    payloads = [(config.backend, prompts, point, config.max_new_tokens) for point in points]
-    if jobs > 1 and len(payloads) > 1:
+    """`worker(backend spec, prompts, point, max_new_tokens)` of each point,
+    in point order, in up to `jobs` processes."""
+    repeat = itertools.repeat  # every point shares the other three arguments
+    args = (repeat(config.backend), repeat(prompts), points, repeat(config.max_new_tokens))
+    if jobs > 1 and len(points) > 1:
         # Imported here: its multiprocessing imports cost every import of specdec ~14 ms.
         from concurrent.futures import ProcessPoolExecutor
 
         # Under fork a pool starts all its workers at once: no more than there are points.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            return list(pool.map(worker, payloads, chunksize=1))
-    return [worker(p) for p in payloads]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
+            return list(pool.map(worker, *args, chunksize=1))
+    return list(map(worker, *args))
 
 
 def run_points(
     config: ExperimentConfig, points: Sequence[GridPoint], jobs: int = 1
 ) -> list[dict]:
-    """Execute grid points and assemble sorted result rows."""
+    """Run each grid point over the corpus and return the result rows in
+    sorted point order."""
     prompts = _corpus(config)
-    by_point = {agg.point: agg for agg in _map_points(_worker, config, prompts, points, jobs)}
-    baseline = by_point[GridPoint("vanilla", (config.backend.n_layers,), ())]
-    return [
-        _row_from_aggregate(by_point[point], baseline, len(prompts))
-        for point in sorted(points, key=GridPoint.sort_key)
-    ]
+    points = sorted(points, key=GridPoint.sort_key)
+    sums = _map_points(run_point, config, prompts, points, jobs)
+    baseline = sums[points.index(GridPoint((config.backend.n_layers,), ()))]
+    return [_row(point, sum_, baseline, len(prompts)) for point, sum_ in zip(points, sums)]
 
 
-def _row_from_aggregate(agg: PointAggregate, baseline: PointAggregate, n_prompts: int) -> dict:
-    point = agg.point
-    rel = relative_throughput(agg.tokens, agg.ledger, baseline.tokens, baseline.ledger)
+def _row(point: GridPoint, sums: tuple, baseline: tuple, n_prompts: int) -> dict:
+    """The result row of a point from its and the baseline's `run_point` sums."""
+    tokens, ledger, stats = sums
     fields = dict(zip(STRATEGY_FIELDS[point.strategy], point.exits[:-1] + point.bursts))
     return {
         "strategy": point.strategy,
         **{column: fields.get(field) for field, column in FIELD_COLUMNS.items()},
         "L_f": point.exits[-1],
         "prompts": n_prompts,
-        "committed_tokens": agg.tokens,
-        "seq_units": agg.ledger.sequential_units(),
-        "pos_layer_units": agg.ledger.position_layer_units(),
-        "acc_rate_intermediate": agg.stats.acceptance_rate_intermediate,
-        "acc_rate_target": agg.stats.acceptance_rate_target,
-        "flushed": agg.stats.flushed,
-        "rel_throughput": rel,
+        "committed_tokens": tokens,
+        "seq_units": ledger.sequential_units(),
+        "pos_layer_units": ledger.position_layer_units(),
+        "acc_rate_intermediate": stats.acceptance_rate_intermediate,
+        "acc_rate_target": stats.acceptance_rate_target,
+        "flushed": stats.flushed,
+        "rel_throughput": relative_throughput(tokens, ledger, *baseline[:2]),
     }
 
 
@@ -483,7 +478,7 @@ def run_check(config: ExperimentConfig, jobs: int = 1) -> tuple[int, int, int, f
     speculative grid point. Returns the boundaries checked, the prompts,
     the points and the worst discrepancy, which is 0.0 on a sound state."""
     n_layers = config.backend.n_layers
-    points = [p for p in expand_grid(config, n_layers) if p.strategy != "vanilla"]
+    points = [p for p in expand_grid(config, n_layers) if len(p.exits) > 1]
     if not points:
         raise ConfigError(f"strategies have no speculative point for {n_layers} layers")
     prompts = _corpus(config)

@@ -16,12 +16,13 @@ check the fill protocol before they change anything:
   the tokens there, and never a committed position.
 
 The fills are one plain list of Python ints, `live_fills` (layer l at
-index l-1). Only `advance` and `prune_all` write it, in place, so the
-decode engine binds it once per session and the synthetic exit query
-reads it unchecked; nothing else may mutate it. Because fills never
-increase with depth, `advance` checks a range's contiguity on its first
-and last fill alone, and `prune_all` finds the layers filled past
-`keep_len`, a prefix of the fills, by bisection.
+index l-1), and `fills()` copies them into a tuple. Only `advance` and
+`prune_all` write the list, in place, so the decode engine binds it once
+per session and the synthetic exit query reads it unchecked; nothing
+else may mutate it. Because fills never increase with depth, `advance`
+checks a range's contiguity on its first and last fill alone, and
+`prune_all` finds the layers filled past `keep_len`, a prefix of the
+fills, by bisection.
 
 A state with tensors keeps them all in one private anonymous `mmap` of
 shape (2·n_layers + len(buffered_layers), max_seq_len, d_model), float64:
@@ -102,7 +103,7 @@ class LayeredState:
     and clears nothing, and uses the fill bookkeeping alone.
     Single-session: never share one instance across concurrent decodes.
     `live_fills` is read-only outside `advance` and `prune_all`, which
-    update it in place; `filled(layer)` is its checked read. `tokens` is
+    update it in place; `fills()` is a tuple copy of it. `tokens` is
     read-only outside `set_tokens`, `append_token` and `prune_all`, which
     check every token they place.
     """
@@ -142,11 +143,6 @@ class LayeredState:
             self.hidden = dict(zip(self.buffered_layers, self._block[2 * n_layers :]))
 
     # -- bookkeeping -------------------------------------------------
-
-    def filled(self, layer: int) -> int:
-        if 0 < layer <= self.n_layers:
-            return self.live_fills[layer - 1]
-        raise AlignmentError(f"no layer {layer}: layers are 1..{self.n_layers}")
 
     def fills(self) -> tuple[int, ...]:
         return tuple(self.live_fills)

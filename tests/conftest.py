@@ -72,9 +72,9 @@ def random_prompt(rng: np.random.Generator, vocab_size: int, lo=2, hi=10) -> lis
 
 
 class CountingBackend:
-    """Forwards every attribute to `backend` and records each forward_range
-    call as (layers, positions): a count of the work done that does not
-    read the trace.
+    """Forwards every attribute to `backend`, records each forward_range
+    call as (layers, positions) and counts the exit_distribution calls per
+    layer in `queries`: counts of the work done that do not read the trace.
 
     It also counts how often each (state, layer, position) entry was
     computed, without reading anything the state keeps but its fills:
@@ -85,6 +85,7 @@ class CountingBackend:
     def __init__(self, backend):
         self.backend = backend
         self.passes: list[tuple[int, int]] = []
+        self.queries: Counter = Counter()
         # state -> per layer, the compute count of each position from 0
         self.computes: dict[object, list[list[int]]] = {}
 
@@ -102,6 +103,10 @@ class CountingBackend:
             for position in range(start_pos, end_pos):
                 counts[position] += 1
         return result
+
+    def exit_distribution(self, state, layer, position):
+        self.queries[layer] += 1
+        return self.backend.exit_distribution(state, layer, position)
 
 
 def live_counts_are_one(counter, state):

@@ -131,6 +131,12 @@ class TestDefaults:
         speculative_decode(backend, [1, 2, 3], (2, 4, 8), DEFAULT_BURSTS, 8)
         assert backend.states == 1
 
+    @pytest.mark.parametrize("eos", ["3", 1.5, True], ids=["str", "float", "bool"])
+    def test_a_session_rejects_a_non_integer_eos(self, oracle_backend, eos):
+        # A session that stored "3" would never meet it among the int tokens it emits.
+        with pytest.raises(ConfigError, match=re.escape(f"eos_token {eos!r} must be an integer")):
+            DecodeSession(oracle_backend, (2, 8), eos_token=eos)
+
     @pytest.mark.parametrize("exits, bursts", [((8,), ()), (H, B)], ids=["vanilla", "hierarchical"])
     def test_a_decode_checks_its_prompt_once(self, oracle_backend, monkeypatch, exits, bursts):
         checked = []
@@ -238,10 +244,10 @@ class TestGenerateNext:
     def test_advances_fill_by_n(self, oracle_backend):
         session = DecodeSession(oracle_backend, exits=(2, 4, 8))
         session.prefill([1, 2, 3])
-        before = session.state.filled(2)
+        before = session.state.fills()[1]
         tokens, _ = session.generate_next(2)
         assert len(tokens) == 2
-        assert session.state.filled(2) == before + 2
+        assert session.state.fills()[1] == before + 2
 
     def test_matches_closed_form_draft_oracle(self, oracle_backend):
         # Independent oracle: walk the closed-form argmax chain directly.
@@ -326,8 +332,8 @@ class TestLeadingSubstringVerify:
         if mismatch:
             keep = len(prompt) + len(accepted)
             assert len(session.state.tokens) == keep
-            assert session.state.filled(2) == keep
-            assert session.state.filled(4) == keep
+            assert session.state.fills()[1] == keep
+            assert session.state.fills()[3] == keep
 
 
 class TestVanilla:
@@ -361,6 +367,9 @@ class TestVanilla:
             session.prefill([1, 2, 3, 4, 5])
         # The prompt is checked before the session makes its state.
         assert backend.states == 0 and not hasattr(session, "state")
+        # A prompt of exactly max_seq_len tokens fits, and fills every layer.
+        session.prefill([1, 2, 3, 4])
+        assert session.state.committed_len == 4 and session.state.fills() == (4,) * 8
 
     def test_exit_below_layer_one_is_a_config_error(self, oracle_backend):
         with pytest.raises(ConfigError, match="exits"):
@@ -560,7 +569,7 @@ class TestHierarchical:
         def hook(session):
             state = session.state
             if len(reports_per_boundary) == 1:
-                position = state.filled(5) - 2
+                position = state.fills()[4] - 2
                 state.kv_v[4][position, 3] += 1e-3
                 corrupted.append((5, position))
             reports_per_boundary.append(consistency_check(state, toy_backend, state.tokens))

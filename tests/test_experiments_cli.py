@@ -438,8 +438,8 @@ class TestRunAndEmit:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, payloads, chunksize=1):
-                return map(fn, payloads)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         config = ExperimentConfig.from_dict(SMALL_CONFIG)
         want = run_compare(config, jobs=1)
@@ -589,7 +589,7 @@ class TestCli:
         assert main(argv) == 2
         assert "--out" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("call", ["advance", "exit_distribution", "filled"])
+    @pytest.mark.parametrize("call", ["advance", "exit_distribution", "hidden_at"])
     def test_layer_outside_the_stack_exits_3(self, tmp_path, monkeypatch, capsys, call):
         # Every entry point rejects layer 0 with the same SpecdecError, so the
         # CLI reports it as a runtime error instead of a traceback.
@@ -600,12 +600,12 @@ class TestCli:
         calls = {
             "advance": lambda: state.advance(0, 8, 3, 4),
             "exit_distribution": lambda: backend.exit_distribution(state, 0, 2),
-            "filled": lambda: state.filled(0),
+            "hidden_at": lambda: state.hidden_at(0, 2),
         }
         message = {
             "advance": r"invalid layer range \[0, 8\] for 8 layers",
             "exit_distribution": r"no exit at layer 0: layers are 1\.\.8",
-            "filled": r"no layer 0: layers are 1\.\.8",
+            "hidden_at": r"no hidden buffer at layer 0",
         }[call]
         with pytest.raises(AlignmentError, match=message):
             calls[call]()

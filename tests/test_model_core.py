@@ -158,6 +158,66 @@ class TestForwardRange:
             backend.exit_distribution(state, layer, 2)
 
 
+def textbook_exit_logits(model, tokens):
+    """The exit logits of `model` at every layer and position of `tokens`,
+    shaped (layers, positions, vocab): a plain transformer forward over the
+    model's public weights that shares no kernel with `model.py`."""
+
+    def norm(x):  # RMS norm, the epsilon inside the square root
+        return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6)
+
+    n, d, n_heads = len(tokens), model.d_model, model.config.n_heads
+    d_head = d // n_heads
+    causal = np.tril(np.ones((n, n), dtype=bool))  # query i sees keys 0..i
+    x = model.embedding[tokens] + model.pos_table[:n]
+    logits = []
+    for w_qkv, w_o, w_up, w_down in model.layers:
+        q, k, v = (m.reshape(n, n_heads, d_head) for m in np.split(norm(x) @ w_qkv, 3, axis=-1))
+        scores = np.einsum("qhe,khe->hqk", q, k) / np.sqrt(d_head)
+        scores = np.where(causal, scores, -np.inf)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        x = x + np.einsum("hqk,khe->qhe", weights, v).reshape(n, d) @ w_o
+        up = norm(x) @ w_up
+        x = x + (up / (1.0 + np.exp(-up))) @ w_down  # SiLU
+        logits.append(norm(x) @ model.unembedding)  # the shared head after a final norm
+    return np.stack(logits)
+
+
+class TestTextbookReference:
+    """The toy matches a transformer written from the textbook, not only
+    itself: a kernel bug that every toy path shares fails here."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exit_logits_match_at_every_layer_and_position(self, seed):
+        rng = np.random.default_rng(seed)
+        n_heads, n_tokens = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+        config = ModelConfig(
+            n_layers=int(rng.integers(3, 9)),
+            d_model=n_heads * int(rng.integers(1, 17)),
+            n_heads=n_heads,
+            vocab_size=int(rng.integers(4, 64)),
+            max_seq_len=n_tokens + int(rng.integers(0, 8)),
+            seed=seed,
+        )
+        model = ToyTransformer(config)
+        tokens = [int(t) for t in rng.integers(0, config.vocab_size, size=n_tokens)]
+        layers = range(1, config.n_layers + 1)
+        state = model.new_state(buffered_layers=layers)
+        state.set_tokens(tokens)
+        start = 0
+        while start < n_tokens:  # random position chunks through every layer
+            end = min(n_tokens, start + int(rng.integers(1, 9)))
+            model.forward_range(state, 1, config.n_layers, start, end)
+            start = end
+        got = np.array(
+            [[model.exit_distribution(state, l, p).logits for p in range(n_tokens)] for l in layers]
+        )
+        want = textbook_exit_logits(model, tokens)
+        assert (abs(got - want).max(axis=-1) <= 1e-12 * abs(want).max(axis=-1)).all()
+        assert np.array_equal(got.argmax(axis=-1), want.argmax(axis=-1))
+
+
 class TestExitLogits:
     def test_zero_hidden_gives_uniform_logits_and_tiebreak(self):
         backend = ToyTransformer(make_config())

@@ -8,8 +8,9 @@ speculative output equals vanilla output, the ledger derived from the
 trace sums to the forward passes a counting backend saw, every live
 (layer, position) entry was computed exactly once at every verification
 boundary and at the end, the trace-derived acceptance counts never
-exceed what was checked, and the tallied ledger equals a per-pass replay
-of the same trace, phase by phase. Each trace example draws the event
+exceed what was checked, each exit answered the exit queries its trace
+events imply, and the tallied ledger equals a per-pass replay of the
+same trace, phase by phase. Each trace example draws the event
 records and finalize spans of a 2-, 3- or 4-exit session directly and
 checks that same equality. The synthetic examples also check the tokens
 and every event field but the processed spans against `reference_decode`,
@@ -22,6 +23,8 @@ sums to its counted passes. Each bookkeeping example drives a state of
 either backend, with 1 to 4 exits, through random passes and prunes, and
 checks every call against a layer-by-layer reference of the fill rules.
 """
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +193,19 @@ def test_speculative_decodes_keep_engine_invariants(case):
         # because finalize runs every level or none, and keeps no empty span.
         spans = result.trace.finalize_processed
         assert len(spans) in (0, len(session_exits)) and all(b > a for a, b in spans)
+        # The exit queries, from the trace: the draft exit answers one per
+        # drafted token; a screening exit one per accepted token and one for
+        # the mismatch or the bonus, which it asks even when capacity drops
+        # the bonus; the top exit one per accepted token and one on a mismatch.
+        queries = Counter()
+        for event in result.trace.events:
+            if type(event) is DraftStep:
+                queries[session_exits[0]] += len(event.tokens)
+            elif type(event) is IntermediateVerify:  # its spans run through its level
+                queries[session_exits[len(event.processed) - 1]] += len(event.accepted) + 1
+            elif type(event) is TargetVerify:
+                queries[session_exits[-1]] += len(event.accepted) + event.mismatch
+        assert counter.queries == queries
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -348,7 +364,7 @@ def test_fills_stay_monotone_ints_and_rejected_passes_change_nothing(case):
         else:
             _, lo, levels, nudge, length = op
             start_layer, end_layer = bounds[lo] + 1, bounds[min(lo + levels, len(exits))]
-            start_pos = max(0, state.filled(start_layer) + nudge)
+            start_pos = max(0, state.fills()[start_layer - 1] + nudge)
             end_pos = start_pos + length
             while len(state.tokens) < min(end_pos, state.max_seq_len):
                 state.append_token(len(state.tokens) % backend.vocab_size)

@@ -43,8 +43,7 @@ class TestExtend:
         state = prepared_state(toy_backend, [1, 2, 3])
         append_tokens(state, [4, 5])
         toy_backend.forward_range(state, 1, 2, 3, 5)
-        assert state.filled(1) == 5 and state.filled(2) == 5
-        assert all(state.filled(layer) == 3 for layer in range(3, 7))
+        assert state.fills() == (5, 5, 3, 3, 3, 3)
 
     def test_non_contiguous_extend_rejected(self, toy_backend):
         state = prepared_state(toy_backend, [1, 2, 3])
@@ -206,11 +205,13 @@ class TestTokens:
 class TestLayerRange:
     @pytest.mark.parametrize("layer", [0, -1, 7, 100])
     def test_filled_outside_the_stack_is_named(self, toy_backend, layer):
-        # Layer 0 or -1 would read a deep layer's fill through negative indexing.
+        # A pass at layer 0 or -1 would read a deep layer's fill through
+        # negative indexing; it is named, and no fill changes.
         state = prepared_state(toy_backend, [1, 2, 3], upto_layer=2)
-        with pytest.raises(AlignmentError, match=rf"^no layer {layer}: layers are 1\.\.6$"):
-            state.filled(layer)
-        assert [state.filled(inside) for inside in range(1, 7)] == [3, 3, 0, 0, 0, 0]
+        message = rf"^invalid layer range \[{layer}, {layer}\] for 6 layers$"
+        with pytest.raises(AlignmentError, match=message):
+            state.advance(layer, layer, 3, 4)
+        assert state.fills() == (3, 3, 0, 0, 0, 0)
 
 
 class TestPrune:
@@ -349,4 +350,4 @@ class TestNoLeak:
         result = speculative_decode(toy_backend, [2, 2, 2], (1, 3, 6), (2, 4), 10)
         final_len = len(result.state.tokens)
         assert final_len == 3 + len(result.tokens)
-        assert all(result.state.filled(layer) == final_len for layer in range(1, 7))
+        assert result.state.fills() == (final_len,) * 6

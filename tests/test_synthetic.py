@@ -6,9 +6,11 @@ import pytest
 from specdec import (
     AlignmentError,
     ConfigError,
+    ModelConfig,
     SyntheticBackend,
     SyntheticModelSpec,
     TokenDistribution,
+    ToyTransformer,
     calibrate_preset,
     speculative_decode,
     vanilla_decode,
@@ -202,12 +204,15 @@ class TestPredictions:
 class TestExitQueryFill:
     """An exit query reads only positions its layer has computed."""
 
+    def new_backend(self):
+        return make_backend()
+
     def missing(self, layer, position):
         return rf"^missing hidden state at \(layer {layer}, position {position}\)$"
 
     def test_position_at_the_fill_is_missing(self):
-        backend = make_backend()
-        state = backend.new_state()
+        backend = self.new_backend()
+        state = backend.new_state(range(1, 9))
         state.set_tokens([4, 5, 6, 7])
         backend.forward_range(state, 1, 8, 0, 3)
         backend.exit_distribution(state, 3, 2)
@@ -215,8 +220,8 @@ class TestExitQueryFill:
             backend.exit_distribution(state, 3, 3)
 
     def test_deep_layer_lagging_a_shallow_one_is_missing(self):
-        backend = make_backend()
-        state = backend.new_state()
+        backend = self.new_backend()
+        state = backend.new_state(range(1, 9))
         state.set_tokens([4, 5, 6, 7])
         backend.forward_range(state, 1, 2, 0, 4)
         backend.forward_range(state, 3, 8, 0, 2)
@@ -228,8 +233,8 @@ class TestExitQueryFill:
             backend.exit_distribution(state, 8, 3)
 
     def test_pruned_position_is_missing_though_its_token_is_back(self):
-        backend = make_backend()
-        state = backend.new_state()
+        backend = self.new_backend()
+        state = backend.new_state(range(1, 9))
         state.set_tokens([4, 5, 6, 7])
         backend.forward_range(state, 1, 8, 0, 4)
         state.prune_all(2)
@@ -239,6 +244,15 @@ class TestExitQueryFill:
         for layer in (1, 3, 8):
             with pytest.raises(AlignmentError, match=self.missing(layer, 2)):
                 backend.exit_distribution(state, layer, 2)
+
+
+class TestToyExitQueryFill(TestExitQueryFill):
+    """The same queries on the toy transformer, every layer buffered: it
+    reads a hidden row, which past the fill is zero rather than absent."""
+
+    def new_backend(self):
+        config = ModelConfig(n_layers=8, d_model=8, n_heads=2, vocab_size=8, max_seq_len=8, seed=5)
+        return ToyTransformer(config)
 
 
 class FlipFullDepthToken:
