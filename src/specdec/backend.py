@@ -5,7 +5,9 @@ answer, at arbitrary exit layers, with its greedy next token. Two
 implementations exist: the toy transformer (real tensors) and the
 synthetic layered oracle (closed form, bookkeeping only). Both are
 immutable after construction and safe to share across decode sessions;
-all per-session mutation lives in the LayeredState.
+all per-session mutation lives in the LayeredState. A backend without
+tensors, such as the synthetic oracle, may hold `LayeredState.advance`
+itself as its `forward_range`: the state's fills are all a pass changes.
 
 The toy transformer answers with a `TokenDistribution` over real
 logits. The synthetic oracle answers with the int token, which stands

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -51,29 +52,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(rows, args, name: str) -> Path:
-    out = Path(args.out) / f"{name}.{args.format}"
-    emit_report(rows, out, fmt=args.format)
-    return out
-
-
-def _cmd_sweep(args) -> int:
+def _cmd_report(args) -> int:
+    """sweep or compare: write the grid's report, and for sweep --matrix its matrix."""
     config = load_config(args.config, args.seed)
-    rows = run_sweep(config, jobs=args.jobs)
-    path = _write(rows, args, "sweep")
+    rows = (run_sweep if args.command == "sweep" else run_compare)(config, jobs=args.jobs)
+    out, matrix = Path(args.out), None
+    try:
+        path = emit_report(rows, out / f"{args.command}.{args.format}", args.format)
+        if getattr(args, "matrix", False):
+            matrix = emit_matrix(rows, out / "matrix.txt", rows[0]["L_f"])
+    except OSError as exc:
+        raise ConfigError(f"--out cannot be written: {exc}") from None
     print(f"wrote {len(rows)} rows to {path}")
-    if args.matrix:
-        matrix_path = Path(args.out) / "matrix.txt"
-        emit_matrix(rows, matrix_path, rows[0]["L_f"])
-        print(f"wrote matrix to {matrix_path}")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    config = load_config(args.config, args.seed)
-    rows = run_compare(config, jobs=args.jobs)
-    path = _write(rows, args, "compare")
-    print(f"wrote {len(rows)} rows to {path}")
+    if matrix:
+        print(f"wrote matrix to {matrix}")
     return 0
 
 
@@ -90,19 +82,20 @@ def _cmd_check(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "sweep": _cmd_sweep,
-    "compare": _cmd_compare,
-    "check": _cmd_check,
-}
+_COMMANDS = {"sweep": _cmd_report, "compare": _cmd_report, "check": _cmd_check}
 
 
 def _check_out(out: str) -> None:
-    """`--out` must be a directory or a path that can become one."""
+    """`--out` must be a directory or a path that can become one: below its
+    nearest existing directory, every name fits that directory's file system."""
     path = Path(out)
-    nearest = next(p for p in (path, *path.parents) if p.exists())
+    # os.path.exists, unlike Path.exists, is False for a name too long to look up.
+    nearest = next(p for p in (path, *path.parents) if os.path.exists(p))
     if not nearest.is_dir():
         raise ConfigError(f"--out {out} cannot be a directory: {nearest} is a file")
+    name_max = os.pathconf(nearest, "PC_NAME_MAX")
+    if any(len(os.fsencode(name)) > name_max for name in path.relative_to(nearest).parts):
+        raise ConfigError(f"--out {out} cannot be a directory: a name is over {name_max} bytes")
 
 
 def main(argv: list[str] | None = None) -> int:

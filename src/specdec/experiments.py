@@ -285,7 +285,14 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
 def build_backend(spec: ModelConfig | SyntheticModelSpec, seed: int):
     """The backend of a checked model spec, drawn from `seed`."""
     spec = replace(spec, seed=seed)
-    return ToyTransformer(spec) if isinstance(spec, ModelConfig) else SyntheticBackend(spec)
+    if isinstance(spec, SyntheticModelSpec):
+        return SyntheticBackend(spec)
+    try:
+        return ToyTransformer(spec)
+    except MemoryError:  # numpy's, for weights too large to allocate
+        fields = ("n_layers", "d_model", "vocab_size", "max_seq_len")
+        sizes = ", ".join(f"backend.{field} {getattr(spec, field)}" for field in fields)
+        raise ConfigError(f"backend too large for memory: {sizes}") from None
 
 
 def build_prompts(config: ExperimentConfig, vocab_size: int) -> list[list[int]]:
@@ -503,18 +510,22 @@ def _format_cell(column: str, value) -> str:
     return str(value)
 
 
+def _write_lines(out_path: str | Path, lines: Sequence[str]) -> Path:
+    """Write each line with its newline, making the parent directories."""
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return out_path
+
+
 def emit_report(rows: Sequence[dict], out_path: str | Path, fmt: str = "csv") -> Path:
     """Write result rows as CSV or JSON lines in RESULT_COLUMNS order."""
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown report format {fmt!r}")
     columns = RESULT_COLUMNS
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_format_cell(col, row.get(col)) for col in columns))
-        out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines += (",".join(_format_cell(col, row.get(col)) for col in columns) for row in rows)
     else:
         lines = []
         for row in rows:
@@ -523,8 +534,7 @@ def emit_report(rows: Sequence[dict], out_path: str | Path, fmt: str = "csv") ->
                 for col in columns
             }
             lines.append(json.dumps(clean, sort_keys=True))
-        out_path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    return out_path
+    return _write_lines(out_path, lines)
 
 
 def emit_matrix(rows: Sequence[dict], out_path: str | Path, n_layers: int) -> Path:
@@ -539,8 +549,6 @@ def emit_matrix(rows: Sequence[dict], out_path: str | Path, n_layers: int) -> Pa
         if row["strategy"] != "hierarchical":
             continue
         cells[(row["L_d"], row["L_i"])] = row["rel_throughput"]
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
         "# relative throughput matrix; rows: L_d 1..%d, cols: L_i 2..%d"
         % (n_layers - 2, n_layers - 1)
@@ -551,5 +559,4 @@ def emit_matrix(rows: Sequence[dict], out_path: str | Path, n_layers: int) -> Pa
             value = cells.get((draft, inter))
             cols.append("NaN" if value is None else f"{value:.6f}")
         lines.append(" ".join(cols))
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return out_path
+    return _write_lines(out_path, lines)

@@ -161,9 +161,10 @@ def calibrate_preset(
 class SyntheticBackend:
     """Backend over a SyntheticModelSpec; pure and freely shareable.
 
-    KV plumbing is simulated: layer ranges advance the state's fills so
-    the cache protocol is exercised structurally, but no tensors are
-    stored. Predictions read the recorded token sequence. An exit
+    KV plumbing is simulated: the state's fills are all it keeps, so a
+    backend's `forward_range` is `LayeredState.advance` itself, held by
+    the instance, and a pass is the state's protocol check and fill
+    update alone. Predictions read the recorded token sequence. An exit
     answers with its int token, which stands exactly for a one-hot
     distribution, so a query builds no object. The method keeps the
     protocol's name, `exit_distribution`, until ROADMAP item 13 renames it.
@@ -197,6 +198,9 @@ class SyntheticBackend:
         self._window_cache: dict[tuple[int, ...], tuple[int, float, int]] = {}
         # First fold step of a window by its first token, filled on first use.
         self._first_fold: dict[int, int] = {}
+        # A plain function held by the instance binds nothing, so
+        # `forward_range(state, ...)` is `state.advance(...)` in one frame.
+        self.forward_range = LayeredState.advance
 
     def new_state(self, buffered_layers: Sequence[int] = ()) -> LayeredState:
         return LayeredState(
@@ -207,16 +211,6 @@ class SyntheticBackend:
         )
 
     # -- backend protocol ------------------------------------------------
-
-    def forward_range(
-        self,
-        state: LayeredState,
-        start_layer: int,
-        end_layer: int,
-        start_pos: int,
-        end_pos: int,
-    ) -> None:
-        state.advance(start_layer, end_layer, start_pos, end_pos)
 
     def exit_distribution(self, state: LayeredState, layer: int, position: int) -> int:
         """The token `layer` predicts after `position`, from the trailing

@@ -8,6 +8,8 @@ import pytest
 from specdec import ModelConfig, SyntheticBackend, SyntheticModelSpec, ToyTransformer
 from specdec.costs import PhaseCost
 from specdec.engine import Commit, DraftStep, IntermediateVerify, TargetVerify
+from specdec.errors import AlignmentError
+from specdec.state import LayeredState
 from specdec.synthetic import (
     _GOLDEN,
     _MASK64,
@@ -64,6 +66,35 @@ def predict_token(backend, layer, context):
     if alpha == 1.0 or mix64(h ^ _TAG_AGREE) / 2**64 < alpha:
         return truth
     return (truth + 1 + mix64(h ^ _TAG_DECOY) % (spec.vocab_size - 1)) % spec.vocab_size
+
+
+class MaskBackend:
+    """A backend over the tokens 0, 1 and 2 whose lower exits are right or
+    wrong by a mask. After `position`, the top exit answers the truth,
+    `sum(context) % 3`, and the exit at a lower `layer` answers `(truth +
+    mask(layer, position)) % 3`, so two wrong exits can agree or differ.
+    Its state is bookkeeping only: its `forward_range` is
+    `LayeredState.advance`, bound as `SyntheticBackend` binds it."""
+
+    vocab_size = 3
+
+    def __init__(self, n_layers, mask, max_seq_len):
+        self.n_layers, self.mask, self.max_seq_len = n_layers, mask, max_seq_len
+        self.forward_range = LayeredState.advance
+
+    def new_state(self, buffered_layers=()):
+        return LayeredState(self.n_layers, self.max_seq_len, None, buffered_layers)
+
+    def predict(self, layer, context):
+        truth = sum(context) % 3
+        if layer == self.n_layers:
+            return truth
+        return (truth + self.mask(layer, len(context) - 1)) % 3
+
+    def exit_distribution(self, state, layer, position):
+        if not 0 <= position < state.live_fills[layer - 1]:
+            raise AlignmentError(f"missing hidden state at (layer {layer}, position {position})")
+        return self.predict(layer, state.tokens[: position + 1])
 
 
 def random_prompt(rng: np.random.Generator, vocab_size: int, lo=2, hi=10) -> list[int]:
@@ -138,6 +169,23 @@ def assert_ledger_counts_passes(ledger, passes):
     assert ledger.phases["prefill"] == PhaseCost(layers, layers * positions, 1)
 
 
+def trace_queries(trace, exits):
+    """The exit queries per exit layer that a decode's trace implies: the
+    draft exit answers one per drafted token; a screening exit one per
+    accepted token and one for the mismatch or the bonus, which it asks
+    even when capacity drops the bonus; the top exit one per accepted token
+    and one on a mismatch."""
+    queries = Counter()
+    for event in trace.events:
+        if type(event) is DraftStep:
+            queries[exits[0]] += len(event.tokens)
+        elif type(event) is IntermediateVerify:  # its spans run through its level
+            queries[exits[len(event.processed) - 1]] += len(event.accepted) + 1
+        elif type(event) is TargetVerify:
+            queries[exits[-1]] += len(event.accepted) + event.mismatch
+    return queries
+
+
 def snapshot(state):
     """A copy of what a LayeredState holds: tokens, fills, committed length
     and every K, V and hidden array."""
@@ -181,22 +229,26 @@ def unspanned(event):
     return (type(event), *(getattr(event, name) for name in names))
 
 
-def reference_decode(backend, prompt, exits, bursts, max_new_tokens, eos=None):
+def reference_decode(
+    backend, prompt, exits, bursts, max_new_tokens, eos=None, predict=predict_token
+):
     """The committed tokens and the trace events, each as `unspanned` gives
-    it, of a decode on a SyntheticBackend, from the round algorithm of
-    `engine.py`'s module docstring run over a plain token list.
+    it, of a decode on `backend`, from the round algorithm of `engine.py`'s
+    module docstring run over a plain token list.
 
-    Every prediction is `predict_token`'s, of the context before the
-    position; nothing is kept between predictions, so no state, prune or
-    span takes part. No level grows the context past `max_seq_len`: a
-    draft stops there, and a screening level there adds no token.
+    Every prediction is `predict(backend, layer, context)`, of the context
+    before the position: by default `predict_token`'s, for a
+    SyntheticBackend. Nothing is kept between predictions, so no state,
+    prune or span takes part. No level grows the context past
+    `max_seq_len`: a draft stops there, and a screening level there adds
+    no token.
     """
     context, events, top = list(prompt), [], len(exits) - 1
 
     def draft(n):
         start, tokens = len(context), []
         while len(tokens) < n and len(context) < backend.max_seq_len:
-            tokens.append(predict_token(backend, exits[0], context))
+            tokens.append(predict(backend, exits[0], context))
             context.append(tokens[-1])
             if tokens[-1] == eos:
                 break
@@ -209,11 +261,11 @@ def reference_decode(backend, prompt, exits, bursts, max_new_tokens, eos=None):
         a disagreement cuts the rest from the context."""
         start = len(context) - len(offered)
         for j, token in enumerate(offered):
-            own = predict_token(backend, exits[level], context[: start + j])
+            own = predict(backend, exits[level], context[: start + j])
             if own != token:
                 del context[start + j :]
                 return offered[:j], own, True
-        own = predict_token(backend, exits[level], context) if level < top else None
+        own = predict(backend, exits[level], context) if level < top else None
         return list(offered), own, False
 
     def gather(level, room):

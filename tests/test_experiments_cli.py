@@ -125,6 +125,15 @@ MALFORMED_INPUTS = {
     ),
     "check-vanilla-only": ({"strategies": [{"name": "vanilla"}]}, ["check"], "strategies"),
     "check-zero-jobs-flag": ({}, ["check", "--jobs", "0"], "--jobs"),
+    "over-long-out-name": ({}, ["compare", "--out", "a" * 300], "--out"),
+    "over-long-out-name-below-a-missing-directory": (
+        {}, ["compare", "--out", f"x/{'a' * 300}/y"], "--out"
+    ),
+    # numpy refuses so large an array before it allocates any of it.
+    "toy-backend-too-large-for-memory": (
+        {"backend": {"type": "toy", "n_layers": 4, "d_model": 8, "max_seq_len": 10**15}},
+        ["compare"], "backend.max_seq_len",
+    ),
     "unknown-root-key": ({"prompt": {"count": 2}}, ["compare"], "prompt"),
     "unknown-toy-backend-key": (
         {"backend": {"type": "toy", "n_layers": 4, "d_modle": 16}}, ["compare"],
@@ -540,7 +549,7 @@ class TestCli:
         (tmp_path / "blank.txt").write_text("\n  \n\t\n", encoding="utf-8")
         config_path = write_config(tmp_path, dict(SMALL_CONFIG, **overrides))
         argv = command + ["--config", str(config_path)]
-        if command[0] != "check":  # check writes no report
+        if command[0] != "check" and "--out" not in command:  # check writes no report
             argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert field in capsys.readouterr().err
@@ -588,6 +597,33 @@ class TestCli:
         argv += ["--config", str(write_config(tmp_path, SMALL_CONFIG))]
         assert main(argv) == 2
         assert "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["a" * 300, f"x/{'a' * 300}/y"], ids=["name", "nested"])
+    def test_out_with_an_over_long_name_exits_2_before_decoding(
+        self, tmp_path, monkeypatch, capsys, out
+    ):
+        def no_decode(*args, **kwargs):
+            raise AssertionError("a grid ran before --out was checked")
+
+        monkeypatch.setattr(experiments, "run_points", no_decode)
+        monkeypatch.chdir(tmp_path)
+        config_path = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["compare", "--out", out, "--config", str(config_path)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [config_path.name]
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [(["compare"], "compare.csv"), (["sweep", "--matrix"], "matrix.txt")],
+        ids=["report", "matrix"],
+    )
+    def test_failed_write_exits_2_naming_out(self, tmp_path, capsys, command, blocked):
+        # A directory where the file would go fails the write itself.
+        (tmp_path / "o" / blocked).mkdir(parents=True)
+        argv = command + ["--out", str(tmp_path / "o")]
+        argv += ["--config", str(write_config(tmp_path, SMALL_CONFIG))]
+        assert main(argv) == 2
+        assert "--out cannot be written" in capsys.readouterr().err
 
     @pytest.mark.parametrize("call", ["advance", "exit_distribution", "hidden_at"])
     def test_layer_outside_the_stack_exits_3(self, tmp_path, monkeypatch, capsys, call):

@@ -12,18 +12,8 @@ window cache an unprofiled pass has warmed. Each count must stay at or
 below its budget. Each test prints its counts, so a run with `-rP` records
 them.
 
-The counts per committed token were 4.47 (vanilla), 15.57 (selfspec) and
-26.88 (hierarchical) when the budgets were last set, once a synthetic exit
-answered with its int token rather than a one-hot distribution that the
-engine read through `argmax()`, and a decode checked its prompt once. Before
-that they read 6.48, 20.50 and 37.68 against budgets of 7, 22 and 40, set
-once a decode recorded its trace events as tuples and built no event
-object. Before that they read 6.52, 22.68 and 40.59 against budgets of 7, 24 and 43, set
-at 6.53, 22.71 and 40.64 once the ledger became a pass histogram. An
-earlier rule counted by the code's file name, which misses generated
-`__init__`s; it read 6.58, 20.61 and 37.81 against budgets of 7, 22 and
-40, down from 10.64, 36.62 and 68.42 before the per-session level table
-and the live fill list.
+The counts per committed token read 3.45 (vanilla), 12.75 (selfspec) and
+21.56 (hierarchical) when the budgets were last set.
 
 On the toy transformer the same gate also counts "c_call" events made
 from `specdec` frames, for vanilla and hierarchical decodes of a 16-layer,
@@ -36,17 +26,7 @@ numpy scalar, while `math.sqrt` does: a norm written with it would add
 one C call per norm, 33 per vanilla token.
 
 Python / C calls per token read 94.53 / 163.91 (vanilla) and 342.48 /
-655.40 (hierarchical) once an exit's answer was read through `argmax()`
-only when it is a `TokenDistribution`: that `isinstance` adds one C call
-per exit query, and a `TokenDistribution` no longer takes the `len` of
-its logits, one fewer. They read 94.56 / 163.97 and 342.51 / 655.46 when the hierarchical Python budget was lowered
-from 372 to 363, once trace events were recorded as tuples; it read
-350.26 before. The other budgets were set at 94.66 / 163.94 and 350.35 /
-658.51, once a one-position norm ran on numpy float64 scalars and one
-token was embedded by row. Before that the budgets were 100 / 177 and
-372 / 730, over counts of 94.66 / 166.94 and 350.35 / 688.06. Before a one-position pass ran on a (d,)
-vector and skipped the span machinery, the counts were 159.62 / 277.31
-and 491.16 / 867.28.
+655.40 (hierarchical).
 
 Like a golden digest, a budget is raised only for a deliberate change
 that is recorded in CHANGES.md, with the old and the new counts.
@@ -65,7 +45,7 @@ from specdec import (
 )
 from specdec.prompts import random_prompts
 
-BUDGETS = {"vanilla": 5.0, "selfspec": 17.0, "hierarchical": 29.0}
+BUDGETS = {"vanilla": 4.0, "selfspec": 14.0, "hierarchical": 24.0}
 SHAPES = {
     "vanilla": ((80,), ()),
     "selfspec": ((10, 80), (2,)),

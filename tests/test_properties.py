@@ -23,8 +23,6 @@ sums to its counted passes. Each bookkeeping example drives a state of
 either backend, with 1 to 4 exits, through random passes and prunes, and
 checks every call against a layer-by-layer reference of the fill rules.
 """
-from collections import Counter
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +48,7 @@ from conftest import (
     live_counts_are_one,
     reference_decode,
     snapshot,
+    trace_queries,
     unspanned,
 )
 
@@ -193,19 +192,7 @@ def test_speculative_decodes_keep_engine_invariants(case):
         # because finalize runs every level or none, and keeps no empty span.
         spans = result.trace.finalize_processed
         assert len(spans) in (0, len(session_exits)) and all(b > a for a, b in spans)
-        # The exit queries, from the trace: the draft exit answers one per
-        # drafted token; a screening exit one per accepted token and one for
-        # the mismatch or the bonus, which it asks even when capacity drops
-        # the bonus; the top exit one per accepted token and one on a mismatch.
-        queries = Counter()
-        for event in result.trace.events:
-            if type(event) is DraftStep:
-                queries[session_exits[0]] += len(event.tokens)
-            elif type(event) is IntermediateVerify:  # its spans run through its level
-                queries[session_exits[len(event.processed) - 1]] += len(event.accepted) + 1
-            elif type(event) is TargetVerify:
-                queries[session_exits[-1]] += len(event.accepted) + event.mismatch
-        assert counter.queries == queries
+        assert counter.queries == trace_queries(result.trace, session_exits)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
