@@ -1,4 +1,9 @@
-"""Speculative decoding with early-exit drafting and hierarchical verification."""
+"""Speculative decoding with early-exit drafting and hierarchical verification.
+
+`ModelConfig` and `ToyTransformer` are resolved on first use (PEP 562):
+the toy transformer is the package's only numpy user, so importing
+`specdec` and running the synthetic lab never load numpy.
+"""
 
 from .backend import Backend, TokenDistribution
 from .costs import CostLedger, relative_throughput
@@ -19,7 +24,6 @@ from .errors import (
     SpecdecError,
     UndefinedRatioError,
 )
-from .model import ModelConfig, ToyTransformer
 from .state import LayeredState, consistency_check
 from .synthetic import (
     PRESET_NAMES,
@@ -62,3 +66,17 @@ __all__ = [
     "uniform_profile",
     "vanilla_decode",
 ]
+
+_TOY_EXPORTS = ("ModelConfig", "ToyTransformer")
+
+
+def __getattr__(name: str):
+    if name in _TOY_EXPORTS:
+        from . import model
+
+        return getattr(model, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_TOY_EXPORTS})

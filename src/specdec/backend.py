@@ -12,15 +12,17 @@ itself as its `forward_range`: the state's fills are all a pass changes.
 The toy transformer answers with a `TokenDistribution` over real
 logits. The synthetic oracle answers with the int token, which stands
 exactly for its one-hot distribution, so a synthetic exit query builds
-no object.
+no object. numpy appears here only in annotations, so importing this
+module does not load it: a synthetic run never needs numpy.
 """
 from __future__ import annotations
 
-from typing import Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .state import LayeredState
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class TokenDistribution:

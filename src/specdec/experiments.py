@@ -22,7 +22,7 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .costs import CostLedger, relative_throughput
 from .engine import (
@@ -32,10 +32,12 @@ from .engine import (
     speculative_decode,
 )
 from .errors import ConfigError
-from .model import ModelConfig, ToyTransformer
 from .prompts import prompts_from_text, random_prompts
 from .state import consistency_check
 from .synthetic import PRESET_NAMES, SyntheticBackend, SyntheticModelSpec, calibrate_preset
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .model import ModelConfig
 
 logger = logging.getLogger("specdec")
 
@@ -173,11 +175,15 @@ class ExperimentConfig:
         if not isinstance(strategies, list) or not strategies:
             raise ConfigError(f"strategies must be a non-empty list of objects, got {strategies!r}")
         backend = _model_spec(raw.get("backend"), seed)
-        if "text_path" not in prompt_spec and backend.vocab_size > 2**63:
-            # random prompt tokens are drawn as int64
-            raise ConfigError(
-                f"backend.vocab_size must be <= 2**63 for random prompts, got {backend.vocab_size}"
-            )
+        if "text_path" not in prompt_spec:
+            # Random lengths and tokens replay numpy's int64 `integers` draws: same bounds.
+            if backend.vocab_size > 2**63:
+                raise ConfigError(
+                    f"backend.vocab_size must be <= 2**63 for random prompts, "
+                    f"got {backend.vocab_size}"
+                )
+            if prompt_spec["max_len"] >= 2**63:
+                raise ConfigError(f"prompts.max_len must be < 2**63, got {prompt_spec['max_len']}")
         return cls(
             backend=backend,
             prompt_spec=prompt_spec,
@@ -223,6 +229,8 @@ def _model_spec(raw: Any, seed: int) -> ModelConfig | SyntheticModelSpec:
     if kind == "toy":
         if fields["d_model"] % fields["n_heads"]:
             raise ConfigError(f"backend.d_model must be a multiple of backend.n_heads: {fields}")
+        from .model import ModelConfig  # loads numpy, which a synthetic run never needs
+
         return ModelConfig(**fields, seed=seed)
     if kind == "preset":
         try:  # each field is checked by now, all but the preset's least depth
@@ -287,6 +295,8 @@ def build_backend(spec: ModelConfig | SyntheticModelSpec, seed: int):
     spec = replace(spec, seed=seed)
     if isinstance(spec, SyntheticModelSpec):
         return SyntheticBackend(spec)
+    from .model import ToyTransformer
+
     try:
         return ToyTransformer(spec)
     except MemoryError:  # numpy's, for weights too large to allocate
@@ -295,11 +305,16 @@ def build_backend(spec: ModelConfig | SyntheticModelSpec, seed: int):
         raise ConfigError(f"backend too large for memory: {sizes}") from None
 
 
-def build_prompts(config: ExperimentConfig, vocab_size: int) -> list[list[int]]:
-    """The prompt corpus of the config's checked prompt fields."""
+def build_prompts(
+    config: ExperimentConfig, vocab_size: int, max_seq_len: int | None = None
+) -> list[list[int]]:
+    """The prompt corpus of the config's checked prompt fields. A random
+    prompt drawn longer than `max_seq_len` is an error before its tokens are drawn."""
     spec = config.prompt_spec
     if "text_path" not in spec:
-        return random_prompts(**spec, vocab_size=vocab_size, seed=config.seed)
+        return random_prompts(
+            **spec, vocab_size=vocab_size, seed=config.seed, max_seq_len=max_seq_len
+        )
     try:
         return prompts_from_text(spec["text_path"], vocab_size, spec["max_len"])
     except (OSError, UnicodeDecodeError) as exc:
@@ -310,7 +325,7 @@ def build_prompts(config: ExperimentConfig, vocab_size: int) -> list[list[int]]:
 
 def _corpus(config: ExperimentConfig) -> list[list[int]]:
     """The config's prompts, once each is known to leave room for the budget."""
-    prompts = build_prompts(config, config.backend.vocab_size)
+    prompts = build_prompts(config, config.backend.vocab_size, config.backend.max_seq_len)
     longest, limit = max(map(len, prompts)), config.backend.max_seq_len
     if longest + config.max_new_tokens > limit:
         raise ConfigError(

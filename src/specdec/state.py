@@ -47,6 +47,10 @@ makes a pruned-then-recomputed state bit-identical to one that never
 speculated. Each live entry is computed exactly once: `advance` rejects
 any pass that does not start at every layer's fill, and the tests assert
 it by counting backend passes (`conftest.CountingBackend`).
+
+numpy is imported only where tensors are made (`zeroed_block`), and
+`consistency_check` compares them through array methods alone, so a
+state without tensors, and a synthetic `check`, never load it.
 """
 from __future__ import annotations
 
@@ -58,11 +62,11 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from .errors import AlignmentError, ConfigError, ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .backend import Backend
 
 
@@ -86,6 +90,8 @@ def zeroed_block(shape: tuple[int, int, int]) -> np.ndarray:
 
     Its pages read as zeros and take memory only once written.
     """
+    import numpy as np
+
     buffer = mmap.mmap(-1, math.prod(shape) * 8, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buffer.madvise(mmap.MADV_NOHUGEPAGE)
@@ -271,7 +277,7 @@ def consistency_check(
         fill = fills[layer - 1]
         if fill == 0:
             continue
-        per_pos = np.abs(mine[:fill] - theirs[:fill]).max(axis=1)
+        per_pos = abs(mine[:fill] - theirs[:fill]).max(axis=1)  # abs is np.absolute
         position = int(per_pos.argmax())  # the first NaN, if there is one
         gap = float(per_pos[position])
         if math.isnan(gap):

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -156,6 +157,10 @@ MALFORMED_INPUTS = {
     ),
     "policy-field": ({"decode": {"policy": {"mode": "greedy"}}}, ["compare"], "decode.policy"),
     "seed-beyond-64-bits": ({"seed": 2**64}, ["compare"], "seed"),
+    # Random prompt lengths are int64 draws.
+    "max-len-beyond-63-bits": (
+        {"prompts": {"count": 2, "min_len": 1, "max_len": 2**63}}, ["compare"], "prompts.max_len"
+    ),
     "seed-flag-beyond-64-bits": ({}, ["compare", "--seed", str(2**64)], "seed"),
     "empty-grid-list-sweep": (
         {"strategies": [{"name": "hierarchical", "draft_layer": []}]}, ["sweep"],
@@ -553,6 +558,18 @@ class TestCli:
             argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert field in capsys.readouterr().err
+
+    def test_prompt_length_beyond_max_seq_len_exits_2_at_once(self, tmp_path, capsys):
+        # The first drawn length is past max_seq_len: no prompt's tokens are drawn.
+        raw = {
+            "backend": {"type": "synthetic", "preset": "llama70b-sharegpt"},
+            "prompts": {"count": 2, "min_len": 1, "max_len": 10**13},
+        }
+        argv = ["compare", "--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path)]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "prompts.max_len" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value, expected", [(3, 3), ("2", 2), (16.0, 16)])
     def test_integer_fields_accept_integer_values(self, value, expected):
