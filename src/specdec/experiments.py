@@ -101,6 +101,10 @@ SECTION_FIELDS = {
     "decode": {"max_new_tokens": (32, 1)},
 }
 
+# A random prompt is a list of Python ints drawn at about 2 M tokens/s, whatever the
+# backend's max_seq_len: 2**20 tokens take about half a second and some 40 MB.
+MAX_RANDOM_PROMPT_LEN = 2**20
+
 
 @dataclass(frozen=True)
 class GridPoint:
@@ -176,14 +180,17 @@ class ExperimentConfig:
             raise ConfigError(f"strategies must be a non-empty list of objects, got {strategies!r}")
         backend = _model_spec(raw.get("backend"), seed)
         if "text_path" not in prompt_spec:
-            # Random lengths and tokens replay numpy's int64 `integers` draws: same bounds.
+            # Random tokens replay numpy's int64 `integers` draws: same bound.
             if backend.vocab_size > 2**63:
                 raise ConfigError(
                     f"backend.vocab_size must be <= 2**63 for random prompts, "
                     f"got {backend.vocab_size}"
                 )
-            if prompt_spec["max_len"] >= 2**63:
-                raise ConfigError(f"prompts.max_len must be < 2**63, got {prompt_spec['max_len']}")
+            if prompt_spec["max_len"] > MAX_RANDOM_PROMPT_LEN:
+                raise ConfigError(
+                    f"prompts.max_len must be <= {MAX_RANDOM_PROMPT_LEN} for random prompts, "
+                    f"got {prompt_spec['max_len']}"
+                )
         return cls(
             backend=backend,
             prompt_spec=prompt_spec,
@@ -305,15 +312,13 @@ def build_backend(spec: ModelConfig | SyntheticModelSpec, seed: int):
         raise ConfigError(f"backend too large for memory: {sizes}") from None
 
 
-def build_prompts(
-    config: ExperimentConfig, vocab_size: int, max_seq_len: int | None = None
-) -> list[list[int]]:
-    """The prompt corpus of the config's checked prompt fields. A random
-    prompt drawn longer than `max_seq_len` is an error before its tokens are drawn."""
+def build_prompts(config: ExperimentConfig, vocab_size: int) -> list[list[int]]:
+    """The prompt corpus of the config's checked prompt fields. A random prompt
+    drawn longer than the backend's max_seq_len is an error before its tokens are drawn."""
     spec = config.prompt_spec
     if "text_path" not in spec:
         return random_prompts(
-            **spec, vocab_size=vocab_size, seed=config.seed, max_seq_len=max_seq_len
+            **spec, vocab_size=vocab_size, seed=config.seed, max_seq_len=config.backend.max_seq_len
         )
     try:
         return prompts_from_text(spec["text_path"], vocab_size, spec["max_len"])
@@ -325,7 +330,7 @@ def build_prompts(
 
 def _corpus(config: ExperimentConfig) -> list[list[int]]:
     """The config's prompts, once each is known to leave room for the budget."""
-    prompts = build_prompts(config, config.backend.vocab_size, config.backend.max_seq_len)
+    prompts = build_prompts(config, config.backend.vocab_size)
     longest, limit = max(map(len, prompts)), config.backend.max_seq_len
     if longest + config.max_new_tokens > limit:
         raise ConfigError(

@@ -97,12 +97,12 @@ def random_prompts(
     min_len: int,
     max_len: int,
     seed: int,
-    max_seq_len: int | None = None,
+    max_seq_len: int,
 ) -> list[list[int]]:
     """Deterministic prompt set; same arguments always produce the same corpus.
 
-    A drawn length beyond `max_seq_len` is an error before that prompt's
-    tokens are drawn, so an oversized `max_len` fails at once.
+    A drawn length beyond the model's `max_seq_len` is an error before that
+    prompt's tokens are drawn, so an oversized `max_len` fails at once.
     """
     if count < 1:
         raise ConfigError("prompt count must be >= 1")
@@ -112,10 +112,10 @@ def random_prompts(
     prompts = []
     for _ in range(count):
         [length] = rng.integers(min_len, max_len + 1, 1)
-        if max_seq_len is not None and length > max_seq_len:
+        if length > max_seq_len:
             raise ConfigError(
                 f"prompts.max_len {max_len} drew a prompt of {length} tokens, "
-                f"beyond the model's max_seq_len {max_seq_len}"
+                f"beyond backend.max_seq_len {max_seq_len}"
             )
         prompts.append(rng.integers(0, vocab_size, length))
     return prompts

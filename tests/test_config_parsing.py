@@ -6,7 +6,8 @@ a strategy entry), replaces one of that kind's fields, given or left to its
 default, with a value from a small fixed pool, and loads it. Either
 `ExperimentConfig.from_dict` raises a ConfigError whose message holds the
 field's path, or it returns and both builders succeed on what it returned.
-The only error a builder may raise is for an unreadable `prompts.text_path`.
+The only errors a builder may raise are for an unreadable `prompts.text_path`
+and for a `backend.max_seq_len` shorter than a drawn random prompt.
 The pool holds no large integer: a toy backend allocates
 n_layers x max_seq_len x d_model arrays.
 """
@@ -101,7 +102,8 @@ def test_a_replaced_field_is_named_or_the_config_builds(text_path, case, value):
     backend = build_backend(config.backend, config.seed)
     try:
         prompts = build_prompts(config, backend.vocab_size)
-    except ConfigError as exc:  # a path that names no readable file
-        assert path == "prompts.text_path" and path in str(exc), f"{path} = {value!r}: {exc}"
+    except ConfigError as exc:  # no readable file, or no room for a drawn prompt
+        named = path in ("prompts.text_path", "backend.max_seq_len") and path in str(exc)
+        assert named, f"{path} = {value!r}: {exc}"
         return
     assert prompts and backend.n_layers == config.backend.n_layers

@@ -12,6 +12,7 @@ from specdec.cli import main
 from specdec.errors import AlignmentError, ConfigError
 from specdec.state import LayerReport
 from specdec.experiments import (
+    MAX_RANDOM_PROMPT_LEN,
     ExperimentConfig,
     build_backend,
     config_int,
@@ -43,6 +44,13 @@ SMALL_CONFIG = {
         {"name": "selfspec", "draft_layer": [2, 4]},
         {"name": "hierarchical"},
     ],
+}
+
+
+# A synthetic profile backend with no tensors, whose max_seq_len holds any prompt.
+PROFILE_BACKEND = {
+    "type": "synthetic", "n_layers": 3, "profile": {"1": 0.5, "2": 0.8, "3": 1.0},
+    "max_seq_len": 10**13,
 }
 
 
@@ -157,9 +165,10 @@ MALFORMED_INPUTS = {
     ),
     "policy-field": ({"decode": {"policy": {"mode": "greedy"}}}, ["compare"], "decode.policy"),
     "seed-beyond-64-bits": ({"seed": 2**64}, ["compare"], "seed"),
-    # Random prompt lengths are int64 draws.
-    "max-len-beyond-63-bits": (
-        {"prompts": {"count": 2, "min_len": 1, "max_len": 2**63}}, ["compare"], "prompts.max_len"
+    # A random prompt is capped whatever the backend's max_seq_len.
+    "max-len-beyond-random-cap": (
+        {"backend": PROFILE_BACKEND, "prompts": {"min_len": 10**12, "max_len": 10**12}},
+        ["compare"], "prompts.max_len",
     ),
     "seed-flag-beyond-64-bits": ({}, ["compare", "--seed", str(2**64)], "seed"),
     "empty-grid-list-sweep": (
@@ -559,12 +568,19 @@ class TestCli:
         assert main(argv) == 2
         assert field in capsys.readouterr().err
 
-    def test_prompt_length_beyond_max_seq_len_exits_2_at_once(self, tmp_path, capsys):
-        # The first drawn length is past max_seq_len: no prompt's tokens are drawn.
-        raw = {
-            "backend": {"type": "synthetic", "preset": "llama70b-sharegpt"},
-            "prompts": {"count": 2, "min_len": 1, "max_len": 10**13},
-        }
+    @pytest.mark.parametrize(
+        "backend, max_len",
+        [
+            ({"type": "synthetic", "preset": "llama70b-sharegpt"}, 10**13),
+            (PROFILE_BACKEND, 10**12),
+            # At the cap; seed 0 first draws a length of 891945, past the preset's 4096,
+            # so no prompt's tokens are drawn.
+            ({"type": "synthetic", "preset": "llama70b-sharegpt"}, MAX_RANDOM_PROMPT_LEN),
+        ],
+        ids=["preset-beyond-cap", "profile-beyond-cap", "preset-at-cap"],
+    )
+    def test_oversized_prompt_length_exits_2_at_once(self, tmp_path, capsys, backend, max_len):
+        raw = {"backend": backend, "prompts": {"count": 2, "min_len": 1, "max_len": max_len}}
         argv = ["compare", "--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path)]
         start = time.perf_counter()
         assert main(argv) == 2

@@ -82,7 +82,7 @@ def events_per_token(backend, prompts, exits, bursts, max_new_tokens) -> dict[st
 @pytest.mark.parametrize("strategy", list(SHAPES))
 def test_calls_per_token_within_budget(strategy):
     backend = SyntheticBackend(calibrate_preset("llama70b-sharegpt", seed=0))
-    prompts = random_prompts(50, backend.vocab_size, 4, 12, seed=0)
+    prompts = random_prompts(50, backend.vocab_size, 4, 12, 0, backend.max_seq_len)
     count = events_per_token(backend, prompts, *SHAPES[strategy], 64)["call"]
     print(f"synthetic {strategy}: {count:.2f} calls per token, budget {BUDGETS[strategy]}")
     assert count <= BUDGETS[strategy], f"{strategy}: {count:.2f} calls per token"
@@ -93,7 +93,7 @@ def test_toy_calls_per_token_within_budget(strategy):
     model = ToyTransformer(
         ModelConfig(n_layers=16, d_model=64, n_heads=4, vocab_size=256, max_seq_len=256, seed=0)
     )
-    prompts = random_prompts(4, model.vocab_size, 32, 32, seed=0)
+    prompts = random_prompts(4, model.vocab_size, 32, 32, 0, model.max_seq_len)
     counts = events_per_token(model, prompts, *TOY_SHAPES[strategy], 32)
     calls, c_calls = TOY_BUDGETS[strategy]
     print(

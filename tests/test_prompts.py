@@ -42,7 +42,7 @@ def test_stream_redraws_biased_draws(vocab, bits):
 
 
 def test_random_prompts_equal_numpy_corpus():
-    corpus = random_prompts(6, vocab_size=1000, min_len=2, max_len=30, seed=11)
+    corpus = random_prompts(6, vocab_size=1000, min_len=2, max_len=30, seed=11, max_seq_len=30)
     rng = np.random.default_rng(11)
     expected = []
     for _ in range(6):
@@ -67,15 +67,15 @@ def test_stream_rejects_what_numpy_rejects():
 
 
 def test_random_prompts_deterministic():
-    a = random_prompts(20, vocab_size=64, min_len=3, max_len=9, seed=5)
-    b = random_prompts(20, vocab_size=64, min_len=3, max_len=9, seed=5)
+    a = random_prompts(20, vocab_size=64, min_len=3, max_len=9, seed=5, max_seq_len=9)
+    b = random_prompts(20, vocab_size=64, min_len=3, max_len=9, seed=5, max_seq_len=9)
     assert a == b
     assert all(3 <= len(p) <= 9 for p in a)
     assert all(0 <= t < 64 for p in a for t in p)
 
 
 def test_random_prompts_vary_with_seed():
-    assert random_prompts(5, 64, 4, 4, seed=1) != random_prompts(5, 64, 4, 4, seed=2)
+    assert random_prompts(5, 64, 4, 4, 1, 4) != random_prompts(5, 64, 4, 4, 2, 4)
 
 
 @pytest.mark.parametrize(
@@ -85,7 +85,7 @@ def test_random_prompts_vary_with_seed():
 )
 def test_random_prompts_reject_bad_sizes(count, min_len, max_len, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
-        random_prompts(count, 64, min_len, max_len, seed=0)
+        random_prompts(count, 64, min_len, max_len, seed=0, max_seq_len=9)
 
 
 def test_byte_tokenize_folds_into_vocab():
