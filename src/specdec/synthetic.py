@@ -18,7 +18,11 @@ results reproduce across implementations from the published constants.
 `mix64` is its reference definition: a window's hash folds it over the
 seed's hash and the window's tokens, and each tag mixes that hash once
 more. The tests' `predict_token` recomputes every prediction from `mix64`
-alone; `SyntheticBackend` computes the same values with fmix64 inline.
+alone. `SyntheticBackend` computes the same values with fmix64 written
+out, and skips the work that fmix64 undoes: its closing xorshift
+`x ^ (x >> 33)` is its own inverse on 64-bit words and xor-linear, so the
+next mix's opening xorshift cancels it. The backend carries each fold
+step's value from before that closing xorshift instead of the hash.
 """
 from __future__ import annotations
 
@@ -132,12 +136,16 @@ def calibrate_preset(
     """Build one of the named calibrated agreement profiles.
 
     quarter-depth-69: quarter-depth exit agrees with the final layer on
-    69% of tokens, the eighth-depth draft on 55%, layer 1 on 1%.
+    69% of tokens, the eighth-depth draft on 55%, layer 1 on 1%. It needs
+    9 layers, so that layer 1, the eighth-depth and the quarter-depth
+    exit are three layers.
     llama70b-sharegpt: 80 layers with measured acceptance anchors of
     0.397 at layer 10 and 0.581 at layer 20; other layers interpolated.
     """
     if name == "quarter-depth-69":
         layers = 32 if n_layers is None else n_layers
+        if layers < 9:
+            raise ConfigError("quarter-depth-69 preset needs at least 9 layers")
         quarter = -(-layers // 4)
         eighth = -(-layers // 8)
         anchors = {1: 0.01, eighth: 0.55, quarter: 0.69, layers: 1.0}
@@ -175,10 +183,14 @@ class SyntheticBackend:
     context window's (truth, draw, decoy) and one comparison of the draw
     with the layer's entry. A window missing from the cache, which keeps
     up to a million windows, is hashed on the spot by `_draw`, one
-    straight-line function with fmix64 inline. Its first fold step
-    depends only on the window's first token; it comes from a second
-    cache keyed by that token, filled on first use and never at
-    construction, so a backend costs O(1) in `vocab_size`.
+    straight-line function with fmix64 written out on a carried state:
+    each fold step's value before fmix64's closing xorshift, which the
+    next step's opening xorshift would undo. Two more caches keyed by
+    token serve it: the carried state after a window's first fold step,
+    which depends only on its first token, and a later token's operand
+    `k ^ (k >> 33)`, `k = (token + _GOLDEN) & _MASK64`. Each is filled on
+    first use, never at construction, and bounded like the window cache,
+    so a backend costs O(1) in `vocab_size`.
     """
 
     def __init__(self, spec: SyntheticModelSpec) -> None:
@@ -196,8 +208,10 @@ class SyntheticBackend:
         # Window hashes recur heavily across levels and verification passes;
         # caching them is safe because predictions are pure.
         self._window_cache: dict[tuple[int, ...], tuple[int, float, int]] = {}
-        # First fold step of a window by its first token, filled on first use.
+        # Carried state after a window's first fold step, by its first token,
+        # and each later token's operand `k ^ (k >> 33)`: both filled on first use.
         self._first_fold: dict[int, int] = {}
+        self._token_operand: dict[int, int] = {}
         # A plain function held by the instance binds nothing, so
         # `forward_range(state, ...)` is `state.advance(...)` in one frame.
         self.forward_range = LayeredState.advance
@@ -230,31 +244,43 @@ class SyntheticBackend:
 
     def _draw(self, window: tuple[int, ...]) -> tuple[int, float, int]:
         """Hash a window missing from the cache into its (truth, draw, decoy)
-        and cache it: `mix64`'s values, with fmix64 written out inline."""
-        mask, mul_a, mul_b, golden, vocab = _MASK64, _MIX_A, _MIX_B, _GOLDEN, self.vocab_size
-        h = self._first_fold.get(window[0])
-        if h is None:
-            h = mix64(self._seed_hash ^ ((window[0] + golden) & mask))
+        and cache it: `mix64`'s values, computed on the carried state `g`.
+
+        `g` is a fold step's value before fmix64's closing xorshift, so the
+        hash is `g ^ (g >> 33)`. That xorshift is its own inverse and xor-
+        linear, so the next step's opening xorshift of `hash ^ k` is
+        `g ^ k ^ (k >> 33)`, and of `hash ^ tag` is `g ^ tag`, as every
+        tag is below 2**33: both xorshifts drop out."""
+        mask, mul_a, mul_b, vocab = _MASK64, _MIX_A, _MIX_B, self.vocab_size
+        g = self._first_fold.get(window[0])
+        if g is None:
+            h = mix64(self._seed_hash ^ ((window[0] + _GOLDEN) & mask))
+            g = h ^ (h >> 33)
             if len(self._first_fold) < _CACHE_LIMIT:
-                self._first_fold[window[0]] = h
-        # Each step below is fmix64 of an operand already below 2**64.
+                self._first_fold[window[0]] = g
+        operands = self._token_operand
         for token in window[1:]:
-            x = h ^ ((token + golden) & mask)
-            x = ((x ^ (x >> 33)) * mul_a) & mask
-            x = ((x ^ (x >> 33)) * mul_b) & mask
-            h = x ^ (x >> 33)
-        x = h ^ _TAG_TRUTH
-        x = ((x ^ (x >> 33)) * mul_a) & mask
-        x = ((x ^ (x >> 33)) * mul_b) & mask
+            k = operands.get(token)
+            if k is None:
+                k = (token + _GOLDEN) & mask
+                k ^= k >> 33
+                if len(operands) < _CACHE_LIMIT:
+                    operands[token] = k
+            x = ((g ^ k) * mul_a) & mask
+            x ^= x >> 33
+            g = (x * mul_b) & mask
+        x = ((g ^ _TAG_TRUTH) * mul_a) & mask
+        x ^= x >> 33
+        x = (x * mul_b) & mask
         truth = (x ^ (x >> 33)) % vocab
         # Single draw shared by all layers: nested correctness sets.
-        x = h ^ _TAG_AGREE
-        x = ((x ^ (x >> 33)) * mul_a) & mask
-        x = ((x ^ (x >> 33)) * mul_b) & mask
+        x = ((g ^ _TAG_AGREE) * mul_a) & mask
+        x ^= x >> 33
+        x = (x * mul_b) & mask
         agree_draw = (x ^ (x >> 33)) / 2.0**64
-        x = h ^ _TAG_DECOY
-        x = ((x ^ (x >> 33)) * mul_a) & mask
-        x = ((x ^ (x >> 33)) * mul_b) & mask
+        x = ((g ^ _TAG_DECOY) * mul_a) & mask
+        x ^= x >> 33
+        x = (x * mul_b) & mask
         drawn = (truth, agree_draw, (truth + 1 + (x ^ (x >> 33)) % (vocab - 1)) % vocab)
         if len(self._window_cache) < _CACHE_LIMIT:
             self._window_cache[window] = drawn

@@ -51,21 +51,29 @@ def all_agree_backend(n_layers=8, vocab_size=32, seed=3, max_seq_len=512):
     return SyntheticBackend(spec)
 
 
+def reference_draw(spec, window):
+    """The (truth, draw, decoy) of a context window under a
+    SyntheticModelSpec, from `mix64` alone: the window's hash folds `mix64`
+    over the seed's hash and each token, and each tag mixes that hash once
+    more."""
+    h = mix64(spec.seed ^ _GOLDEN)
+    for token in window:
+        h = mix64(h ^ ((token + _GOLDEN) & _MASK64))
+    truth = mix64(h ^ _TAG_TRUTH) % spec.vocab_size
+    decoy = (truth + 1 + mix64(h ^ _TAG_DECOY) % (spec.vocab_size - 1)) % spec.vocab_size
+    return truth, mix64(h ^ _TAG_AGREE) / 2**64, decoy
+
+
 def predict_token(backend, layer, context):
     """The token a SyntheticBackend's exit at `layer` predicts after
     `context`, recomputed from the hash construction alone: the trailing
-    window's hash, its truth, shared draw and decoy, and alpha(layer), of
-    which 1.0 always agrees. It calls nothing of the backend, so it checks
-    `exit_distribution` rather than repeating it."""
+    window's `reference_draw` and alpha(layer), of which 1.0 always agrees.
+    It calls nothing of the backend, so it checks `exit_distribution`
+    rather than repeating it."""
     spec = backend.spec
-    h = mix64(spec.seed ^ _GOLDEN)
-    for token in list(context)[-spec.context_window :]:
-        h = mix64(h ^ ((token + _GOLDEN) & _MASK64))
-    truth = mix64(h ^ _TAG_TRUTH) % spec.vocab_size
+    truth, draw, decoy = reference_draw(spec, list(context)[-spec.context_window :])
     alpha = spec.agreement_profile[layer]
-    if alpha == 1.0 or mix64(h ^ _TAG_AGREE) / 2**64 < alpha:
-        return truth
-    return (truth + 1 + mix64(h ^ _TAG_DECOY) % (spec.vocab_size - 1)) % spec.vocab_size
+    return truth if alpha == 1.0 or draw < alpha else decoy
 
 
 class MaskBackend:

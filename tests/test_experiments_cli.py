@@ -554,6 +554,16 @@ class TestCli:
         path = write_config(tmp_path, {"backend": {"type": "warp-drive"}})
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("n_layers", range(3, 9))
+    def test_quarter_depth_preset_below_9_layers_exits_2(self, tmp_path, capsys, n_layers):
+        backend = {"type": "synthetic", "preset": "quarter-depth-69", "n_layers": n_layers}
+        path = write_config(tmp_path, dict(SMALL_CONFIG, backend=backend))
+        out_dir = tmp_path / "o"
+        assert main(["compare", "--config", str(path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "backend.n_layers: quarter-depth-69 preset needs at least 9 layers" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_malformed_input_exits_2_naming_the_field(self, tmp_path, monkeypatch, capsys, case):
         overrides, command, field = MALFORMED_INPUTS[case]

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from specdec import (
 )
 from specdec.synthetic import PRESET_NAMES, interpolated_profile, mix64, uniform_profile
 
-from conftest import decode_record, predict_token
+from conftest import decode_record, predict_token, reference_draw
 
 
 def make_backend(n_layers=8, vocab=64, seed=7, profile=None):
@@ -167,6 +168,33 @@ class TestPredictions:
                     got = cold.exit_distribution(state, layer, p)
                     assert got == predict_token(cold, layer, ctx[: p + 1])
                     assert len(cold._window_cache) == 1
+
+    @pytest.mark.parametrize("context_window", [1, 4, 7])
+    @pytest.mark.parametrize("vocab", [4, 256, 2**40])
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_draw_equals_the_mix64_reference(self, context_window, vocab, seed):
+        # Every window length up to context_window, over the edge tokens and
+        # random ones. Cold: each window on a fresh backend, all caches empty.
+        # Warm: one backend for all windows, asked again once the window cache
+        # is cleared, so the token caches serve every fold step.
+        spec = SyntheticModelSpec(
+            n_layers=4, vocab_size=vocab, seed=seed, agreement_profile=uniform_profile(4, 0.5),
+            context_window=context_window,
+        )
+        rng = random.Random(context_window * vocab + seed)
+        edges = (0, 1, vocab - 1)
+        windows = [
+            tuple(rng.choice(edges) if rng.random() < 0.5 else rng.randrange(vocab) for _ in range(n))
+            for n in range(1, context_window + 1)
+            for _ in range(12)
+        ] + [(token,) * context_window for token in edges]
+        warm = SyntheticBackend(spec)
+        for window in windows:
+            want = reference_draw(spec, window)
+            assert SyntheticBackend(spec)._draw(window) == want
+            assert warm._draw(window) == want
+        warm._window_cache.clear()
+        assert [warm._draw(window) for window in windows] == [reference_draw(spec, w) for w in windows]
 
     def test_exit_distribution_matches_predict_token(self):
         backend = make_backend()
@@ -337,6 +365,17 @@ class TestPresets:
         assert spec.alpha(32) == 1.0
         assert all(spec.alpha(l) <= spec.alpha(l + 1) + 1e-12 for l in range(1, 32))
 
+    def test_quarter_depth_keeps_three_anchors_at_9_layers(self):
+        spec = calibrate_preset("quarter-depth-69", n_layers=9)
+        assert [spec.alpha(l) for l in (1, 2, 3, 9)] == [0.01, 0.55, 0.69, 1.0]
+
+    @pytest.mark.parametrize("n_layers", range(3, 9))
+    def test_quarter_depth_needs_9_layers(self, n_layers):
+        # Below 9 layers the eighth-depth anchor (or at 3-4 the quarter-depth
+        # one) would land on layer 1 and overwrite its alpha.
+        with pytest.raises(ConfigError, match="^quarter-depth-69 preset needs at least 9 layers$"):
+            calibrate_preset("quarter-depth-69", n_layers=n_layers)
+
     def test_llama70b_anchors(self):
         spec = calibrate_preset("llama70b-sharegpt")
         assert spec.n_layers == 80
@@ -364,21 +403,25 @@ class TestPresets:
 
 
 class TestVocabularySize:
-    # A backend's cost must not depend on vocab_size: the first fold step is
-    # cached per first token on first use, never built per vocabulary entry.
+    # A backend's cost must not depend on vocab_size: the first fold step and
+    # the token operands are cached per token on first use, never built per
+    # vocabulary entry.
 
-    def test_fresh_first_token_cache_is_empty(self):
-        assert make_backend(vocab=2**40)._first_fold == {}
+    def test_fresh_token_caches_are_empty(self):
+        backend = make_backend(vocab=2**40)
+        assert backend._first_fold == {} and backend._token_operand == {}
 
-    def test_first_token_cache_holds_only_queried_first_tokens(self):
+    def test_token_caches_hold_only_queried_tokens(self):
         backend = make_backend(vocab=2**40)
         state = backend.new_state()
         state.set_tokens([9, 2**40 - 1, 9, 5, 7, 3])
         backend.forward_range(state, 1, 8, 0, 6)
         for position in (0, 1, 4):
             backend.exit_distribution(state, 3, position)
-        # Windows (9,), (9, 2**40 - 1) and (2**40 - 1, 9, 5, 7).
+        # Windows (9,), (9, 2**40 - 1) and (2**40 - 1, 9, 5, 7): the first
+        # tokens start a fold, the later ones are folded in.
         assert set(backend._first_fold) == {9, 2**40 - 1}
+        assert set(backend._token_operand) == {2**40 - 1, 9, 5, 7}
 
     def test_selfspec_decode_on_a_vocabulary_of_2_to_the_40(self):
         backend = make_backend(vocab=2**40)
