@@ -3,9 +3,10 @@
 A backend is anything that can run layer ranges over a LayeredState and
 answer, at arbitrary exit layers, with its greedy next token. Two
 implementations exist: the toy transformer (real tensors) and the
-synthetic layered oracle (closed form, bookkeeping only). Both are
-immutable after construction and safe to share across decode sessions;
-all per-session mutation lives in the LayeredState. A backend without
+synthetic layered oracle (closed form, bookkeeping only). Answers are
+pure, and a backend is safe to share across sequential decode sessions:
+all per-session mutation lives in the LayeredState, and what the
+synthetic oracle caches on first use changes no answer. A backend without
 tensors, such as the synthetic oracle, may hold `LayeredState.advance`
 itself as its `forward_range`: the state's fills are all a pass changes.
 
@@ -73,6 +74,9 @@ class TokenDistribution:
 
 
 class Backend(Protocol):
+    """What a decode asks of a backend. One whose states hold tensors also offers
+    `reference_state(tokens, fills, buffered_layers)` for `consistency_check`."""
+
     n_layers: int
     vocab_size: int
     max_seq_len: int
@@ -95,7 +99,4 @@ class Backend(Protocol):
     ) -> int | TokenDistribution:
         """The greedy token of `layer` for the position after `position`:
         the token itself, or a `TokenDistribution` whose argmax is that token."""
-        ...
-
-    def reference_state(self, tokens: Sequence[int], fills: Sequence[int], buffered_layers: Sequence[int]) -> LayeredState:
         ...

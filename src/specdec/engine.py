@@ -184,8 +184,8 @@ class DecodeSession:
     `exits` are the exit layers splitting the stack into levels, e.g.
     (draft, intermediate, full). Level i covers layers exits[i-1]+1 to
     exits[i]; level 0 starts at layer 1. `eos_token`, None or an integer,
-    ends a draft or a decode once emitted. The constructor checks the exits
-    and `eos_token` it stores; `prefill` checks the prompt and makes the state.
+    ends a draft or a decode once emitted. The constructor stores the exits
+    and `eos_token` as checked ints; `prefill` checks the prompt and makes the state.
     """
 
     def __init__(
@@ -194,16 +194,17 @@ class DecodeSession:
         exits: Sequence[int],
         eos_token: int | None = None,
     ) -> None:
-        exits = tuple(exits)
-        for exit_layer in exits:
+        exits = [*exits]
+        for i, exit_layer in enumerate(exits):
             if type(exit_layer) is not int:
-                as_token(exit_layer, "exit")
+                exits[i] = as_token(exit_layer, "exit")
+        exits = tuple(exits)
         if not exits or list(exits) != sorted(set(exits)):
             raise ConfigError("exits must be strictly increasing")
         if exits[0] < 1 or exits[-1] > backend.n_layers:
             raise ConfigError(f"exits {exits} outside the model's layers 1 to {backend.n_layers}")
         if eos_token is not None and type(eos_token) is not int:
-            as_token(eos_token, "eos_token")
+            eos_token = as_token(eos_token, "eos_token")
         self.backend = backend
         self.exits = exits
         self.eos_token = eos_token
@@ -384,12 +385,13 @@ def speculative_decode(
     budget, and on a mismatch commits the top exit's own token instead.
     `boundary_hook(session)` runs after every top-exit verification.
     """
-    exits, bursts = tuple(exits), tuple(bursts)
-    for burst in bursts:
+    exits, bursts = tuple(exits), [*bursts]
+    for i, burst in enumerate(bursts):
         if type(burst) is not int:
-            as_token(burst, "burst")
+            bursts[i] = as_token(burst, "burst")
+    bursts = tuple(bursts)
     if type(max_new_tokens) is not int:
-        as_token(max_new_tokens, "max_new_tokens")
+        max_new_tokens = as_token(max_new_tokens, "max_new_tokens")
     if len(exits) > 1 and exits[-1] != backend.n_layers:
         raise ConfigError(f"exits {exits} must end at the full_layer {backend.n_layers}")
     if len(bursts) != len(exits) - 1 or min(bursts, default=1) < 1:
@@ -415,7 +417,7 @@ def speculative_decode(
         session.commit(drafted)
         return _finish(session, len(prompt))
     top = len(exits) - 1
-    eos = eos_token
+    eos = session.eos_token
     room = max_new_tokens
     while room > 0:
         tentative, reason = _fill(session, top - 1, bursts, room)

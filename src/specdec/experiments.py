@@ -282,14 +282,20 @@ def _parse_strategy(entry: Any, where: str) -> dict:
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj: dict[str, Any] = {}
+        for key, value in pairs:
+            if key in obj:  # json would keep the last value silently
+                raise ConfigError(f"--config {path} names the key {key!r} twice in one object")
+            obj[key] = value
+        return obj
+
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"--config {path} cannot be read: {exc}") from None
-    try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, too long an int, too deep
+        raise ConfigError(f"--config {path} cannot be read: {exc}") from None
     config = ExperimentConfig.from_dict(raw, seed_override)
     spec = config.prompt_spec
     if "text_path" in spec:  # a relative path names a file beside the config

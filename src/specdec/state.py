@@ -262,26 +262,28 @@ def consistency_check(
 ) -> list[LayerReport]:
     """Recompute the state from scratch and report per-layer discrepancies.
 
-    The reference is a monolithic forward over `token_sequence` brought to
-    the same per-layer fill extents, and each of the state's arrays is
-    compared with the reference's over its layer's fill. In deterministic
-    math the report must be all zeros; any nonzero cell pinpoints a
-    corrupted (layer, position). A NaN difference reads as infinity at its
-    first position, so it fails the check too. A state without tensors has
-    no arrays and reports zeros for any token sequence.
+    The reference, the backend's `reference_state`, is a monolithic forward
+    over `token_sequence` brought to the same per-layer fill extents, and
+    each of the state's arrays is compared with the reference's over its
+    layer's fill. In deterministic math the report must be all zeros; any
+    nonzero cell pinpoints a corrupted (layer, position). A NaN difference
+    reads as infinity at its first position, so it fails the check too. A
+    state without tensors reports zeros at once, asking its backend nothing.
     """
-    fills = state.fills()
-    reference = backend.reference_state(token_sequence, fills, state.buffered_layers)
+    mine = state.arrays()
     worst: list[tuple[float, int | None]] = [(0.0, None)] * state.n_layers
-    for (layer, mine), (_, theirs) in zip(state.arrays(), reference.arrays(), strict=True):
-        fill = fills[layer - 1]
-        if fill == 0:
-            continue
-        per_pos = abs(mine[:fill] - theirs[:fill]).max(axis=1)  # abs is np.absolute
-        position = int(per_pos.argmax())  # the first NaN, if there is one
-        gap = float(per_pos[position])
-        if math.isnan(gap):
-            gap = math.inf
-        if gap > worst[layer - 1][0]:
-            worst[layer - 1] = (gap, position)
+    if mine:
+        fills = state.fills()
+        reference = backend.reference_state(token_sequence, fills, state.buffered_layers)
+        for (layer, rows), (_, theirs) in zip(mine, reference.arrays(), strict=True):
+            fill = fills[layer - 1]
+            if fill == 0:
+                continue
+            per_pos = abs(rows[:fill] - theirs[:fill]).max(axis=1)  # abs is np.absolute
+            position = int(per_pos.argmax())  # the first NaN, if there is one
+            gap = float(per_pos[position])
+            if math.isnan(gap):
+                gap = math.inf
+            if gap > worst[layer - 1][0]:
+                worst[layer - 1] = (gap, position)
     return [LayerReport(layer, *pair) for layer, pair in enumerate(worst, 1)]

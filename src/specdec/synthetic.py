@@ -285,16 +285,3 @@ class SyntheticBackend:
         if len(self._window_cache) < _CACHE_LIMIT:
             self._window_cache[window] = drawn
         return drawn
-
-    def reference_state(
-        self,
-        tokens: Sequence[int],
-        fills: Sequence[int],
-        buffered_layers: Sequence[int],
-    ) -> LayeredState:
-        ref = self.new_state(buffered_layers)
-        ref.set_tokens(tokens)
-        for layer, fill in enumerate(fills, 1):
-            if fill:
-                ref.advance(layer, layer, 0, fill)
-        return ref

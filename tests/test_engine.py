@@ -11,8 +11,10 @@ from specdec import (
     SyntheticBackend,
     SyntheticModelSpec,
     TokenDistribution,
+    calibrate_preset,
     consistency_check,
     default_layer_placement,
+    relative_throughput,
     replay_ledger,
     speculative_decode,
     vanilla_decode,
@@ -173,6 +175,25 @@ class TestDefaults:
             got = speculative_decode(oracle_backend, prompt, (2, 4, 8), DEFAULT_BURSTS, 8)
             want = speculative_decode(oracle_backend, [1, 2, 3], (2, 4, 8), DEFAULT_BURSTS, 8)
             assert got.tokens == want.tokens
+
+    def test_numpy_integer_arguments_are_stored_as_ints(self):
+        # Numpy integers pass the checks; what reaches the levels and the ledger is int.
+        backend = SyntheticBackend(calibrate_preset("llama70b-sharegpt"))
+        prompt = [5, 6, 7, 8]
+        want = speculative_decode(backend, prompt, (10, 20, 80), (2, 4), 16, eos_token=3)
+        got = speculative_decode(
+            backend, prompt, (np.int64(10), np.int64(20), 80), (np.int64(2), 4), np.int64(16),
+            eos_token=np.int64(3),
+        )
+        assert got.tokens == want.tokens and got.trace == want.trace
+        assert got.ledger == want.ledger
+        assert all(type(field) is int for key in got.ledger.passes for field in key[1:])
+        phases = got.ledger.phases.values()
+        assert all(type(units) is int for cost in phases for units in dataclasses.astuple(cost))
+        assert type(got.ledger.sequential_units()) is int
+        assert type(relative_throughput(16, got.ledger, 16, want.ledger)) is float
+        session = DecodeSession(backend, (np.int64(10), 80), eos_token=np.uint8(3))
+        assert [type(x) for x in (*session.exits, session.eos_token)] == [int, int, int]
 
     def test_defaults_match_paper_style_values(self):
         assert default_layer_placement(32) == (4, 8)

@@ -239,6 +239,17 @@ MALFORMED_INPUTS = {
     ),
 }
 
+# case -> (config text that json.dumps does not write, command, what the message names)
+MALFORMED_TEXTS = {
+    "nested-beyond-recursion-limit": ("[" * 200000 + "]" * 200000, ["check"], "--config"),
+    "integer-beyond-digit-limit": ('{"seed": 1' + "0" * 5000 + "}", ["check"], "--config"),
+    # Without the check, json keeps the last value and the run exits 0.
+    "key-named-twice": (
+        json.dumps(SMALL_CONFIG)[:-1] + ', "decode": {"max_new_tokens": 8}}', ["compare"],
+        "'decode' twice",
+    ),
+}
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -577,6 +588,18 @@ class TestCli:
             argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TEXTS))
+    def test_malformed_text_exits_2_naming_it(self, tmp_path, capsys, case):
+        text, command, named = MALFORMED_TEXTS[case]
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        argv = command + ["--config", str(path)]
+        if command[0] != "check":  # check writes no report
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and named in err
 
     @pytest.mark.parametrize(
         "backend, max_len",

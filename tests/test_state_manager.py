@@ -11,7 +11,9 @@ from specdec import (
     LayeredState,
     ModelConfig,
     ProtocolError,
+    SyntheticBackend,
     ToyTransformer,
+    calibrate_preset,
     consistency_check,
     speculative_decode,
     vanilla_decode,
@@ -19,6 +21,7 @@ from specdec import (
 
 from conftest import (
     CountingBackend,
+    MaskBackend,
     all_agree_backend,
     equals_snapshot,
     live_counts_are_one,
@@ -304,7 +307,6 @@ class TestConsistencyCheck:
         with pytest.raises(ConfigError, match=re.escape("token 1.9 must be an integer")):
             consistency_check(state, toy_backend, [1.9, 2.2, 3.7])
 
-    @pytest.mark.parametrize("kind", ["toy", "synthetic"])
     @pytest.mark.parametrize(
         "fills, message",
         [
@@ -314,16 +316,11 @@ class TestConsistencyCheck:
         ],
         ids=["gap", "deeper-ahead", "monotone"],
     )
-    def test_reference_state_reaches_only_monotone_fills(self, kind, fills, message):
+    def test_reference_state_reaches_only_monotone_fills(self, fills, message):
         # A fill of 0 above a layer does not end the recompute: a deeper
         # non-zero fill has no input there and is rejected by `advance`.
-        if kind == "toy":
-            config = ModelConfig(
-                n_layers=4, d_model=8, n_heads=2, vocab_size=8, max_seq_len=8, seed=0
-            )
-            backend = ToyTransformer(config)
-        else:
-            backend = all_agree_backend(n_layers=4, vocab_size=8)
+        config = ModelConfig(n_layers=4, d_model=8, n_heads=2, vocab_size=8, max_seq_len=8, seed=0)
+        backend = ToyTransformer(config)
         if message is None:
             assert backend.reference_state(range(6), fills, (2, 4)).fills() == fills
         else:
@@ -335,14 +332,25 @@ class TestConsistencyCheck:
         reports = consistency_check(state, toy_backend, [])
         assert all(r.max_abs_discrepancy == 0.0 and r.worst_position is None for r in reports)
 
-    def test_structural_backend_reports_zeros(self):
-        # A state without tensors has no arrays to compare, whatever the tokens.
-        backend = all_agree_backend()
-        state = vanilla_decode(backend, [1, 2], 8).state
+    @pytest.mark.parametrize("kind", ["synthetic", "mask"])
+    def test_structural_backend_reports_zeros(self, kind):
+        # A state without tensors has no arrays to compare, whatever the tokens,
+        # so the check recomputes nothing: a sequence shorter than the fills
+        # passes, and a backend without `reference_state` can be checked.
+        if kind == "synthetic":
+            backend = SyntheticBackend(calibrate_preset("llama70b-sharegpt"))
+        else:
+            backend = MaskBackend(4, lambda layer, position: 1, max_seq_len=16)
+            assert not hasattr(backend, "reference_state")
+        state = vanilla_decode(backend, [1, 2, 0], 8).state
+        assert state.fills() == (11,) * backend.n_layers
         assert state.kv_k == state.kv_v == [] and state.hidden == {}
-        for tokens in (state.tokens, [(t + 1) % backend.vocab_size for t in state.tokens]):
+        shifted = [(t + 1) % backend.vocab_size for t in state.tokens]
+        for tokens in (state.tokens, shifted, state.tokens[:4], []):
             reports = consistency_check(state, backend, tokens)
-            assert all(r.max_abs_discrepancy == 0.0 and r.worst_position is None for r in reports)
+            assert [(r.max_abs_discrepancy, r.worst_position) for r in reports] == [
+                (0.0, None)
+            ] * backend.n_layers
 
 
 class TestNoLeak:
