@@ -181,10 +181,10 @@ def _check_prompt(backend: Backend, prompt: Sequence[int]) -> None:
 class DecodeSession:
     """One decode over one backend; strictly sequential, owns its state and trace.
 
-    `exits` are the exit layers splitting the stack into levels, e.g.
-    (draft, intermediate, full). Level i covers layers exits[i-1]+1 to
-    exits[i]; level 0 starts at layer 1. `eos_token`, None or an integer,
-    ends a draft or a decode once emitted. The constructor stores the exits
+    `exits` are the exit layers splitting the stack into levels, e.g. (draft,
+    intermediate, full); two or more end at full depth. Level i covers layers
+    exits[i-1]+1 to exits[i]; level 0 starts at layer 1. `eos_token`, None or an
+    integer, ends a draft or a decode once emitted. The constructor stores the exits
     and `eos_token` as checked ints; `prefill` checks the prompt and makes the state.
     """
 
@@ -199,6 +199,8 @@ class DecodeSession:
             if type(exit_layer) is not int:
                 exits[i] = as_token(exit_layer, "exit")
         exits = tuple(exits)
+        if len(exits) > 1 and exits[-1] != backend.n_layers:
+            raise ConfigError(f"exits {exits} must end at the full_layer {backend.n_layers}")
         if not exits or list(exits) != sorted(set(exits)):
             raise ConfigError("exits must be strictly increasing")
         if exits[0] < 1 or exits[-1] > backend.n_layers:
@@ -385,15 +387,15 @@ def speculative_decode(
     budget, and on a mismatch commits the top exit's own token instead.
     `boundary_hook(session)` runs after every top-exit verification.
     """
-    exits, bursts = tuple(exits), [*bursts]
+    bursts = [*bursts]
     for i, burst in enumerate(bursts):
         if type(burst) is not int:
             bursts[i] = as_token(burst, "burst")
     bursts = tuple(bursts)
     if type(max_new_tokens) is not int:
         max_new_tokens = as_token(max_new_tokens, "max_new_tokens")
-    if len(exits) > 1 and exits[-1] != backend.n_layers:
-        raise ConfigError(f"exits {exits} must end at the full_layer {backend.n_layers}")
+    session = DecodeSession(backend, exits, eos_token=eos_token)
+    exits = session.exits
     if len(bursts) != len(exits) - 1 or min(bursts, default=1) < 1:
         raise ConfigError(
             f"bursts {bursts} must give one length >= 1 for each of the "
@@ -409,7 +411,6 @@ def speculative_decode(
             f"prompt of {len(prompt)} plus {max_new_tokens} new tokens exceeds "
             f"max_seq_len {backend.max_seq_len}"
         )
-    session = DecodeSession(backend, exits, eos_token=eos_token)
     session.prefill(prompt)
     if len(exits) == 1:  # vanilla: one burst as long as the budget, committed unverified
         budget = (max_new_tokens,)

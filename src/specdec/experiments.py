@@ -5,15 +5,16 @@ grids. `ExperimentConfig.from_dict` is the only reader of the raw config.
 It checks every section once, when the config is loaded, against one table
 of fields, rules and defaults, and builds the backend's model spec, so an
 unknown key or a bad value is an error that names its field, and the
-builders downstream read only checked values. Each strategy entry gives
-only its own grid fields. Every report is such a grid: `sweep` runs the
-config's own, while `compare` runs a fixed one. A grid point is the
-exits and burst lengths of one `speculative_decode` call, and its exit
-count names its strategy; it decodes the whole corpus, sums the tokens,
-cost ledgers and stats, and becomes one result row. Vanilla full-depth
-decoding over the same corpus is always computed and serves as the
-throughput baseline. Rows are emitted in sorted parameter order so
-output bytes never depend on scheduling.
+builders downstream read only checked values. A strategy entry gives only
+its own alias's fields, which `STRATEGY_FIELDS` parses into exit-layer and
+burst-length axes. Every report is such a grid: `sweep` runs the config's
+own, while `compare` runs a fixed one. A grid point is the exits and burst
+lengths of one `speculative_decode` call, and its exit count names its
+strategy; it decodes the whole corpus, sums the tokens, cost ledgers and
+stats, and becomes one result row. Vanilla full-depth decoding over the
+same corpus is always computed and serves as the throughput baseline. Rows
+are emitted in sorted parameter order so output bytes never depend on
+scheduling.
 """
 from __future__ import annotations
 
@@ -41,40 +42,26 @@ if TYPE_CHECKING:  # pragma: no cover
 
 logger = logging.getLogger("specdec")
 
+# The report columns of the exit layers below the full depth and of the burst
+# lengths, one per level, shallowest first.
+EXIT_COLUMNS = ("L_d", "L_i")
+BURST_COLUMNS = ("N_d", "N_i")
 RESULT_COLUMNS = (
-    "strategy",
-    "L_d",
-    "L_i",
-    "L_f",
-    "N_d",
-    "N_i",
-    "prompts",
-    "committed_tokens",
-    "seq_units",
-    "pos_layer_units",
-    "acc_rate_intermediate",
-    "acc_rate_target",
-    "flushed",
+    "strategy", *EXIT_COLUMNS, "L_f", *BURST_COLUMNS, "prompts", "committed_tokens",
+    "seq_units", "pos_layer_units", "acc_rate_intermediate", "acc_rate_target", "flushed",
     "rel_throughput",
 )
 
 _FLOAT_COLUMNS = {"acc_rate_intermediate", "acc_rate_target", "rel_throughput"}
 
 
-# The grid fields of each strategy: its exit layers below the full depth, shallowest
-# first, then one burst length for each. Vanilla has none; its row is the baseline.
+# The config fields of each strategy's two axes: its exit layers below the full
+# depth, then one burst length per level, both shallowest first. Vanilla has none;
+# its row is the baseline.
 STRATEGY_FIELDS = {
-    "vanilla": (),
-    "selfspec": ("draft_layer", "draft_len"),
-    "hierarchical": ("draft_layer", "intermediate_layer", "draft_len", "accept_window"),
-}
-# Each grid field's report column; exit layers are the "L_" columns. The
-# order matches the default layer placement followed by DEFAULT_BURSTS.
-FIELD_COLUMNS = {
-    "draft_layer": "L_d",
-    "intermediate_layer": "L_i",
-    "draft_len": "N_d",
-    "accept_window": "N_i",
+    "vanilla": ((), ()),
+    "selfspec": (("draft_layer",), ("draft_len",)),
+    "hierarchical": (("draft_layer", "intermediate_layer"), ("draft_len", "accept_window")),
 }
 
 _REQUIRED = object()
@@ -259,26 +246,30 @@ def _model_spec(raw: Any, seed: int) -> ModelConfig | SyntheticModelSpec:
 
 
 def _parse_strategy(entry: Any, where: str) -> dict:
-    """One strategies entry: its name and each grid field as int values or "all"."""
+    """One strategies entry as its name, its exit-layer axes and its burst-length
+    axes, each in `STRATEGY_FIELDS` order. An axis holds a tuple of ints, or None
+    for the default; an exit axis may also hold "all". A burst length is >= 1."""
     name = config_object(entry, where).get("name")
     if not isinstance(name, str) or name not in STRATEGY_FIELDS:
         raise ConfigError(
             f"{where}.name must be one of {', '.join(STRATEGY_FIELDS)}, got {name!r}"
         )
-    parsed: dict[str, Any] = {"name": name}
-    for key, value in config_object(entry, where, ("name", *STRATEGY_FIELDS[name])).items():
-        if key == "name":
+    exit_fields, burst_fields = STRATEGY_FIELDS[name]
+    raw = config_object(entry, where, ("name", *exit_fields, *burst_fields))
+    given = {}
+    for key, value in raw.items():  # in the entry's order: its first bad field is named
+        if key == "name" or value == "all":
             continue
         field = f"{where}.{key}"
-        if value == "all":
-            parsed[key] = value
-            continue
-        minimum = None if FIELD_COLUMNS[key].startswith("L_") else 1
         values = value if isinstance(value, list) else [value]
         if not values:
             raise ConfigError(f"{field} must hold at least one value")
-        parsed[key] = tuple(config_int(v, field, minimum) for v in values)
-    return parsed
+        given[key] = tuple(config_int(v, field, None if key in exit_fields else 1) for v in values)
+    return {
+        "name": name,
+        "exits": ["all" if raw.get(key) == "all" else given.get(key) for key in exit_fields],
+        "bursts": [given.get(key) for key in burst_fields],  # a burst's "all" is its default
+    }
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
@@ -293,7 +284,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
+        raise ConfigError(f"--config {path} parse error at line {exc.lineno}: {exc.msg}") from exc
     except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, too long an int, too deep
         raise ConfigError(f"--config {path} cannot be read: {exc}") from None
     config = ExperimentConfig.from_dict(raw, seed_override)
@@ -349,32 +340,29 @@ def _corpus(config: ExperimentConfig) -> list[list[int]]:
 def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
     """Cartesian strategy grids; invalid points are skipped with a logged reason.
 
-    A missing field takes its default (the default layer placement and
-    DEFAULT_BURSTS). For an exit layer, "all" spans every layer that the
-    field can hold under 1 <= L_d < L_i < L_f; for a burst length it is
-    the default. So an entry that lists only a burst length, such as
-    {"name": "hierarchical", "draft_len": [1, 3]}, varies that burst with
-    every other field at its default. The skip reason is logged once per
-    strategy and invalid layer combination, however many burst lengths the
-    grid pairs it with, when no exit layer of the entry is "all". Otherwise
-    a combination drawn from "all" was never asked for, so the reason is
-    logged once per named exit-layer value that no combination can use.
+    Axis k of an entry that leaves it out takes the default layer placement's
+    k-th layer for an exit, DEFAULT_BURSTS[k] for a burst. For an exit layer,
+    "all" spans every layer that the axis can hold under 1 <= L_d < L_i < L_f.
+    So an entry that lists only a burst length, such as {"name":
+    "hierarchical", "draft_len": [1, 3]}, varies that burst with every other
+    axis at its default. The skip reason is logged once per strategy and
+    invalid layer combination, however many burst lengths the grid pairs it
+    with, when no exit axis of the entry is "all". Otherwise a combination
+    drawn from "all" was never asked for, so the reason is logged once per
+    named exit layer that no combination can use.
     """
-    defaults = dict(zip(FIELD_COLUMNS, default_layer_placement(n_layers) + DEFAULT_BURSTS))
+    placement = default_layer_placement(n_layers)
     points = set()
     skipped = set()
-    for strategy in ({"name": "vanilla"}, *config.strategies):
-        name = strategy["name"]
-        fields = STRATEGY_FIELDS[name]
-        depth = len(fields) // 2  # exit layers below the full depth
-        columns = [FIELD_COLUMNS[field] for field in fields[:depth]]
-        named = all(strategy.get(field) != "all" for field in fields[:depth])
-        axes = []
-        for k, field in enumerate(fields):
-            values = strategy.get(field, (defaults[field],))
-            if values == "all":
-                values = range(1 + k, n_layers - depth + 1 + k) if k < depth else (defaults[field],)
-            axes.append(values)
+    for strategy in (_parse_strategy({"name": "vanilla"}, "vanilla"), *config.strategies):
+        name, exit_axes = strategy["name"], strategy["exits"]
+        depth = len(exit_axes)  # exit layers below the full depth
+        columns = EXIT_COLUMNS[:depth]
+        named = "all" not in exit_axes
+        axes = [
+            range(1 + k, n_layers - depth + 1 + k) if values == "all" else values or (placement[k],)
+            for k, values in enumerate(exit_axes)
+        ] + [values or (DEFAULT_BURSTS[k],) for k, values in enumerate(strategy["bursts"])]
         used = set()  # (exit index, layer) of every exit layer some point holds
         for combo in itertools.product(*axes):
             exits = (*combo[:depth], n_layers)
@@ -393,9 +381,9 @@ def expand_grid(config: ExperimentConfig, n_layers: int) -> list[GridPoint]:
         if not named:
             unused = {
                 (k, layer)
-                for k, field in enumerate(fields[:depth])
-                if strategy.get(field, "all") != "all"
-                for layer in strategy[field]
+                for k, values in enumerate(exit_axes)
+                if isinstance(values, tuple)
+                for layer in values
             } - used
             for k, layer in sorted(unused):
                 logger.warning(
@@ -483,11 +471,11 @@ def run_points(
 def _row(point: GridPoint, sums: tuple, baseline: tuple, n_prompts: int) -> dict:
     """The result row of a point from its and the baseline's `run_point` sums."""
     tokens, ledger, stats = sums
-    fields = dict(zip(STRATEGY_FIELDS[point.strategy], point.exits[:-1] + point.bursts))
     return {
         "strategy": point.strategy,
-        **{column: fields.get(field) for field, column in FIELD_COLUMNS.items()},
+        **dict(itertools.zip_longest(EXIT_COLUMNS, point.exits[:-1])),
         "L_f": point.exits[-1],
+        **dict(itertools.zip_longest(BURST_COLUMNS, point.bursts)),
         "prompts": n_prompts,
         "committed_tokens": tokens,
         "seq_units": ledger.sequential_units(),
@@ -521,7 +509,9 @@ def run_check(config: ExperimentConfig, jobs: int = 1) -> tuple[int, int, int, f
 
 def run_compare(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Vanilla vs selfspec vs hierarchical at the default placement."""
-    strategies = ({"name": "selfspec"}, {"name": "hierarchical"})
+    strategies = tuple(
+        _parse_strategy({"name": name}, "compare") for name in ("selfspec", "hierarchical")
+    )
     return run_sweep(replace(config, strategies=strategies), jobs)
 
 

@@ -113,6 +113,10 @@ class TestDefaults:
             ([1, 2, 3], (2.5, 8), (2,), 4, None, ConfigError, "exit 2.5 must be an integer"),
             ([1, 2, 3], (True, 8), (2,), 4, None, ConfigError, "exit True must be an integer"),
             ([1, 2, 3], ("2", 8), (2,), 4, None, ConfigError, "exit '2' must be an integer"),
+            (
+                [1, 2, 3], (np.int64(2), 7), (2,), 4, None, ConfigError,
+                "exits (2, 7) must end at the full_layer 8",
+            ),
             ([1, 2, 3], H, (2.0, 4), 8, None, ConfigError, "burst 2.0 must be an integer"),
             ([1, 2, 3], H, B, 4.5, None, ConfigError, "max_new_tokens 4.5 must be"),
             ([1, 2, 3], H, B, "4", None, ConfigError, "max_new_tokens '4' must be"),
@@ -120,7 +124,8 @@ class TestDefaults:
         ],
         ids=[
             "bursts", "budget", "capacity", "empty-prompt", "prompt-token", "float-exit",
-            "bool-exit", "str-exit", "float-burst", "float-budget", "str-budget", "float-eos",
+            "bool-exit", "str-exit", "numpy-exit-short", "float-burst", "float-budget",
+            "str-budget", "float-eos",
         ],
     )
     def test_bad_input_is_rejected_before_a_state_is_allocated(

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import re
 import subprocess
@@ -14,6 +15,7 @@ from specdec.state import LayerReport
 from specdec.experiments import (
     MAX_RANDOM_PROMPT_LEN,
     ExperimentConfig,
+    GridPoint,
     build_backend,
     config_int,
     expand_grid,
@@ -257,6 +259,77 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+# Each alias entry's grid as first recorded: the points that `expand_grid` gives at 12
+# layers, the count and the sha256 of the points' repr at 80, and the one skip warning
+# that each size logs, if any, with {n} the layer count.
+ALIAS_GRIDS = {
+    "selfspec-defaults": (
+        {"name": "selfspec"},
+        [((12,), ()), ((2, 12), (2,))],
+        (2, "74e2a0ed5c5ba4914a3215feb71084dafd5eb2f1061b52ee551d89d6a4cec2a8"),
+        None,
+    ),
+    "hierarchical-defaults": (
+        {"name": "hierarchical"},
+        [((12,), ()), ((2, 3, 12), (2, 4))],
+        (2, "349d987fdaf8b49dbb349a5e2f806277257cf88097f18194f1eaa45536408d4a"),
+        None,
+    ),
+    "selfspec-all-layers-two-bursts": (
+        {"name": "selfspec", "draft_layer": "all", "draft_len": [1, 3]},
+        [
+            ((12,), ()), ((1, 12), (1,)), ((1, 12), (3,)), ((2, 12), (1,)),
+            ((2, 12), (3,)), ((3, 12), (1,)), ((3, 12), (3,)), ((4, 12), (1,)),
+            ((4, 12), (3,)), ((5, 12), (1,)), ((5, 12), (3,)), ((6, 12), (1,)),
+            ((6, 12), (3,)), ((7, 12), (1,)), ((7, 12), (3,)), ((8, 12), (1,)),
+            ((8, 12), (3,)), ((9, 12), (1,)), ((9, 12), (3,)), ((10, 12), (1,)),
+            ((10, 12), (3,)), ((11, 12), (1,)), ((11, 12), (3,)),
+        ],
+        (159, "705f1a7af0c4b461e7b66650500bb1f6aa4ef276979dfff6d2218dc6e9baf3b3"),
+        None,
+    ),
+    "hierarchical-all-layers": (
+        {"name": "hierarchical", "draft_layer": "all", "intermediate_layer": "all"},
+        [
+            ((12,), ()),
+            ((1, 2, 12), (2, 4)), ((1, 3, 12), (2, 4)), ((1, 4, 12), (2, 4)),
+            ((1, 5, 12), (2, 4)), ((1, 6, 12), (2, 4)), ((1, 7, 12), (2, 4)),
+            ((1, 8, 12), (2, 4)), ((1, 9, 12), (2, 4)), ((1, 10, 12), (2, 4)),
+            ((1, 11, 12), (2, 4)), ((2, 3, 12), (2, 4)), ((2, 4, 12), (2, 4)),
+            ((2, 5, 12), (2, 4)), ((2, 6, 12), (2, 4)), ((2, 7, 12), (2, 4)),
+            ((2, 8, 12), (2, 4)), ((2, 9, 12), (2, 4)), ((2, 10, 12), (2, 4)),
+            ((2, 11, 12), (2, 4)), ((3, 4, 12), (2, 4)), ((3, 5, 12), (2, 4)),
+            ((3, 6, 12), (2, 4)), ((3, 7, 12), (2, 4)), ((3, 8, 12), (2, 4)),
+            ((3, 9, 12), (2, 4)), ((3, 10, 12), (2, 4)), ((3, 11, 12), (2, 4)),
+            ((4, 5, 12), (2, 4)), ((4, 6, 12), (2, 4)), ((4, 7, 12), (2, 4)),
+            ((4, 8, 12), (2, 4)), ((4, 9, 12), (2, 4)), ((4, 10, 12), (2, 4)),
+            ((4, 11, 12), (2, 4)), ((5, 6, 12), (2, 4)), ((5, 7, 12), (2, 4)),
+            ((5, 8, 12), (2, 4)), ((5, 9, 12), (2, 4)), ((5, 10, 12), (2, 4)),
+            ((5, 11, 12), (2, 4)), ((6, 7, 12), (2, 4)), ((6, 8, 12), (2, 4)),
+            ((6, 9, 12), (2, 4)), ((6, 10, 12), (2, 4)), ((6, 11, 12), (2, 4)),
+            ((7, 8, 12), (2, 4)), ((7, 9, 12), (2, 4)), ((7, 10, 12), (2, 4)),
+            ((7, 11, 12), (2, 4)), ((8, 9, 12), (2, 4)), ((8, 10, 12), (2, 4)),
+            ((8, 11, 12), (2, 4)), ((9, 10, 12), (2, 4)), ((9, 11, 12), (2, 4)),
+            ((10, 11, 12), (2, 4)),
+        ],
+        (3082, "81a685a644cf3dc0ce3446d6d35e7d32b38494cc13736c61d8c0b3b360322210"),
+        None,
+    ),
+    "hierarchical-named-layers-all-draft-len": (
+        {
+            "name": "hierarchical", "draft_layer": [2, 5], "intermediate_layer": [3, 9],
+            "draft_len": "all", "accept_window": [2, 4],
+        },
+        [
+            ((12,), ()), ((2, 3, 12), (2, 2)), ((2, 3, 12), (2, 4)), ((2, 9, 12), (2, 2)),
+            ((2, 9, 12), (2, 4)), ((5, 9, 12), (2, 2)), ((5, 9, 12), (2, 4)),
+        ],
+        (7, "38042e6a07b58efcc724d9fc7a5f6ed22388447dfe48ad599adfbb7325541f8e"),
+        "skip hierarchical point (L_d=5, L_i=3): needs 1 <= L_d < L_i < {n}",
+    ),
+}
+
+
 class TestGridExpansion:
     def test_full_grid_has_465_hierarchical_cells(self):
         config = ExperimentConfig.from_dict(SWEEP_CONFIG)
@@ -337,6 +410,25 @@ class TestGridExpansion:
         assert [rec.message for rec in caplog.records] == [
             f"skip hierarchical {message}: no point satisfies 1 <= L_d < L_i < 16"
         ]
+
+    @pytest.mark.parametrize(
+        "entry, at_12, at_80, warning", ALIAS_GRIDS.values(), ids=list(ALIAS_GRIDS)
+    )
+    def test_each_alias_expands_to_its_recorded_grid(self, caplog, entry, at_12, at_80, warning):
+        # "all" on a burst field is its default, as draft_len is in the last entry.
+        config = ExperimentConfig.from_dict(dict(SWEEP_CONFIG, strategies=[entry]))
+        for n_layers in (12, 80):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="specdec"):
+                points = expand_grid(config, n_layers)
+            assert points == sorted(points, key=GridPoint.sort_key)
+            if n_layers == 12:
+                assert points == [GridPoint(exits, bursts) for exits, bursts in at_12]
+            else:
+                digest = hashlib.sha256(repr(points).encode()).hexdigest()
+                assert (len(points), digest) == at_80
+            expected = [] if warning is None else [warning.format(n=n_layers)]
+            assert [rec.message for rec in caplog.records] == expected
 
 
 class TestRunAndEmit:
@@ -504,7 +596,8 @@ class TestRunAndEmit:
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "backend": ???\n}\n', encoding="utf-8")
-        with pytest.raises(ConfigError, match="line 2"):
+        message = f"--config {path} parse error at line 2: "
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             load_config(path)
 
 
