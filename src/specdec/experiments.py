@@ -34,7 +34,7 @@ from .engine import (
 )
 from .errors import ConfigError
 from .prompts import prompts_from_text, random_prompts
-from .state import consistency_check
+from .state import LayerReport, _layer_reports, consistency_check
 from .synthetic import PRESET_NAMES, SyntheticBackend, SyntheticModelSpec, calibrate_preset
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -426,17 +426,29 @@ def _backend_cache(spec: ModelConfig | SyntheticModelSpec):
 
 
 def _check_worker(backend_spec, prompts, point, max_new_tokens) -> tuple[int, float]:
-    """Run one grid point with consistency_check at every top-exit
-    verification; return the boundaries checked and the worst discrepancy."""
+    """Decode every prompt at `point` with consistency_check at every top-exit
+    verification, then compare each decode's final state, after finalize,
+    with a fresh monolithic `reference_state`. Return the boundaries checked
+    and the worst discrepancy of all those comparisons."""
     backend = _backend_cache(backend_spec)
     worst: list[float] = []  # one entry per boundary
+    finals: list[float] = []  # one entry per decode with tensors
 
     def hook(session) -> None:
-        reports = consistency_check(session.state, backend, session.state.tokens)
-        worst.append(max(report.max_abs_discrepancy for report in reports))
+        worst.append(_worst(consistency_check(session.state, backend, session.state.tokens)))
 
-    run_point(backend_spec, prompts, point, max_new_tokens, boundary_hook=hook)
-    return len(worst), max(worst, default=0.0)
+    for prompt in prompts:
+        state = speculative_decode(
+            backend, prompt, point.exits, point.bursts, max_new_tokens, boundary_hook=hook
+        ).state
+        if state.kv_k:  # a state without tensors has nothing to compare
+            reference = backend.reference_state(state.tokens, state.fills(), state.buffered_layers)
+            finals.append(_worst(_layer_reports(state, reference)))
+    return len(worst), max(worst + finals, default=0.0)
+
+
+def _worst(reports: Sequence[LayerReport]) -> float:
+    return max(report.max_abs_discrepancy for report in reports)
 
 
 def _map_points(
@@ -496,8 +508,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
 
 def run_check(config: ExperimentConfig, jobs: int = 1) -> tuple[int, int, int, float]:
     """Recompute the state at every top-exit verification of each
-    speculative grid point. Returns the boundaries checked, the prompts,
-    the points and the worst discrepancy, which is 0.0 on a sound state."""
+    speculative grid point, and once more at each decode's end. Returns the
+    boundaries checked, the prompts, the points and the worst discrepancy,
+    which is 0.0 on a sound state."""
     n_layers = config.backend.n_layers
     points = [p for p in expand_grid(config, n_layers) if len(p.exits) > 1]
     if not points:
@@ -554,25 +567,32 @@ def emit_report(rows: Sequence[dict], out_path: str | Path, fmt: str = "csv") ->
 
 
 def emit_matrix(rows: Sequence[dict], out_path: str | Path, n_layers: int) -> Path:
-    """Reshape hierarchical sweep rows into an (L_d x L_i) throughput matrix.
+    """Reshape hierarchical sweep rows into (L_d x L_i) throughput matrices.
 
     Cells without a corresponding valid grid point are NaN. Rows are
     draft layers 1..n_layers-2 top to bottom; columns are intermediate
-    layers 2..n_layers-1 left to right.
+    layers 2..n_layers-1 left to right. A sweep over one burst pair writes
+    one matrix; over several, one per (N_d, N_i) in sorted order, each
+    under a `# N_d=... N_i=...` line.
     """
-    cells: dict[tuple[int, int], float] = {}
+    cells: dict[tuple, dict[tuple[int, int], float]] = {}
     for row in rows:
         if row["strategy"] != "hierarchical":
             continue
-        cells[(row["L_d"], row["L_i"])] = row["rel_throughput"]
+        block = cells.setdefault((row["N_d"], row["N_i"]), {})
+        block[(row["L_d"], row["L_i"])] = row["rel_throughput"]
     lines = [
         "# relative throughput matrix; rows: L_d 1..%d, cols: L_i 2..%d"
         % (n_layers - 2, n_layers - 1)
     ]
-    for draft in range(1, n_layers - 1):
-        cols = []
-        for inter in range(2, n_layers):
-            value = cells.get((draft, inter))
-            cols.append("NaN" if value is None else f"{value:.6f}")
-        lines.append(" ".join(cols))
+    for bursts in sorted(cells) or [None]:
+        if len(cells) > 1:
+            lines.append("# N_d=%s N_i=%s" % bursts)
+        block = cells.get(bursts, {})
+        for draft in range(1, n_layers - 1):
+            cols = []
+            for inter in range(2, n_layers):
+                value = block.get((draft, inter))
+                cols.append("NaN" if value is None else f"{value:.6f}")
+            lines.append(" ".join(cols))
     return _write_lines(out_path, lines)

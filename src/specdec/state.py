@@ -48,6 +48,23 @@ speculated. Each live entry is computed exactly once: `advance` rejects
 any pass that does not start at every layer's fill, and the tests assert
 it by counting backend passes (`conftest.CountingBackend`).
 
+`consistency_check` compares a state with a recompute from its tokens
+alone. The first check of a state builds that reference by the backend's
+monolithic `reference_state` and holds it in the state's private
+`_reference` slot, with the backend, for as long as the state lives.
+Each later check with the same backend prunes the held reference to the
+first position whose token changed, and no further than the lowest fill
+of either state, then extends it over the new positions: one
+`forward_range` per run of layers with equal target fills, so at a
+decode's boundaries, where every layer shares one fill, one pass. The
+determinism contract gives a position the same bits however its passes
+are split, so the extended reference equals a fresh one, and a check
+costs the new positions rather than the whole prefix. A run that can
+resume neither from the embeddings nor from a buffered layer, or a check
+with another backend, gets a fresh monolithic reference instead. The
+reference reads only tokens, never the live tensors, so a corrupted live
+entry is reported at every check that still holds it.
+
 numpy is imported only where tensors are made (`zeroed_block`), and
 `consistency_check` compares them through array methods alone, so a
 state without tensors, and a synthetic `check`, never load it.
@@ -55,6 +72,7 @@ state without tensors, and a synthetic `check`, never load it.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import mmap
 import operator
@@ -111,7 +129,8 @@ class LayeredState:
     `live_fills` is read-only outside `advance` and `prune_all`, which
     update it in place; `fills()` is a tuple copy of it. `tokens` is
     read-only outside `set_tokens`, `append_token` and `prune_all`, which
-    check every token they place.
+    check every token they place. Only `consistency_check` reads or writes
+    `_reference`, the reference it holds for the state.
     """
 
     def __init__(
@@ -136,6 +155,8 @@ class LayeredState:
         self.tokens: list[int] = []
         self.committed_len = 0
         self.live_fills = [0] * n_layers
+        # (backend, reference state) of the last consistency_check, or None.
+        self._reference: tuple[Backend, LayeredState] | None = None
         if d_model is None:
             self._block = None
             self.kv_k: list[np.ndarray] = []
@@ -260,30 +281,77 @@ class LayeredState:
 def consistency_check(
     state: LayeredState, backend: "Backend", token_sequence: Sequence[int]
 ) -> list[LayerReport]:
-    """Recompute the state from scratch and report per-layer discrepancies.
+    """Compare the state with a recompute from `token_sequence` and report
+    per-layer discrepancies.
 
-    The reference, the backend's `reference_state`, is a monolithic forward
-    over `token_sequence` brought to the same per-layer fill extents, and
-    each of the state's arrays is compared with the reference's over its
-    layer's fill. In deterministic math the report must be all zeros; any
+    The reference is a forward over `token_sequence` alone, brought to the
+    state's per-layer fill extents, and each of the state's arrays is
+    compared with the reference's over its layer's fill. The first check of
+    a state builds it by the backend's monolithic `reference_state`; the
+    state holds it, and each later check with the same backend extends it
+    over the new positions (`_extend`). Another backend, or fills it cannot
+    extend to, gets a fresh monolithic reference. Either way it reads no
+    live tensor, so in deterministic math the report must be all zeros; any
     nonzero cell pinpoints a corrupted (layer, position). A NaN difference
     reads as infinity at its first position, so it fails the check too. A
     state without tensors reports zeros at once, asking its backend nothing.
     """
-    mine = state.arrays()
+    if not state.kv_k:
+        return [LayerReport(layer, 0.0, None) for layer in range(1, state.n_layers + 1)]
+    held = state._reference
+    if held is not None and held[0] is backend:
+        if _extend(held[1], backend, token_sequence, state.live_fills):
+            return _layer_reports(state, held[1])
+    reference = backend.reference_state(token_sequence, state.fills(), state.buffered_layers)
+    state._reference = (backend, reference)
+    return _layer_reports(state, reference)
+
+
+def _extend(
+    reference: LayeredState, backend: "Backend", tokens: Sequence[int], fills: Sequence[int]
+) -> bool:
+    """Bring a held reference to `fills` over `tokens`, computing only what it lacks.
+
+    Every layer of the reference is pruned to one fill, `keep`: its first
+    position whose token differs from `tokens`, at most the lowest fill of
+    the reference and of `fills`. Then each run of layers that share a
+    target fill advances from `keep` in one pass, from layer 1 up; a run
+    above layer 1 resumes from the buffered hidden rows of the layer below
+    it. Returns False, with the reference unchanged, when such a run starts
+    above a layer the reference does not buffer.
+    """
+    keep = min(reference.live_fills[-1], fills[-1], len(tokens))  # fills fall with depth
+    held = reference.tokens
+    keep = next((p for p in range(keep) if held[p] != tokens[p]), keep)
+    runs, first = [], 1
+    for fill, layers in itertools.groupby(fills):
+        last = first + len(list(layers)) - 1
+        if fill > keep:
+            if first > 1 and first - 1 not in reference.hidden:
+                return False
+            runs.append((first, last, fill))
+        first = last + 1
+    reference.prune_all(keep)
+    reference.set_tokens(tokens)
+    for first, last, fill in runs:
+        backend.forward_range(reference, first, last, keep, fill)
+    return True
+
+
+def _layer_reports(state: LayeredState, reference: LayeredState) -> list[LayerReport]:
+    """Per layer, the worst absolute gap between `state`'s arrays and
+    `reference`'s over the layer's fill, with its first position."""
+    fills = state.live_fills
     worst: list[tuple[float, int | None]] = [(0.0, None)] * state.n_layers
-    if mine:
-        fills = state.fills()
-        reference = backend.reference_state(token_sequence, fills, state.buffered_layers)
-        for (layer, rows), (_, theirs) in zip(mine, reference.arrays(), strict=True):
-            fill = fills[layer - 1]
-            if fill == 0:
-                continue
-            per_pos = abs(rows[:fill] - theirs[:fill]).max(axis=1)  # abs is np.absolute
-            position = int(per_pos.argmax())  # the first NaN, if there is one
-            gap = float(per_pos[position])
-            if math.isnan(gap):
-                gap = math.inf
-            if gap > worst[layer - 1][0]:
-                worst[layer - 1] = (gap, position)
+    for (layer, rows), (_, theirs) in zip(state.arrays(), reference.arrays(), strict=True):
+        fill = fills[layer - 1]
+        if fill == 0:
+            continue
+        per_pos = abs(rows[:fill] - theirs[:fill]).max(axis=1)  # abs is np.absolute
+        position = int(per_pos.argmax())  # the first NaN, if there is one
+        gap = float(per_pos[position])
+        if math.isnan(gap):
+            gap = math.inf
+        if gap > worst[layer - 1][0]:
+            worst[layer - 1] = (gap, position)
     return [LayerReport(layer, *pair) for layer, pair in enumerate(worst, 1)]

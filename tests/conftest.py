@@ -114,17 +114,20 @@ class CountingBackend:
     """Forwards every attribute to `backend`, records each forward_range
     call as (layers, positions) and counts the exit_distribution calls per
     layer in `queries`: counts of the work done that do not read the trace.
+    Each state that its `reference_state` returns is kept in `references`.
 
     It also counts how often each (state, layer, position) entry was
     computed, without reading anything the state keeps but its fills:
     before each pass, the entries at or past a layer's fill were pruned
     and are dropped; after a pass that succeeded, each entry it covered
-    counts one more compute. `live_counts_are_one` reads the result."""
+    counts one more compute. A reference state starts with one compute of
+    each entry it was built with. `live_counts_are_one` reads the result."""
 
     def __init__(self, backend):
         self.backend = backend
         self.passes: list[tuple[int, int]] = []
         self.queries: Counter = Counter()
+        self.references: list = []
         # state -> per layer, the compute count of each position from 0
         self.computes: dict[object, list[list[int]]] = {}
 
@@ -142,6 +145,12 @@ class CountingBackend:
             for position in range(start_pos, end_pos):
                 counts[position] += 1
         return result
+
+    def reference_state(self, tokens, fills, buffered_layers):
+        reference = self.backend.reference_state(tokens, fills, buffered_layers)
+        self.references.append(reference)
+        self.computes[reference] = [[1] * fill for fill in fills]
+        return reference
 
     def exit_distribution(self, state, layer, position):
         self.queries[layer] += 1

@@ -588,7 +588,8 @@ class TestHierarchical:
 
     def test_corrupted_kv_mid_decode_is_located(self, toy_backend):
         # Corrupt one K/V entry of the full model's level at the second
-        # verification boundary; the recompute oracle must name it there.
+        # verification boundary; the recompute oracle must name it there and,
+        # as the reference reads no live tensor, at every later boundary too.
         reports_per_boundary = []
         corrupted = []
 
@@ -607,6 +608,9 @@ class TestHierarchical:
         assert all(r.max_abs_discrepancy == 0.0 for r in reports_per_boundary[0])
         flagged = [r for r in reports_per_boundary[1] if r.max_abs_discrepancy > 0]
         assert [(r.layer, r.worst_position) for r in flagged] == corrupted
+        [at_corruption] = flagged
+        for reports in reports_per_boundary[2:]:
+            assert reports[4] == at_corruption
 
 
 class TestCascade:

@@ -580,8 +580,10 @@ class TestRunAndEmit:
 
     def test_matrix_reshape_with_nan_for_invalid(self, tmp_path):
         rows = [
-            {"strategy": "hierarchical", "L_d": 1, "L_i": 2, "rel_throughput": 1.25},
-            {"strategy": "hierarchical", "L_d": 2, "L_i": 4, "rel_throughput": 0.75},
+            {"strategy": "hierarchical", "L_d": 1, "L_i": 2, "N_d": 2, "N_i": 4,
+             "rel_throughput": 1.25},
+            {"strategy": "hierarchical", "L_d": 2, "L_i": 4, "N_d": 2, "N_i": 4,
+             "rel_throughput": 0.75},
             {"strategy": "vanilla", "L_d": None, "L_i": None, "rel_throughput": 1.0},
         ]
         out = emit_matrix(rows, tmp_path / "matrix.txt", n_layers=5)
@@ -632,6 +634,37 @@ class TestCli:
         assert [(r["strategy"], r["N_i"]) for r in rows] == [
             ("vanilla", None), ("hierarchical", 2), ("hierarchical", 4)
         ]
+
+    def test_sweep_over_burst_pairs_writes_one_matrix_per_pair(self, tmp_path):
+        # Keyed by (L_d, L_i) alone, cell (1, 2) kept only N_i=4's 1.106628.
+        n_layers = 12
+        strategy = {
+            "name": "hierarchical", "draft_layer": "all", "intermediate_layer": "all",
+            "accept_window": [2, 4],
+        }
+        raw = dict(
+            SWEEP_CONFIG,
+            backend=dict(SWEEP_CONFIG["backend"], n_layers=n_layers),
+            strategies=[strategy],
+        )
+        out_dir = tmp_path / "out"
+        argv = ["sweep", "--matrix", "--format", "jsonl", "--out", str(out_dir)]
+        assert main(argv + ["--config", str(write_config(tmp_path, raw))]) == 0
+        rows = [json.loads(line) for line in (out_dir / "sweep.jsonl").read_text().splitlines()]
+        header, *lines = (out_dir / "matrix.txt").read_text().splitlines()
+        assert header == "# relative throughput matrix; rows: L_d 1..10, cols: L_i 2..11"
+        blocks = {}
+        for at in range(0, len(lines), n_layers - 1):  # a pair's line, then its 10 rows
+            pair, *grid = lines[at : at + n_layers - 1]
+            blocks[pair] = [line.split() for line in grid]
+        assert list(blocks) == ["# N_d=2 N_i=2", "# N_d=2 N_i=4"]
+        assert [blocks[pair][0][0] for pair in blocks] == ["1.035040", "1.106628"]
+        hierarchical = [row for row in rows if row["strategy"] == "hierarchical"]
+        for row in hierarchical:
+            grid = blocks[f"# N_d={row['N_d']} N_i={row['N_i']}"]
+            assert grid[row["L_d"] - 1][row["L_i"] - 2] == f"{row['rel_throughput']:.6f}"
+        cells = [cell for grid in blocks.values() for line in grid for cell in line]
+        assert len(cells) - cells.count("NaN") == len(hierarchical) == 2 * 55
 
     def test_relative_text_path_is_read_beside_the_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

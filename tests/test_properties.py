@@ -19,7 +19,10 @@ no state. Each toy example draws a small random-weight
 transformer and checks, at every verification boundary of a hierarchical
 and a 4-exit decode, that a recompute from scratch matches the live
 state exactly, and that the ledger of every decode, vanilla included,
-sums to its counted passes. Each bookkeeping example drives a state of
+sums to its counted passes. The same toy examples check that the reference
+a state holds between checks equals a fresh recompute bit for bit at every
+boundary of the 2-, 3- and 4-exit decodes, and that it is built once and
+then extended only over the positions each boundary adds. Each bookkeeping example drives a state of
 either backend, with 1 to 4 exits, through random passes and prunes, and
 checks every call against a layer-by-layer reference of the fill rules.
 """
@@ -38,6 +41,7 @@ from specdec import (
 )
 from specdec.costs import PHASES, PhaseCost
 from specdec.engine import Commit, DecodeTrace, DraftStep, IntermediateVerify, TargetVerify
+from specdec.state import _layer_reports
 
 from conftest import (
     CountingBackend,
@@ -233,6 +237,35 @@ def test_toy_boundaries_recompute_exactly(case):
     for result, counter in [(vanilla, vanilla_counter), *decodes]:
         assert result.tokens == vanilla.tokens
         assert_ledger_counts_passes(result.ledger, counter.passes)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(toy_cases())
+def test_held_reference_equals_a_fresh_recompute(case):
+    # At a decode's boundaries every layer shares one fill, so the check holds
+    # one reference over each 2-, 3- and 4-exit decode: built once by
+    # `reference_state`, then extended by one pass of every layer over the
+    # positions each boundary adds, never computing an entry twice.
+    backend, prompt, budget, eos, shapes = case
+    for exits, bursts in shapes[1:]:
+        counter = CountingBackend(backend)
+        fills = []  # the one fill of each boundary
+
+        def hook(session):
+            state = session.state
+            held = consistency_check(state, counter, state.tokens)
+            fresh = backend.reference_state(state.tokens, state.fills(), state.buffered_layers)
+            assert held == _layer_reports(state, fresh)
+            assert equals_snapshot(counter.references[0], snapshot(fresh))  # bit for bit
+            [fill] = set(state.fills())
+            fills.append(fill)
+
+        speculative_decode(backend, prompt, exits, bursts, budget, eos, boundary_hook=hook)
+        [reference] = counter.references
+        grown = [(backend.n_layers, b - a) for a, b in zip(fills, fills[1:]) if b > a]
+        assert counter.passes == grown
+        assert reference.fills() == (fills[-1],) * backend.n_layers
+        assert live_counts_are_one(counter, reference)
 
 
 @st.composite

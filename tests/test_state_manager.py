@@ -353,6 +353,62 @@ class TestConsistencyCheck:
             ] * backend.n_layers
 
 
+def all_zero(reports):
+    return all(r.max_abs_discrepancy == 0.0 and r.worst_position is None for r in reports)
+
+
+class TestHeldReference:
+    """The reference a state holds between checks, seen through the passes
+    and `reference_state` builds of the CountingBackend handed to the check."""
+
+    def test_changed_tokens_are_pruned_and_re_advanced(self, toy_backend):
+        counter = CountingBackend(toy_backend)
+        state = prepared_state(toy_backend, [1, 2, 3, 4, 5, 6])
+        assert all_zero(consistency_check(state, counter, state.tokens))
+        # Positions 3.. now hold other tokens than the ones the reference was built on.
+        state.prune_all(3)
+        append_tokens(state, [7, 8, 9, 10])
+        toy_backend.forward_range(state, 1, 6, 3, 7)
+        assert all_zero(consistency_check(state, counter, state.tokens))
+        [reference] = counter.references
+        assert counter.passes == [(6, 4)]  # every layer over positions 3..6, once
+        assert reference.tokens == state.tokens and reference.fills() == state.fills()
+        assert live_counts_are_one(counter, reference)
+
+    def test_another_backend_gets_a_fresh_reference(self, toy_backend):
+        first, second = CountingBackend(toy_backend), CountingBackend(toy_backend)
+        state = prepared_state(toy_backend, [1, 2, 3])
+        for counter, tokens in ((first, [4]), (second, [5]), (first, [6])):
+            assert all_zero(consistency_check(state, counter, state.tokens))
+            start = len(state.tokens)
+            append_tokens(state, tokens)
+            toy_backend.forward_range(state, 1, 6, start, len(state.tokens))
+        assert (len(first.references), len(second.references)) == (2, 1)
+        assert first.passes == second.passes == []
+
+    @pytest.mark.parametrize(
+        "buffered, references, passes",
+        [((6,), 2, []), ((3, 6), 1, [(3, 2), (3, 1)])],
+        ids=["unbuffered-break", "buffered-break"],
+    )
+    def test_a_run_resumes_only_above_a_buffered_layer(
+        self, toy_backend, buffered, references, passes
+    ):
+        # Layers 4-6 lag layers 1-3, so their run must resume from layer 3's hidden rows.
+        counter = CountingBackend(toy_backend)
+        state = toy_backend.new_state(buffered_layers=buffered)
+        state.set_tokens([1, 2, 3])
+        toy_backend.forward_range(state, 1, 6, 0, 3)
+        assert all_zero(consistency_check(state, counter, state.tokens))
+        append_tokens(state, [4, 5])
+        toy_backend.forward_range(state, 1, 6, 3, 4)
+        toy_backend.forward_range(state, 1, 3, 4, 5)
+        assert state.fills() == (5, 5, 5, 4, 4, 4)
+        assert all_zero(consistency_check(state, counter, state.tokens))
+        assert (len(counter.references), counter.passes) == (references, passes)
+        assert live_counts_are_one(counter, counter.references[-1])
+
+
 class TestNoLeak:
     def test_session_end_state_is_tight(self, toy_backend):
         result = speculative_decode(toy_backend, [2, 2, 2], (1, 3, 6), (2, 4), 10)
