@@ -176,11 +176,17 @@ class ToyTransformer:
         return rows[:, None]  # (n, 1, d) stacked rows
 
     def _run_layer(
-        self, state: LayeredState, layer: int, start_pos: int, x: np.ndarray, kv_heads: np.ndarray
+        self,
+        state: LayeredState,
+        layer: int,
+        start_pos: int,
+        x: np.ndarray,
+        kv_heads: tuple[np.ndarray, np.ndarray],
     ) -> np.ndarray:
         """One layer over a (d,) position or (n, 1, d) span starting at start_pos.
 
-        The state must have advanced over the span; `kv_heads` is its `kv_heads` view.
+        The state must have advanced over the span; `kv_heads` is the layer's
+        (keys, values) pair of head views, `state.kv_heads(n_heads)[layer - 1]`.
         """
         w_qkv, w_o, w_up, w_down = self.layers[layer - 1]
         d = self.d_model
@@ -189,7 +195,7 @@ class ToyTransformer:
         state.kv_k[layer - 1][rows] = qkv[..., d : 2 * d]
         state.kv_v[layer - 1][rows] = qkv[..., 2 * d :]
         q_heads = qkv[..., :d].reshape(-1, self.config.n_heads, self._d_head, 1)
-        attended = _attend_span(kv_heads[0, layer - 1], kv_heads[1, layer - 1], q_heads, start_pos)
+        attended = _attend_span(*kv_heads, q_heads, start_pos)
         x = x + attended.reshape(x.shape) @ w_o
         x = x + _silu(_rms_norm(x) @ w_up) @ w_down
         if layer in state.hidden:
@@ -232,7 +238,7 @@ class ToyTransformer:
         kv_heads = state.kv_heads(self.config.n_heads)
         state.advance(start_layer, end_layer, start_pos, end_pos)
         for layer in range(start_layer, end_layer + 1):
-            x = self._run_layer(state, layer, start_pos, x, kv_heads)
+            x = self._run_layer(state, layer, start_pos, x, kv_heads[layer - 1])
         return x.reshape(-1, self.d_model)
 
     # -- heads -------------------------------------------------------
@@ -263,5 +269,5 @@ class ToyTransformer:
         for layer, fill in enumerate(fills, 1):
             if fill:
                 ref.advance(layer, layer, 0, fill)
-                x = self._run_layer(ref, layer, 0, x[:fill], kv_heads)
+                x = self._run_layer(ref, layer, 0, x[:fill], kv_heads[layer - 1])
         return ref

@@ -38,6 +38,9 @@ huge page is made resident whole, the likely reason such a block raised
 peak memory. The mapping is therefore madvised `MADV_NOHUGEPAGE` where
 `mmap` offers it. Because the views alias the mapping, a state must not
 be copied or pickled: a copy of one array would no longer be part of it.
+`kv_heads` splits every layer's K and V into heads as further views of
+the mapping, built once per state and handed out per layer, so a forward
+pass neither reshapes the block nor indexes a 5-D view per layer.
 
 Every tensor row past a layer's fill is zero. That invariant lets
 `prune_all` clear positions [keep_len, old top) of the whole mapping in
@@ -63,7 +66,13 @@ costs the new positions rather than the whole prefix. A run that can
 resume neither from the embeddings nor from a buffered layer, or a check
 with another backend, gets a fresh monolithic reference instead. The
 reference reads only tokens, never the live tensors, so a corrupted live
-entry is reported at every check that still holds it.
+entry is reported at every check that still holds it. A sound state
+equals its reference, so a check first compares the two blocks whole
+over the positions of the first layer's fill, which cover every array's
+fill, and returns the all-zero report when they are equal. Only a gap, a
+NaN or blocks of another shape fall through to one comparison per array,
+which locates the gap. A boundary's check therefore costs one extension
+pass and one block comparison.
 
 numpy is imported only where tensors are made (`zeroed_block`), and
 `consistency_check` compares them through array methods alone, so a
@@ -72,6 +81,7 @@ state without tensors, and a synthetic `check`, never load it.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import mmap
@@ -130,7 +140,8 @@ class LayeredState:
     update it in place; `fills()` is a tuple copy of it. `tokens` is
     read-only outside `set_tokens`, `append_token` and `prune_all`, which
     check every token they place. Only `consistency_check` reads or writes
-    `_reference`, the reference it holds for the state.
+    `_reference`, the reference it holds for the state, and only `kv_heads`
+    reads or writes `_heads`, the head views it hands out.
     """
 
     def __init__(
@@ -157,6 +168,8 @@ class LayeredState:
         self.live_fills = [0] * n_layers
         # (backend, reference state) of the last consistency_check, or None.
         self._reference: tuple[Backend, LayeredState] | None = None
+        # (n_heads, per-layer (K, V) head views) of the last kv_heads call, or None.
+        self._heads: tuple[int, list[tuple[np.ndarray, np.ndarray]]] | None = None
         if d_model is None:
             self._block = None
             self.kv_k: list[np.ndarray] = []
@@ -240,13 +253,19 @@ class LayeredState:
             raise AlignmentError(f"missing hidden state at (layer {layer}, position {position})")
         return self.hidden[layer][position]
 
-    def kv_heads(self, n_heads: int) -> np.ndarray:
-        """K (index 0) and V of every layer split into heads, as a read-only view
-        (2, n_layers, n_heads, max_seq_len, d_head) of a state with tensors."""
-        shape = (2, self.n_layers, self.max_seq_len, n_heads, self.d_model // n_heads)
-        heads = self._block[: 2 * self.n_layers].reshape(shape).transpose(0, 1, 3, 2, 4)
-        heads.flags.writeable = False
-        return heads
+    def kv_heads(self, n_heads: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per layer (layer l at index l-1), its K and V split into heads: two
+        read-only (n_heads, max_seq_len, d_head) views of a state with tensors.
+
+        The views are built on the first call and again only for another
+        `n_heads`. They alias the block, so they always show its current rows.
+        """
+        if self._heads is None or self._heads[0] != n_heads:
+            shape = (2, self.n_layers, self.max_seq_len, n_heads, self.d_model // n_heads)
+            heads = self._block[: 2 * self.n_layers].reshape(shape).transpose(0, 1, 3, 2, 4)
+            heads.flags.writeable = False
+            self._heads = (n_heads, list(zip(heads[0], heads[1])))
+        return self._heads[1]
 
     def arrays(self) -> list[tuple[int, np.ndarray]]:
         """(layer, rows) for every K, V and hidden buffer, K and V first."""
@@ -297,7 +316,7 @@ def consistency_check(
     state without tensors reports zeros at once, asking its backend nothing.
     """
     if not state.kv_k:
-        return [LayerReport(layer, 0.0, None) for layer in range(1, state.n_layers + 1)]
+        return [*_zero_reports(state.n_layers)]
     held = state._reference
     if held is not None and held[0] is backend:
         if _extend(held[1], backend, token_sequence, state.live_fills):
@@ -340,8 +359,19 @@ def _extend(
 
 def _layer_reports(state: LayeredState, reference: LayeredState) -> list[LayerReport]:
     """Per layer, the worst absolute gap between `state`'s arrays and
-    `reference`'s over the layer's fill, with its first position."""
+    `reference`'s over the layer's fill, with its first position.
+
+    Fills never increase with depth, so positions [0, fills[0]) cover every
+    array's fill. When both blocks have one shape and are equal there, the
+    report is all zeros, and one comparison of the whole blocks gives it.
+    Otherwise (a gap, a NaN, or blocks of another shape) each array is
+    compared over its own fill: a NaN gap reads as infinity at its first
+    position, and arrays that do not pair up raise ValueError.
+    """
     fills = state.live_fills
+    block, held = state._block, reference._block
+    if block.shape == held.shape and (block[:, : fills[0]] == held[:, : fills[0]]).all():
+        return [*_zero_reports(state.n_layers)]  # -0.0 == 0.0, and its gap is 0.0 too
     worst: list[tuple[float, int | None]] = [(0.0, None)] * state.n_layers
     for (layer, rows), (_, theirs) in zip(state.arrays(), reference.arrays(), strict=True):
         fill = fills[layer - 1]
@@ -355,3 +385,9 @@ def _layer_reports(state: LayeredState, reference: LayeredState) -> list[LayerRe
         if gap > worst[layer - 1][0]:
             worst[layer - 1] = (gap, position)
     return [LayerReport(layer, *pair) for layer, pair in enumerate(worst, 1)]
+
+
+@functools.cache
+def _zero_reports(n_layers: int) -> tuple[LayerReport, ...]:
+    """The report of a sound state of `n_layers` layers, built once per depth."""
+    return tuple(LayerReport(layer, 0.0, None) for layer in range(1, n_layers + 1))

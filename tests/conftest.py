@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ from specdec import ModelConfig, SyntheticBackend, SyntheticModelSpec, ToyTransf
 from specdec.costs import PhaseCost
 from specdec.engine import Commit, DraftStep, IntermediateVerify, TargetVerify
 from specdec.errors import AlignmentError
-from specdec.state import LayeredState
+from specdec.state import LayeredState, LayerReport
 from specdec.synthetic import (
     _GOLDEN,
     _MASK64,
@@ -222,6 +223,28 @@ def equals_snapshot(state, snap):
         and len(arrays) == len(snap[3])
         and all(map(np.array_equal, arrays, snap[3]))
     )
+
+
+def per_array_reports(state, reference):
+    """The report `consistency_check` gives `state` against `reference`,
+    from one comparison per K, V and hidden array: per layer, the worst
+    absolute gap over the layer's fill and its first position, or (0.0,
+    None), with a NaN gap read as infinity. It never compares the blocks
+    whole, so it is the oracle of `state._layer_reports`."""
+    fills = state.live_fills
+    worst = [(0.0, None)] * state.n_layers
+    for (layer, rows), (_, theirs) in zip(state.arrays(), reference.arrays(), strict=True):
+        fill = fills[layer - 1]
+        if fill == 0:
+            continue
+        per_pos = np.abs(rows[:fill] - theirs[:fill]).max(axis=1)
+        position = int(per_pos.argmax())  # the first NaN, if there is one
+        gap = float(per_pos[position])
+        if math.isnan(gap):
+            gap = math.inf
+        if gap > worst[layer - 1][0]:
+            worst[layer - 1] = (gap, position)
+    return [LayerReport(layer, *pair) for layer, pair in enumerate(worst, 1)]
 
 
 def decode_record(result, boundaries=()) -> str:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from specdec import experiments
+from specdec import engine, experiments
 from specdec.cli import main
 from specdec.errors import AlignmentError, ConfigError
 from specdec.state import LayerReport
@@ -898,6 +898,57 @@ class TestCli:
         assert main(["check", "--config", str(write_config(tmp_path, raw))]) == 3
         captured = capsys.readouterr()
         assert "max discrepancy 5.000e-01" in captured.out
+        assert captured.err == "state recompute mismatch detected\n"
+
+    def test_check_compares_each_final_state(self, tmp_path, monkeypatch, capsys):
+        # An entry corrupted while finalize runs comes after every boundary
+        # check, so only the comparison of the decode's final state sees it.
+        raw = {
+            "seed": 1,
+            "backend": {"type": "toy", "n_layers": 5, "d_model": 8, "n_heads": 2},
+            "prompts": {"count": 2, "min_len": 2, "max_len": 4},
+            "decode": {"max_new_tokens": 6},
+        }
+        config_path = str(write_config(tmp_path, raw))
+        assert main(["check", "--config", config_path]) == 0
+        clean = capsys.readouterr().out
+
+        class CorruptsInFinalize:
+            """Forwards to `backend`; a pass run while `finalizing` is set
+            leaves one wrong K entry behind, at its last layer and position."""
+
+            def __init__(self, backend):
+                self.backend, self.finalizing, self.corrupted = backend, False, 0
+
+            def __getattr__(self, name):
+                return getattr(self.backend, name)
+
+            def forward_range(self, state, start_layer, end_layer, start_pos, end_pos):
+                x = self.backend.forward_range(state, start_layer, end_layer, start_pos, end_pos)
+                if self.finalizing:
+                    state.kv_k[end_layer - 1][end_pos - 1, 0] += 0.5
+                    self.corrupted += 1
+                return x
+
+        spec = experiments.load_config(config_path).backend
+        backend = CorruptsInFinalize(experiments._backend_cache(spec))
+        finalize = engine.DecodeSession.finalize
+
+        def flagged_finalize(session):
+            session.backend.finalizing = True
+            try:
+                finalize(session)
+            finally:
+                session.backend.finalizing = False
+
+        monkeypatch.setattr(experiments, "_backend_cache", lambda spec: backend)
+        monkeypatch.setattr(engine.DecodeSession, "finalize", flagged_finalize)
+        assert main(["check", "--config", config_path]) == 3
+        assert backend.corrupted > 0
+        captured = capsys.readouterr()
+        line, worst = captured.out.rsplit("; max discrepancy ", 1)
+        assert line == clean.rsplit("; max discrepancy ", 1)[0]  # the same boundaries
+        assert float(worst) > 0.0
         assert captured.err == "state recompute mismatch detected\n"
 
     def test_check_line_is_the_same_across_jobs(self, tmp_path, monkeypatch, capsys):

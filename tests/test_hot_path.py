@@ -25,12 +25,23 @@ is a lower bound on numpy dispatches. Nor does an operator or ufunc on a
 numpy scalar, while `math.sqrt` does: a norm written with it would add
 one C call per norm, 33 per vanilla token.
 
-Python / C calls per token read 94.53 / 163.91 (vanilla) and 342.48 /
-655.40 (hierarchical).
+Python / C calls per token read 94.53 / 161.91 (vanilla) and 342.48 /
+626.09 (hierarchical) when the budgets were last set. They read 163.91 and
+655.40 C calls when `kv_heads` built its head views on every
+`forward_range` call, and those counts fail today's budgets.
+
+A further toy gate counts the c_calls of `specdec` frames inside each
+`consistency_check` that a boundary hook runs at every top-exit
+verification of those 4 hierarchical decodes (113 boundaries), after one
+decode that builds what a check builds once per process. A check extends
+the state's held reference over the new positions (one pass of 16 layers)
+and compares the two states' blocks once. It read 164.42 C calls per check
+when the budget was set; comparing every K, V and hidden array separately,
+as the check did before, read 307.35 and fails it.
 
 The window cache keeps `SyntheticBackend._draw`, which hashes a window
 the cache misses, out of those counts, though every pass on a fresh
-backend pays it once per new window. A second gate counts the
+backend pays it once per new window. Another gate counts the
 arithmetic bytecodes that `_draw` executes per miss, traced with
 `sys.settrace` and `f_trace_opcodes`: the `BINARY_OP` instructions, one
 per binary or in-place operator (a subscript is `BINARY_SUBSCR` and is
@@ -45,6 +56,7 @@ Like a golden digest, a budget is raised only for a deliberate change
 that is recorded in CHANGES.md, with the old and the new counts.
 """
 import dis
+import functools
 import random
 import sys
 from collections import Counter
@@ -56,6 +68,7 @@ from specdec import (
     SyntheticBackend,
     ToyTransformer,
     calibrate_preset,
+    consistency_check,
     speculative_decode,
 )
 from specdec.prompts import random_prompts
@@ -67,10 +80,29 @@ SHAPES = {
     "hierarchical": ((10, 20, 80), (2, 4)),
 }
 # (Python calls, C calls) per committed token on the toy transformer.
-TOY_BUDGETS = {"vanilla": (100.0, 174.0), "hierarchical": (363.0, 698.0)}
+TOY_BUDGETS = {"vanilla": (100.0, 163.0), "hierarchical": (363.0, 640.0)}
 TOY_SHAPES = {"vanilla": ((16,), ()), "hierarchical": ((2, 4, 16), (2, 4))}
+# C calls per consistency_check at the boundaries of the toy's hierarchical decodes.
+CHECK_BUDGET = 175.0
 # Arithmetic bytecodes per window that SyntheticBackend._draw hashes.
 DRAW_BUDGET = 55
+
+
+def specdec_events(run) -> Counter:
+    """The "call" and "c_call" events of `specdec` frames during `run()`."""
+    events = Counter()
+
+    def profile(frame, event, arg):
+        if frame.f_globals.get("__name__", "").startswith("specdec"):
+            events[event] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return events
 
 
 def events_per_token(backend, prompts, exits, bursts, max_new_tokens) -> dict[str, float]:
@@ -78,22 +110,23 @@ def events_per_token(backend, prompts, exits, bursts, max_new_tokens) -> dict[st
     after one unprofiled pass over the prompts."""
     for prompt in prompts:  # warm any cache the backend keeps
         speculative_decode(backend, prompt, exits, bursts, max_new_tokens)
-    events = Counter()
+    results = []
 
-    def profile(frame, event, arg):
-        if frame.f_globals.get("__name__", "").startswith("specdec"):
-            events[event] += 1
-
-    tokens = 0
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    def decode_all():
         for prompt in prompts:
-            tokens += len(speculative_decode(backend, prompt, exits, bursts, max_new_tokens).tokens)
-    finally:
-        sys.setprofile(previous)
+            results.append(speculative_decode(backend, prompt, exits, bursts, max_new_tokens))
+
+    events = specdec_events(decode_all)
+    tokens = sum(len(result.tokens) for result in results)
     assert tokens == len(prompts) * max_new_tokens
     return {event: events[event] / tokens for event in ("call", "c_call")}
+
+
+def toy_model_and_prompts():
+    model = ToyTransformer(
+        ModelConfig(n_layers=16, d_model=64, n_heads=4, vocab_size=256, max_seq_len=256, seed=0)
+    )
+    return model, random_prompts(4, model.vocab_size, 32, 32, 0, model.max_seq_len)
 
 
 @pytest.mark.parametrize("strategy", list(SHAPES))
@@ -107,10 +140,7 @@ def test_calls_per_token_within_budget(strategy):
 
 @pytest.mark.parametrize("strategy", list(TOY_SHAPES))
 def test_toy_calls_per_token_within_budget(strategy):
-    model = ToyTransformer(
-        ModelConfig(n_layers=16, d_model=64, n_heads=4, vocab_size=256, max_seq_len=256, seed=0)
-    )
-    prompts = random_prompts(4, model.vocab_size, 32, 32, 0, model.max_seq_len)
+    model, prompts = toy_model_and_prompts()
     counts = events_per_token(model, prompts, *TOY_SHAPES[strategy], 32)
     calls, c_calls = TOY_BUDGETS[strategy]
     print(
@@ -119,6 +149,27 @@ def test_toy_calls_per_token_within_budget(strategy):
     )
     assert counts["call"] <= calls, f"{strategy}: {counts['call']:.2f} Python calls per token"
     assert counts["c_call"] <= c_calls, f"{strategy}: {counts['c_call']:.2f} C calls per token"
+
+
+def test_toy_check_calls_within_budget():
+    model, prompts = toy_model_and_prompts()
+    per_check = []  # the C calls of each boundary's check
+
+    def hook(session):
+        check = functools.partial(consistency_check, session.state, model, session.state.tokens)
+        per_check.append(specdec_events(check)["c_call"])
+
+    # One decode first, so that what a check builds once per process is built.
+    speculative_decode(model, prompts[0], *TOY_SHAPES["hierarchical"], 32, boundary_hook=hook)
+    per_check.clear()
+    for prompt in prompts:
+        speculative_decode(model, prompt, *TOY_SHAPES["hierarchical"], 32, boundary_hook=hook)
+    count = sum(per_check) / len(per_check)
+    print(
+        f"toy check: {count:.2f} C calls per consistency_check over {len(per_check)} "
+        f"boundaries, budget {CHECK_BUDGET}"
+    )
+    assert count <= CHECK_BUDGET, f"{count:.2f} C calls per consistency_check"
 
 
 def arithmetic_ops(code, run) -> int:

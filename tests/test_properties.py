@@ -41,7 +41,6 @@ from specdec import (
 )
 from specdec.costs import PHASES, PhaseCost
 from specdec.engine import Commit, DecodeTrace, DraftStep, IntermediateVerify, TargetVerify
-from specdec.state import _layer_reports
 
 from conftest import (
     CountingBackend,
@@ -50,6 +49,7 @@ from conftest import (
     counted,
     equals_snapshot,
     live_counts_are_one,
+    per_array_reports,
     reference_decode,
     snapshot,
     trace_queries,
@@ -255,7 +255,7 @@ def test_held_reference_equals_a_fresh_recompute(case):
             state = session.state
             held = consistency_check(state, counter, state.tokens)
             fresh = backend.reference_state(state.tokens, state.fills(), state.buffered_layers)
-            assert held == _layer_reports(state, fresh)
+            assert held == per_array_reports(state, fresh)
             assert equals_snapshot(counter.references[0], snapshot(fresh))  # bit for bit
             [fill] = set(state.fills())
             fills.append(fill)

@@ -18,6 +18,7 @@ from specdec import (
     speculative_decode,
     vanilla_decode,
 )
+from specdec.state import LayerReport, _layer_reports
 
 from conftest import (
     CountingBackend,
@@ -25,6 +26,7 @@ from conftest import (
     all_agree_backend,
     equals_snapshot,
     live_counts_are_one,
+    per_array_reports,
     snapshot,
 )
 
@@ -351,6 +353,95 @@ class TestConsistencyCheck:
             assert [(r.max_abs_discrepancy, r.worst_position) for r in reports] == [
                 (0.0, None)
             ] * backend.n_layers
+
+
+def uneven_state(backend, buffered=(3, 6)):
+    """A toy state whose layers 1-3 are filled to 5 and layers 4-6 to 4."""
+    state = backend.new_state(buffered_layers=buffered)
+    state.set_tokens([1, 2, 3, 4, 5])
+    backend.forward_range(state, 1, 6, 0, 4)
+    backend.forward_range(state, 1, 3, 4, 5)
+    return state
+
+
+def put(rows, index, value):
+    rows[index] = value
+
+
+# name: (what it does to a state and its reference, the layers then flagged)
+CORRUPTIONS = {
+    "k-gap": (lambda state, ref: put(state.kv_k[2], (3, 7), state.kv_k[2][3, 7] + 1e-3), [3]),
+    "v-gap": (lambda state, ref: put(state.kv_v[4], (1, 0), state.kv_v[4][1, 0] - 0.5), [5]),
+    "hidden-gap": (
+        lambda state, ref: put(state.hidden[6], (3, 2), state.hidden[6][3, 2] + 1e-12),
+        [6],
+    ),
+    # Position 4 lies within the fills of layers 1-3 only.
+    "gap-past-a-deeper-fill": (
+        lambda state, ref: put(state.kv_k[0], (4, 1), state.kv_k[0][4, 1] + 1e-3),
+        [1],
+    ),
+    "nan": (lambda state, ref: put(state.kv_v[0], (2, 5), math.nan), [1]),
+    "nan-in-both": (
+        lambda state, ref: [put(rows.kv_k[1], (0, 0), math.nan) for rows in (state, ref)],
+        [2],
+    ),
+    "signed-zero": (
+        lambda state, ref: (put(state.kv_k[1], (0, 0), -0.0), put(ref.kv_k[1], (0, 0), 0.0)),
+        [],
+    ),
+    # Layer 6 is filled to 4 and layer 1 to 5: rows no array's fill covers.
+    "row-past-a-deeper-fill": (lambda state, ref: put(state.kv_v[5], 4, 1.0), []),
+    "row-past-every-fill": (lambda state, ref: put(state.kv_k[0], 5, 1.0), []),
+    "equal": (lambda state, ref: None, []),
+}
+
+
+class TestBlockComparison:
+    """`_layer_reports` against `conftest.per_array_reports`, the oracle that
+    compares each array over its own fill, on a state whose fills differ by
+    layer and its fresh reference."""
+
+    @pytest.mark.parametrize("corrupt, flagged", CORRUPTIONS.values(), ids=CORRUPTIONS)
+    def test_report_equals_the_per_array_oracle(self, toy_backend, corrupt, flagged):
+        state = uneven_state(toy_backend)
+        reference = toy_backend.reference_state(state.tokens, state.fills(), state.buffered_layers)
+        corrupt(state, reference)
+        reports = _layer_reports(state, reference)
+        assert reports == per_array_reports(state, reference)
+        assert [r.layer for r in reports if r.max_abs_discrepancy != 0.0] == flagged
+
+    def test_all_fills_zero(self, toy_backend):
+        state = toy_backend.new_state(buffered_layers=(3, 6))
+        state.set_tokens([1, 2, 3])
+        reference = toy_backend.reference_state(state.tokens, state.fills(), state.buffered_layers)
+        reports = _layer_reports(state, reference)
+        assert reports == per_array_reports(state, reference) == all_zero_reports(6)
+
+    def test_blocks_of_another_shape_raise(self, toy_backend):
+        state = uneven_state(toy_backend)
+        reference = toy_backend.reference_state(state.tokens, state.fills(), (6,))
+        with pytest.raises(ValueError):
+            _layer_reports(state, reference)
+
+    def test_an_all_equal_check_never_reads_the_arrays(self, toy_backend, monkeypatch):
+        def arrays(state):
+            raise AssertionError("an all-equal check compared the arrays one by one")
+
+        monkeypatch.setattr(LayeredState, "arrays", arrays)
+        boundaries = []
+
+        def hook(session):
+            state = session.state
+            boundaries.append(consistency_check(state, toy_backend, state.tokens))
+
+        speculative_decode(toy_backend, [8, 1, 30], (2, 4, 6), (2, 4), 12, boundary_hook=hook)
+        assert len(boundaries) > 1
+        assert all(reports == all_zero_reports(6) for reports in boundaries)
+
+
+def all_zero_reports(n_layers):
+    return [LayerReport(layer, 0.0, None) for layer in range(1, n_layers + 1)]
 
 
 def all_zero(reports):
